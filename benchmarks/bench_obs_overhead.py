@@ -2,7 +2,7 @@
 
 The streaming telemetry layer (``repro.obs.stream`` / ``repro.obs.metrics``)
 rides :meth:`repro.sim.trace.Tracer.subscribe`; the cost model that makes
-``repro monitor`` honest is that a run which is *not* monitored pays
+monitoring a ``repro run`` honest is that a run which is *not* monitored pays
 nothing for the instrumentation points scattered through the network and
 the protocol handlers.  Two configurations matter:
 
@@ -139,8 +139,8 @@ def test_cold_subscription_overhead_under_budget():
 def test_monitored_run_produces_spans_without_buffering(benchmark):
     """The monitor configuration end to end: telemetry subscribed through
     the shared :func:`~repro.obs.metrics.telemetry_for_variant` helper
-    (the same attachment path ``repro monitor`` and the cluster
-    coordinator use -- no direct tracer plumbing here), trace=False --
+    (the same attachment path ``repro run`` uses on every transport --
+    no direct tracer plumbing here), trace=False --
     throughput benchmark plus the bounded-memory claim."""
     from repro.core.registry import get_variant
     from repro.obs.metrics import telemetry_for_variant

@@ -204,28 +204,31 @@ class WaitForGraph:
         """Return one dark cycle through ``vertex`` as a vertex list, or None.
 
         The list starts and ends logically at ``vertex`` (the closing edge
-        back to the first element is implied, not repeated).
+        back to the first element is implied, not repeated).  Iterative
+        DFS (one successor iterator per path vertex), so cycles of any
+        length stay clear of the recursion limit.
         """
         colors = frozenset({EdgeColor.GREY, EdgeColor.BLACK})
         path: list[VertexId] = [vertex]
         on_path: set[VertexId] = {vertex}
         visited: set[VertexId] = set()
-
-        def dfs(current: VertexId) -> bool:
-            for nxt in self._cycle_successors(current, colors):
+        successors = [iter(self._cycle_successors(vertex, colors))]
+        while successors:
+            for nxt in successors[-1]:
                 if nxt == vertex:
-                    return True
+                    return path
                 if nxt in on_path or nxt in visited:
                     continue
                 path.append(nxt)
                 on_path.add(nxt)
-                if dfs(nxt):
-                    return True
-                on_path.discard(path.pop())
-            visited.add(current)
-            return False
-
-        return list(path) if dfs(vertex) else None
+                successors.append(iter(self._cycle_successors(nxt, colors)))
+                break
+            else:
+                successors.pop()
+                done = path.pop()
+                on_path.discard(done)
+                visited.add(done)
+        return None
 
     def permanent_black_edges_from(self, vertex: VertexId) -> set[Edge]:
         """Ground truth for the WFGD computation of section 5.

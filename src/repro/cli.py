@@ -9,7 +9,7 @@ Usage::
     repro experiment E3              # regenerate one experiment table
     repro experiment all --quick     # regenerate everything, fast settings
     repro verify                     # exhaustive small-scope model checking
-    repro live basic --seed 0        # deadlock scenario on the asyncio runtime
+    repro run basic --transport live # deadlock scenario on the asyncio runtime
     repro lint src tests             # project-specific static analysis
     repro lint --explain RPX005      # what a rule enforces, and why
     repro trace --format chrome --out trace.json   # Perfetto-loadable trace
@@ -370,64 +370,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _cmd_live(args: argparse.Namespace) -> int:
-    from repro.core import get_variant
-    from repro.errors import ConfigurationError, SimulationError
-    from repro.live import run_live
-
-    try:
-        get_variant(args.variant)
-    except ConfigurationError as error:
-        print(str(error))
-        return 2
-    try:
-        report = run_live(
-            args.variant,
-            scenario=args.scenario,
-            seed=args.seed,
-            time_scale=args.time_scale,
-            timeout=args.timeout,
-            n_vertices=args.n,
-            duration=args.duration,
-            policy=args.policy,
-        )
-    except (ConfigurationError, SimulationError) as error:
-        print(f"LIVE RUN FAILED: {error}")
-        return 1
-    outcome = report.outcome
-    print(
-        f"[live {args.variant} scenario={args.scenario} seed={args.seed} "
-        f"time_scale={report.time_scale:g}]"
-    )
-    print(f"  declarations: {outcome.declarations}")
-    print(f"  soundness violations: {outcome.soundness_violations}")
-    print(f"  complete: {outcome.complete}")
-    if report.detection_latency_seconds is not None:
-        print(
-            f"  detection latency: {report.detection_latency_seconds * 1000.0:.1f} ms "
-            f"wall ({outcome.first_declaration_at:g} virtual units)"
-        )
-    else:
-        print("  detection latency: n/a (no declaration)")
-    print(f"  wall time: {report.wall_seconds:.3f} s")
-    if not report.sound:
-        print("FAILED: declaration without a genuine deadlock (QRP2 violated)")
-        return 1
-    if args.scenario == "deadlock" and not report.detected:
-        print("FAILED: genuine deadlock went undetected (QRP1 violated)")
-        return 1
-    if args.scenario not in ("deadlock", "clean") and not outcome.complete:
-        print("FAILED: workload left a deadlock undetected (QRP1 violated)")
-        return 1
-    return 0
-
-
-def _cmd_cluster(args: argparse.Namespace) -> int:
+def _cmd_run(args: argparse.Namespace) -> int:
     import json
 
-    from repro.cluster import run_cluster
     from repro.core import get_variant
     from repro.errors import ClusterError, ConfigurationError, SimulationError
+    from repro.runner import run
 
     try:
         get_variant(args.variant)
@@ -435,26 +383,31 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         print(str(error))
         return 2
     try:
-        report = run_cluster(
+        report = run(
             args.variant,
-            scenario=args.scenario,
+            args.scenario,
+            transport=args.transport,
             seed=args.seed,
-            time_scale=args.time_scale,
-            timeout=args.timeout,
-            channel="tcp" if args.tcp else "unix",
+            policy=args.policy,
             n_vertices=args.n,
             duration=args.duration,
-            policy=args.policy,
+            time_scale=args.time_scale,
+            timeout=args.timeout,
+            tcp=args.tcp,
+            interval=args.interval,
+            slo=args.slo,
+            metrics_out=args.metrics_out,
+            spans_out=args.spans_out,
+            snapshots_out=args.snapshots_out,
+            console=sys.stdout,
         )
-    except ClusterError as error:
-        print(f"CLUSTER RUN FAILED: {error}")
-        for failure in error.failures:
-            print(f"  worker {failure.worker} ({failure.node}): {failure.reason}")
-            if failure.detail:
-                print(f"    {failure.detail.splitlines()[-1]}")
-        return 1
     except (ConfigurationError, SimulationError) as error:
-        print(f"CLUSTER RUN FAILED: {error}")
+        print(f"RUN FAILED: {error}")
+        if isinstance(error, ClusterError):
+            for failure in error.failures:
+                print(f"  worker {failure.worker} ({failure.node}): {failure.reason}")
+                if failure.detail:
+                    print(f"    {failure.detail.splitlines()[-1]}")
         return 1
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as sink:
@@ -462,87 +415,31 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             sink.write("\n")
     outcome = report.outcome
     print(
-        f"[cluster {args.variant} scenario={args.scenario} seed={args.seed} "
-        f"channel={report.channel} workers={report.workers} "
-        f"time_scale={report.time_scale:g}]"
+        f"[run {args.variant} scenario={args.scenario} transport={report.transport} "
+        f"seed={args.seed} ticks={report.ticks}]"
     )
     print(f"  declarations: {outcome.declarations}")
     print(f"  soundness violations: {outcome.soundness_violations}")
     print(f"  complete: {outcome.complete}")
-    print(f"  messages through workers: {report.messages_delivered}")
-    if report.detection_latency_seconds is not None:
-        print(
-            f"  detection latency: {report.detection_latency_seconds * 1000.0:.1f} ms "
-            f"wall ({outcome.first_declaration_at:g} virtual units)"
-        )
+    print(f"  bound violations: {report.bound_violations}")
+    print(f"  spans streamed: {report.spans_emitted}")
+    if report.first_declaration_at is None:
+        print("  first declaration: n/a (no declaration)")
     else:
-        print("  detection latency: n/a (no declaration)")
+        print(f"  first declaration: t={report.first_declaration_at:g} units")
+    if report.detection_latencies:
+        print(
+            f"  detection latency: max {max(report.detection_latencies):g} units "
+            f"over {len(report.detection_latencies)} computation(s)"
+        )
+    if report.slo is not None:
+        print(f"  SLO ({report.slo:g} units): {report.slo_violations} violation(s)")
+    print(f"  messages delivered: {report.messages_delivered}")
+    if report.workers is not None:
+        print(f"  worker processes: {report.workers}")
     print(f"  wall time: {report.wall_seconds:.3f} s")
-    if not report.sound:
-        print("FAILED: declaration without a genuine deadlock (QRP2 violated)")
-        return 1
-    if args.scenario == "deadlock" and not report.detected:
-        print("FAILED: genuine deadlock went undetected (QRP1 violated)")
-        return 1
-    if args.scenario not in ("deadlock", "clean") and not outcome.complete:
-        print("FAILED: workload left a deadlock undetected (QRP1 violated)")
-        return 1
-    return 0
-
-
-def _cmd_monitor(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.core import get_variant
-    from repro.errors import ConfigurationError, SimulationError
-    from repro.live.monitor import run_monitor
-
-    try:
-        variant = get_variant(args.variant)
-    except ConfigurationError as error:
-        print(str(error))
-        return 2
-    if variant.monitor is None:
-        print(f"variant {args.variant!r} does not support live monitoring")
-        return 2
-    try:
-        report = run_monitor(
-            args.variant,
-            scenario=args.scenario,
-            seed=args.seed,
-            duration=args.duration,
-            interval=args.interval,
-            time_scale=args.time_scale,
-            slo_seconds=args.slo,
-            metrics_out=args.metrics_out,
-            spans_out=args.spans_out,
-            snapshots_out=args.snapshots_out,
-            stream=None if args.json else sys.stdout,
-            policy=args.policy,
-        )
-    except (ConfigurationError, SimulationError) as error:
-        print(f"MONITOR RUN FAILED: {error}")
-        return 1
-    if args.json:
-        print(json.dumps(report.to_json(), sort_keys=True))
-    else:
-        outcome = report.outcome
-        print(
-            f"[monitor {args.variant} scenario={args.scenario} "
-            f"seed={args.seed} ticks={report.ticks}]"
-        )
-        print(f"  declarations: {outcome.declarations}")
-        print(f"  soundness violations: {outcome.soundness_violations}")
-        print(f"  bound violations: {report.bound_violations}")
-        print(f"  spans streamed: {report.spans_emitted}")
-        if report.slo_seconds is not None:
-            print(
-                f"  SLO ({report.slo_seconds:g} s): "
-                f"{report.slo_violations} violation(s)"
-            )
-        print(f"  wall time: {report.wall_seconds:.3f} s")
-        if not report.ok:
-            print("FAILED: monitor gate (soundness / bounds / SLO / detection)")
+    for failure in report.failures:
+        print(f"FAILED: {failure}")
     return 0 if report.ok else 1
 
 
@@ -584,8 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
             "Lists every workload family in the registry: the canned "
             "section 2-4 patterns, the randomized basic/DDB drivers, and "
             "the graph ensembles.  Any family name here is a valid "
-            "--scenario for `repro live`, `repro cluster`, and `repro "
-            "monitor` (capability-checked against the variant's model)."
+            "--scenario for `repro run` on every transport "
+            "(capability-checked against the variant's model)."
         ),
     )
     workloads.add_argument(
@@ -603,9 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
             "manual/immediate/delayed-T initiation rules (sections 4.2 and "
             "4.3), the section 6.7 periodic controller scan, and the "
             "adaptive controller that tunes T online.  Any example shown "
-            "here is a valid --policy for `repro live`, `repro cluster`, "
-            "and `repro monitor` (capability-checked against the "
-            "variant's model)."
+            "here is a valid --policy for `repro run` on every transport "
+            "(capability-checked against the variant's model)."
         ),
     )
     policies.add_argument(
@@ -761,20 +657,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.set_defaults(handler=_cmd_verify)
 
-    live = subparsers.add_parser(
-        "live",
-        help="run a variant's scenario on the asyncio runtime",
+    from repro.runner import TRANSPORTS
+
+    run = subparsers.add_parser(
+        "run",
+        help="run a variant's scenario on any transport, observed",
         description=(
             "Runs a registered variant's standard deadlock/clean scenario "
             "-- or any registered workload family (see `repro workloads`) "
-            "-- on the wall-clock asyncio transport instead of the "
-            "deterministic simulator, and reports declarations, soundness, "
-            "and detection latency.  Exit 1 on a missed deadlock or a "
-            "soundness violation."
+            "-- on the deterministic simulator, the wall-clock asyncio "
+            "runtime, or one worker OS process per node, and observes it "
+            "tick by tick: a one-line console status, a Prometheus text "
+            "file rewritten each tick, and JSONL streams of settled "
+            "probe-computation spans and metric snapshots.  Times are "
+            "virtual units everywhere.  Exit 1 on a missed deadlock, a "
+            "soundness violation, a section 4 probe-bound violation, a "
+            "missed SLO, or a run failure; exit 2 on an unknown variant."
         ),
     )
-    live.add_argument("variant", help="variant name (see `repro variants`)")
-    live.add_argument(
+    run.add_argument("variant", help="variant name (see `repro variants`)")
+    run.add_argument(
+        "--transport",
+        choices=TRANSPORTS,
+        default="sim",
+        help="runtime backend (default: sim)",
+    )
+    run.add_argument(
         "--scenario",
         default="deadlock",
         help=(
@@ -782,20 +690,8 @@ def build_parser() -> argparse.ArgumentParser:
             "(see `repro workloads`; default: deadlock)"
         ),
     )
-    live.add_argument(
-        "--n",
-        type=int,
-        default=None,
-        help="topology-size override for workload-family scenarios",
-    )
-    live.add_argument(
-        "--duration",
-        type=float,
-        default=None,
-        help="workload-duration override in virtual units (family scenarios)",
-    )
-    live.add_argument("--seed", type=int, default=0, help="root seed (default: 0)")
-    live.add_argument(
+    run.add_argument("--seed", type=int, default=0, help="root seed (default: 0)")
+    run.add_argument(
         "--policy",
         default=None,
         help=(
@@ -803,167 +699,66 @@ def build_parser() -> argparse.ArgumentParser:
             "(see `repro policies`; default: the variant's built-in rule)"
         ),
     )
-    live.add_argument(
-        "--time-scale",
-        type=float,
-        default=0.005,
-        help="wall seconds per virtual time unit (default: 0.005)",
-    )
-    live.add_argument(
-        "--timeout",
-        type=float,
-        default=30.0,
-        help="wall-clock budget in seconds before the run fails (default: 30)",
-    )
-    live.set_defaults(handler=_cmd_live)
-
-    cluster = subparsers.add_parser(
-        "cluster",
-        help="run a variant across one worker OS process per node",
-        description=(
-            "Runs a registered variant with every node's message channels "
-            "owned by its own worker process: messages cross real Unix-"
-            "domain (or TCP) sockets as length-prefixed JSON frames, with "
-            "per-channel FIFO order preserved end to end and seeded delay "
-            "injection.  Scenarios: the standard deadlock/clean "
-            "conformance pair, `random` (the model's default randomized "
-            "workload family), or any registered family name -- gated on "
-            "the quiescence-time completeness report.  Exit 1 on a "
-            "missed deadlock, a soundness violation, or a worker failure."
-        ),
-    )
-    cluster.add_argument("variant", help="variant name (see `repro variants`)")
-    cluster.add_argument(
-        "--scenario",
-        default="deadlock",
-        help=(
-            "deadlock, clean, random, or a workload family name "
-            "(see `repro workloads`; default: deadlock)"
-        ),
-    )
-    cluster.add_argument("--seed", type=int, default=0, help="root seed (default: 0)")
-    cluster.add_argument(
-        "--policy",
-        default=None,
-        help=(
-            "initiation scheduling policy id, e.g. delayed/T=2 or adaptive "
-            "(see `repro policies`; default: the variant's built-in rule)"
-        ),
-    )
-    cluster.add_argument(
+    run.add_argument(
         "--n",
         type=int,
-        default=8,
-        help="vertices for the random workload (default: 8)",
+        default=None,
+        help="topology size (default: the workload family's example)",
     )
-    cluster.add_argument(
+    run.add_argument(
         "--duration",
         type=float,
-        default=40.0,
-        help="random-workload duration in virtual units (default: 40)",
+        default=None,
+        help="workload horizon in virtual units (default: the family's example)",
     )
-    cluster.add_argument(
+    run.add_argument(
         "--time-scale",
         type=float,
         default=0.005,
-        help="wall seconds per virtual time unit (default: 0.005)",
+        help="live/cluster: wall seconds per virtual unit (default: 0.005)",
     )
-    cluster.add_argument(
+    run.add_argument(
         "--timeout",
         type=float,
         default=60.0,
         help="wall-clock budget in seconds before the run fails (default: 60)",
     )
-    cluster.add_argument(
+    run.add_argument(
         "--tcp",
         action="store_true",
-        help="use loopback TCP channels instead of Unix-domain sockets",
+        help="cluster: loopback TCP channels instead of Unix-domain sockets",
     )
-    cluster.add_argument(
-        "--json-out",
-        metavar="FILE",
-        help="also write the full report as JSON here",
+    run.add_argument(
+        "--json-out", metavar="FILE", help="write the run report as JSON here"
     )
-    cluster.set_defaults(handler=_cmd_cluster)
-
-    monitor = subparsers.add_parser(
-        "monitor",
-        help="watch a live run with a runtime console and telemetry export",
-        description=(
-            "Runs a registered variant's scenario on the asyncio runtime "
-            "and observes it tick by tick: a one-line console status "
-            "(virtual clock, per-node queue depth, in-flight messages, "
-            "open probe computations, declarations, SLO state), a "
-            "Prometheus text file rewritten each tick, a JSONL stream of "
-            "settled probe-computation spans, and a JSONL stream of "
-            "metric snapshots.  Exit 1 when the run is unsound, breaks a "
-            "section 4 probe bound, misses its detection-latency SLO, or "
-            "fails to detect a deadlock it was dealt."
-        ),
-    )
-    monitor.add_argument("variant", help="variant name (see `repro variants`)")
-    monitor.add_argument(
-        "--scenario",
-        default="deadlock",
-        help=(
-            "deadlock, clean, random, or a workload family name "
-            "(see `repro workloads`; default: deadlock)"
-        ),
-    )
-    monitor.add_argument("--seed", type=int, default=0, help="root seed (default: 0)")
-    monitor.add_argument(
-        "--policy",
-        default=None,
-        help=(
-            "initiation scheduling policy id, e.g. delayed/T=2 or adaptive "
-            "(see `repro policies`; default: the variant's built-in rule)"
-        ),
-    )
-    monitor.add_argument(
-        "--duration",
-        type=float,
-        default=5.0,
-        help="wall seconds to observe the run for (default: 5)",
-    )
-    monitor.add_argument(
+    run.add_argument(
         "--interval",
         type=float,
-        default=0.5,
-        help="wall seconds between console/export ticks (default: 0.5)",
+        default=100.0,
+        help="virtual units between console/export ticks (default: 100)",
     )
-    monitor.add_argument(
-        "--time-scale",
-        type=float,
-        default=0.005,
-        help="wall seconds per virtual time unit (default: 0.005)",
-    )
-    monitor.add_argument(
+    run.add_argument(
         "--slo",
         type=float,
         default=None,
-        help="detection-latency SLO in wall seconds (default: off)",
+        help="detection-latency SLO in virtual units (default: off)",
     )
-    monitor.add_argument(
+    run.add_argument(
         "--metrics-out",
         metavar="FILE",
         help="write Prometheus text exposition here, rewritten each tick",
     )
-    monitor.add_argument(
+    run.add_argument(
         "--spans-out",
         metavar="FILE",
         help="stream settled probe-computation spans here as JSONL",
     )
-    monitor.add_argument(
+    run.add_argument(
         "--snapshots-out",
         metavar="FILE",
         help="stream periodic metrics snapshots here as JSONL",
     )
-    monitor.add_argument(
-        "--json",
-        action="store_true",
-        help="suppress the console and print one final JSON report",
-    )
-    monitor.set_defaults(handler=_cmd_monitor)
+    run.set_defaults(handler=_cmd_run)
 
     from repro.lint.cli import add_lint_arguments
 

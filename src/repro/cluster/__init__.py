@@ -16,14 +16,12 @@ deterministic backoff, heartbeat while alive, and shut down gracefully
 at quiescence; a worker that dies mid-run surfaces as a typed
 :class:`~repro.errors.ClusterError` carrying per-worker
 :class:`~repro.errors.WorkerFailure` records, never a hang.
-:func:`run_cluster` drives one variant through the standard conformance
-scenarios (or a large random workload) on this substrate and reports
-detection latency through the same telemetry families as ``repro live``.
+``repro run <variant> --transport cluster`` drives any variant's
+scenarios on this substrate through the same run path as the other two.
 """
 
 from __future__ import annotations
 
-from repro.cluster.runner import ClusterReport, run_cluster
 from repro.cluster.transport import ClusterTransport
 
-__all__ = ["ClusterReport", "ClusterTransport", "run_cluster"]
+__all__ = ["ClusterTransport"]

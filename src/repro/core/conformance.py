@@ -17,7 +17,7 @@ quiescence-time report of each variant end to end.
 The *workloads* behind the scenarios resolve through the workload
 registry: :data:`CONFORMANCE_WORKLOADS` maps ``(model, scenario)`` to
 the :class:`~repro.workloads.spec.WorkloadSpec` each variant schedules,
-so the conformance suite, the monitor seam, and every other runner all
+so the conformance suite, ``repro run``, and every other runner all
 drive the identical request patterns.  (``repro.workloads.spec`` is the
 RPX004 workload seam, importable from this core-tier module.)
 """
@@ -72,8 +72,8 @@ class ConformanceOutcome:
     #: dark components (or deadlocked closures) left without a declarer.
     undetected_components: int = 0
     #: time (virtual units) of the first declaration, ``None`` when the
-    #: run stayed silent.  On the live backend this is elapsed wall time
-    #: rescaled to units -- the detection latency ``repro live`` reports.
+    #: run stayed silent.  On the wall-clock backends this is elapsed wall
+    #: time rescaled to units: time since the run started, not a latency.
     first_declaration_at: float | None = None
 
 

@@ -116,24 +116,6 @@ class DemoSpec:
 
 
 @dataclass(frozen=True)
-class MonitorSetup:
-    """A monitorable run: system assembled, workload scheduled, not run.
-
-    The variant's ``monitor`` callable returns one of these instead of
-    driving the run itself, so an external loop (``repro monitor``) can
-    interleave transport slices with console rendering and metric
-    snapshots.  ``summarize`` is the quiescence-time closure producing
-    the same :class:`~repro.core.conformance.ConformanceOutcome` the
-    conformance path reports.
-    """
-
-    system: Any
-    summarize: Callable[[], ConformanceOutcome]
-    #: node count, for the console's per-node queue-depth table.
-    n_nodes: int
-
-
-@dataclass(frozen=True)
 class DetectorVariant:
     """One registered detector: factory, capabilities, conformance, demo."""
 
@@ -149,10 +131,6 @@ class DetectorVariant:
     #: deterministic simulator).
     conformance: Callable[..., ConformanceOutcome]
     demo: DemoSpec | None = None
-    #: ``monitor(scenario, seed, transport=None)`` assembles the same
-    #: scenario *without* running it, for an external run loop
-    #: (``repro monitor``); ``None`` if the variant cannot be monitored.
-    monitor: Callable[..., "MonitorSetup"] | None = None
 
 
 _REGISTRY: dict[str, DetectorVariant] = {}

@@ -153,6 +153,11 @@ class Transport(Protocol):
         """Driver-level timer at absolute ``time`` (>= now)."""
         ...
 
+    @property
+    def quiescent(self) -> bool:
+        """True when no message is in flight and no timer pends."""
+        ...
+
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
         """Run until quiescence, the ``until`` deadline, or an event budget."""
         ...

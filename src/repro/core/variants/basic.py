@@ -16,7 +16,6 @@ from repro.core.registry import (
     DemoSpec,
     DetectorVariant,
     MessageTaxonomy,
-    MonitorSetup,
     VariantCapabilities,
     register,
 )
@@ -24,10 +23,10 @@ from repro.sim import categories
 from repro.workloads.spec import WorkloadSpec, get_family
 
 
-def _setup(
+def _conformance(
     scenario: str, seed: int, transport: object | None = None
-) -> MonitorSetup:
-    """Assemble the standard scenario without running it (monitor seam).
+) -> ConformanceOutcome:
+    """Run one standard scenario.
 
     The request pattern resolves through the workload registry (via the
     RPX004 workload seam), so conformance runs the same ``cycle`` /
@@ -38,30 +37,19 @@ def _setup(
         n_vertices=spec.n, seed=seed, strict=False, transport=transport
     )
     get_family(spec.family).schedule(spec, system)
-
-    def summarize() -> ConformanceOutcome:
-        report = system.completeness_report()
-        return ConformanceOutcome(
-            variant="basic",
-            scenario=scenario,
-            declarations=len(system.declarations),
-            soundness_violations=len(system.soundness_violations),
-            complete=report.complete,
-            undetected_components=len(report.undetected_components),
-            first_declaration_at=(
-                system.declarations[0].time if system.declarations else None
-            ),
-        )
-
-    return MonitorSetup(system=system, summarize=summarize, n_nodes=spec.n)
-
-
-def _conformance(
-    scenario: str, seed: int, transport: object | None = None
-) -> ConformanceOutcome:
-    setup = _setup(scenario, seed, transport)
-    setup.system.run_to_quiescence()
-    return setup.summarize()
+    system.run_to_quiescence()
+    report = system.completeness_report()
+    return ConformanceOutcome(
+        variant="basic",
+        scenario=scenario,
+        declarations=len(system.declarations),
+        soundness_violations=len(system.soundness_violations),
+        complete=report.complete,
+        undetected_components=len(report.undetected_components),
+        first_declaration_at=(
+            system.declarations[0].time if system.declarations else None
+        ),
+    )
 
 
 def _demo() -> int:
@@ -117,6 +105,5 @@ BASIC_VARIANT = register(
             help="3-cycle basic-model demo",
             run=_demo,
         ),
-        monitor=_setup,
     )
 )

@@ -15,7 +15,6 @@ from repro.core.registry import (
     DemoSpec,
     DetectorVariant,
     MessageTaxonomy,
-    MonitorSetup,
     VariantCapabilities,
     register,
 )
@@ -24,10 +23,10 @@ from repro.sim import categories
 from repro.workloads.spec import get_family
 
 
-def _setup(
+def _conformance(
     scenario: str, seed: int, transport: object | None = None
-) -> MonitorSetup:
-    """Assemble the standard scenario without running it (monitor seam).
+) -> ConformanceOutcome:
+    """Run one standard scenario.
 
     The ``ddb-cross`` / ``ddb-disjoint`` workload families (resolved via
     the RPX004 workload seam) build the two-site system and issue the
@@ -38,30 +37,19 @@ def _setup(
     assert family.build is not None  # both conformance families carry one
     system: DdbSystem = family.build(spec, transport=transport, strict=False)
     family.schedule(spec, system)
-
-    def summarize() -> ConformanceOutcome:
-        complete, undetected = system.completeness_report()
-        return ConformanceOutcome(
-            variant="ddb",
-            scenario=scenario,
-            declarations=len(system.declarations),
-            soundness_violations=len(system.soundness_violations),
-            complete=complete,
-            undetected_components=len(undetected),
-            first_declaration_at=(
-                system.declarations[0].time if system.declarations else None
-            ),
-        )
-
-    return MonitorSetup(system=system, summarize=summarize, n_nodes=spec.n)
-
-
-def _conformance(
-    scenario: str, seed: int, transport: object | None = None
-) -> ConformanceOutcome:
-    setup = _setup(scenario, seed, transport)
-    setup.system.run_to_quiescence(max_events=100_000)
-    return setup.summarize()
+    system.run_to_quiescence(max_events=100_000)
+    complete, undetected = system.completeness_report()
+    return ConformanceOutcome(
+        variant="ddb",
+        scenario=scenario,
+        declarations=len(system.declarations),
+        soundness_violations=len(system.soundness_violations),
+        complete=complete,
+        undetected_components=len(undetected),
+        first_declaration_at=(
+            system.declarations[0].time if system.declarations else None
+        ),
+    )
 
 
 def _demo() -> int:
@@ -137,6 +125,5 @@ DDB_VARIANT = register(
             help="cross-site DDB deadlock demo",
             run=_demo,
         ),
-        monitor=_setup,
     )
 )

@@ -14,7 +14,6 @@ from repro.core.conformance import ConformanceOutcome, conformance_workload
 from repro.core.registry import (
     DemoSpec,
     DetectorVariant,
-    MonitorSetup,
     VariantCapabilities,
     register,
 )
@@ -22,10 +21,10 @@ from repro.ormodel.system import OrSystem
 from repro.workloads.spec import get_family
 
 
-def _setup(
+def _conformance(
     scenario: str, seed: int, transport: object | None = None
-) -> MonitorSetup:
-    """Assemble the standard scenario without running it (monitor seam).
+) -> ConformanceOutcome:
+    """Run one standard scenario.
 
     The request pattern resolves through the workload registry's
     ``or-knot`` / ``or-clean`` families (via the RPX004 workload seam).
@@ -35,30 +34,19 @@ def _setup(
         n_vertices=spec.n, seed=seed, strict=False, transport=transport
     )
     get_family(spec.family).schedule(spec, system)
-
-    def summarize() -> ConformanceOutcome:
-        report = system.completeness_report()
-        return ConformanceOutcome(
-            variant="ormodel",
-            scenario=scenario,
-            declarations=len(system.declarations),
-            soundness_violations=len(system.soundness_violations),
-            complete=report.complete,
-            undetected_components=len(report.undetected_components),
-            first_declaration_at=(
-                system.declarations[0].time if system.declarations else None
-            ),
-        )
-
-    return MonitorSetup(system=system, summarize=summarize, n_nodes=spec.n)
-
-
-def _conformance(
-    scenario: str, seed: int, transport: object | None = None
-) -> ConformanceOutcome:
-    setup = _setup(scenario, seed, transport)
-    setup.system.run_to_quiescence()
-    return setup.summarize()
+    system.run_to_quiescence()
+    report = system.completeness_report()
+    return ConformanceOutcome(
+        variant="ormodel",
+        scenario=scenario,
+        declarations=len(system.declarations),
+        soundness_violations=len(system.soundness_violations),
+        complete=report.complete,
+        undetected_components=len(report.undetected_components),
+        first_declaration_at=(
+            system.declarations[0].time if system.declarations else None
+        ),
+    )
 
 
 def _demo() -> int:
@@ -100,6 +88,5 @@ OR_VARIANT = register(
             help="OR/communication-model knot demo (section 7 extension)",
             run=_demo,
         ),
-        monitor=_setup,
     )
 )

@@ -11,13 +11,12 @@ run-until-declaration driver with a wall-clock timeout.
 Because delivery interleavings now come from the host scheduler, live
 runs are *not* reproducible -- but the paper's claims (QRP2 soundness at
 the instant of declaration, QRP1 completeness) are schedule-free: they
-hold for every P4-legal delivery order.  The live conformance suite
-exercises exactly that.
+hold for every P4-legal delivery order.  The conformance suite run
+through :func:`repro.runner.run` exercises exactly that.
 """
 
 from __future__ import annotations
 
-from repro.live.runner import LiveReport, run_live
 from repro.live.transport import AsyncioTransport
 
-__all__ = ["AsyncioTransport", "LiveReport", "run_live"]
+__all__ = ["AsyncioTransport"]

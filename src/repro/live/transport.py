@@ -416,7 +416,8 @@ class AsyncioTransport:
         for delivery in pending:
             self._dispatch(delivery)
 
-    def _quiescent(self) -> bool:
+    @property
+    def quiescent(self) -> bool:
         return self._in_flight == 0 and self._pending_timers == 0
 
     async def _drive(
@@ -434,7 +435,7 @@ class AsyncioTransport:
                 raise failure
             if stop():
                 return True
-            if self._quiescent():
+            if self.quiescent:
                 return False
             if max_events is not None and self._executed - baseline >= max_events:
                 return False

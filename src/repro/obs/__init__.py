@@ -23,7 +23,7 @@ for inspecting a run.  This package folds the structured trace recorded by
 * :mod:`repro.obs.metrics` -- labelled live metric families (counters,
   gauges, bucketed histograms) with Prometheus text exposition, plus
   :class:`~repro.obs.metrics.TransportTelemetry`, which populates them
-  from any transport backend (the engine behind ``repro monitor``).
+  from any transport backend (the observer behind ``repro run``).
 
 Layering: ``obs`` observes the protocol core from outside, exactly like
 ``analysis``/``verification``; protocol packages must never import it

@@ -750,9 +750,9 @@ def telemetry_for_variant(
     baseline -- gets network metrics only, no span engine), and the
     subscription rides ``transport.tracer`` whichever backend owns it --
     simulator, asyncio runtime, or the multi-process cluster coordinator.
-    ``repro monitor``, the observability benchmarks, and the cluster
-    runner's coordinator-side aggregation all share this helper instead
-    of hand-rolling the schema lookup.
+    :func:`repro.runner.run` (on every transport) and the observability
+    benchmarks share this helper instead of hand-rolling the schema
+    lookup.
     """
     schemas: tuple[SpanSchema, ...] = ()
     if capabilities is not None and capabilities.taxonomy is not None:

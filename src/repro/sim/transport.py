@@ -133,6 +133,10 @@ class SimTransport:
 
     # -- running -------------------------------------------------------
 
+    @property
+    def quiescent(self) -> bool:
+        return not self.simulator.queue
+
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
         self.simulator.run(until=until, max_events=max_events)
 

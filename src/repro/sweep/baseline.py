@@ -89,7 +89,7 @@ def _bench_cycle64() -> tuple[int, float]:
 def _bench_monitor_stream() -> tuple[int, float]:
     """Detect a 64-cycle deadlock with the streaming span engine attached.
 
-    The ``repro monitor`` configuration: ``trace=False`` (nothing
+    The monitored ``repro run`` configuration: ``trace=False`` (nothing
     buffered) plus a category-scoped subscription folding spans online.
     Ratcheting this next to ``engine.cycle64`` keeps the telemetry
     layer's overhead on the detection hot path honest.

@@ -1,9 +1,8 @@
 """Provision a (detector variant, workload spec) pair on any transport.
 
 The one place the "build a system, schedule a workload onto it,
-summarise the run" dance lives.  Runners that used to hard-code a model
-check plus a workload class (the cluster's random lane, ad-hoc test
-harnesses) call :func:`provision_workload` instead: it checks the
+summarise the run" dance lives.  :func:`repro.runner.run` and ad-hoc
+test harnesses call :func:`provision_workload`: it checks the
 family's capability declaration against the variant's model (typed
 :class:`~repro.errors.ConfigurationError` on mismatch, naming the
 family), builds the system -- through the family's own factory when it
@@ -18,7 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any
 
-from repro.core.conformance import ConformanceOutcome
+from repro.core.conformance import (
+    CONFORMANCE_SCENARIOS,
+    ConformanceOutcome,
+    conformance_workload,
+)
 from repro.core.registry import DetectorVariant
 from repro.core.scheduling import ComputationOutcome, PolicySpec
 from repro.core.scheduling import require_model as require_policy_model
@@ -176,6 +179,7 @@ def resolve_scenario_spec(
 ) -> WorkloadSpec:
     """Turn a runner's scenario string into a concrete workload spec.
 
+    ``deadlock`` / ``clean`` are the model's conformance workloads;
     ``random`` picks the variant's model's default randomized family;
     any other name must be a registered family capable of driving that
     model (typed :class:`~repro.errors.ConfigurationError` otherwise,
@@ -184,12 +188,15 @@ def resolve_scenario_spec(
     overrides, ``n_vertices`` / ``duration`` override when given.
     """
     model = variant.capabilities.model
-    if scenario == "random":
-        family = default_random_family(model)
+    if scenario in CONFORMANCE_SCENARIOS:
+        spec = conformance_workload(model, scenario).with_seed(seed)
     else:
-        family = get_family(scenario)
-        require_model(family, model)
-    spec = family.example.with_seed(seed)
+        if scenario == "random":
+            family = default_random_family(model)
+        else:
+            family = get_family(scenario)
+            require_model(family, model)
+        spec = family.example.with_seed(seed)
     if n_vertices is not None:
         spec = replace(spec, n=n_vertices)
     if duration is not None:

@@ -8,9 +8,9 @@ picklable value naming one workload (family + topology/load parameters +
 seed + duration) with a canonical ``workload_id``; a
 :class:`WorkloadFamily` declares which models it can drive, how to
 schedule itself onto a built system, and which outcome fields it reports.
-Every runner -- the sweep engine, the conformance/monitor seams, the live
-asyncio runtime, the multi-process cluster, and the ``repro workloads``
-CLI -- resolves families here instead of keeping its own stringly-typed
+Every runner -- the sweep engine, the conformance callables, ``repro run``
+on all three transports, and the ``repro workloads`` CLI -- resolves
+families here instead of keeping its own stringly-typed
 scenario table.
 
 Layering: this file is an RPX004 *seam* module (like

@@ -179,6 +179,22 @@ class TestDarkCycleDetection:
         graph.create_edge(v(0), v(1))
         assert graph.find_dark_cycle(v(0)) is None
 
+    def test_find_dark_cycle_survives_a_long_cycle(self) -> None:
+        # 2,000 vertices: deeper than the default recursion limit.
+        graph = WaitForGraph()
+        build_cycle(graph, list(range(2000)), black=False)
+        assert graph.find_dark_cycle(v(0)) == [v(i) for i in range(2000)]
+
+    def test_find_dark_cycle_backtracks_out_of_dead_ends(self) -> None:
+        # 0 -> 1 -> 2 (dead end), 0 -> 3 -> 0: the branch through 1 is
+        # explored first and abandoned; the cycle through 3 is returned.
+        graph = WaitForGraph()
+        graph.create_edge(v(0), v(1))
+        graph.create_edge(v(1), v(2))
+        build_cycle(graph, [0, 3])
+        assert graph.find_dark_cycle(v(0)) == [v(0), v(3)]
+        assert graph.find_dark_cycle(v(1)) is None
+
     def test_figure_eight_both_cycles_found(self) -> None:
         # Vertex 0 on two cycles sharing it: 0->1->0 and 0->2->0.
         graph = WaitForGraph()

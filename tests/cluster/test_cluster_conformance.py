@@ -1,115 +1,63 @@
-"""Cross-runtime conformance: every variant, both scenarios, cluster backend.
-
-The mirror of ``tests/transport/test_live_conformance.py`` on the
-multi-process runtime: each registered detector variant runs its standard
-deadlock and clean scenarios with one worker OS process per node across
-three seeds.  Delivery now crosses real socket frames and process
-boundaries, but the paper's claims are schedule-free -- QRP2 soundness
-at the instant of declaration and QRP1 completeness must hold on *every*
-P4-legal delivery order, so zero violations is a hard requirement here
-too.
-"""
+"""The conformance suite (``tests/transport/test_run_conformance.py``) on
+the multi-process cluster: one worker OS process per node, every
+delivery crossing real socket frames and process boundaries."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.cluster import run_cluster
-from repro.core import all_variants
-
-#: compressed clock for tests: 1 virtual unit = 2 ms wall.
-TIME_SCALE = 0.002
-#: generous per-run wall budget; a hang is a failure, not a wait.
-TIMEOUT = 20.0
-SEEDS = (0, 1, 2)
-
-
-def _variant_ids() -> list[str]:
-    return [variant.name for variant in all_variants()]
+from repro import runner
+from repro.cluster.transport import ClusterTransport
+from tests.transport.test_run_conformance import (
+    TIME_SCALE,
+    TIMEOUT,
+    AdaptivePolicy,
+    EveryVariant,
+    run_on,
+)
 
 
-@pytest.fixture(scope="module", autouse=True)
-def _warm_up() -> None:
-    """One throwaway cluster run before any timed assertion.
-
-    The first run of the session pays import, event-loop, and worker
-    spawn costs; on a compressed clock those wall milliseconds would
-    skew timing-sensitive detectors (timeout).
-    """
-    run_cluster("basic", scenario="clean", seed=0, time_scale=TIME_SCALE, timeout=TIMEOUT)
+class TestEveryVariantOnCluster(EveryVariant):
+    transport = "cluster"
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("name", _variant_ids())
-class TestEveryVariantOnCluster:
-    def test_deadlock_scenario_detects_soundly(self, name: str, seed: int) -> None:
-        report = run_cluster(
-            name, scenario="deadlock", seed=seed, time_scale=TIME_SCALE, timeout=TIMEOUT
-        )
-        assert report.detected, f"{name} missed a genuine deadlock on the cluster"
-        assert report.sound, (
-            f"{name} violated instant-of-declaration soundness on the cluster"
-        )
-        assert report.ok
-        assert report.workers >= 1
-        assert report.outcome.first_declaration_at is not None
-        assert report.detection_latency_seconds is not None
-        assert report.detection_latency_seconds > 0.0
-
-    def test_clean_scenario_stays_silent(self, name: str, seed: int) -> None:
-        report = run_cluster(
-            name, scenario="clean", seed=seed, time_scale=TIME_SCALE, timeout=TIMEOUT
-        )
-        assert not report.detected, f"{name} declared on a clean cluster run"
-        assert report.sound
-        assert report.ok
-        assert report.outcome.first_declaration_at is None
-        assert report.detection_latency_seconds is None
+class TestAdaptivePolicyOnCluster(AdaptivePolicy):
+    transport = "cluster"
 
 
-def test_adaptive_policy_passes_conformance_on_cluster() -> None:
-    """The cluster-transport lane of the three-transport adaptive matrix
-    (sim lane: tests/core/test_scheduling.py; live lane:
-    tests/transport/test_live_conformance.py)."""
-    report = run_cluster(
-        "basic",
-        scenario="deadlock",
-        seed=0,
-        time_scale=TIME_SCALE,
-        timeout=TIMEOUT,
-        policy="adaptive",
-    )
-    assert report.detected
-    assert report.sound
-
-
-def test_tcp_channel_passes_conformance() -> None:
+def test_tcp_channel_passes_conformance(monkeypatch) -> None:
     """Loopback TCP instead of Unix sockets: same contract, same outcome."""
-    report = run_cluster(
-        "basic",
-        scenario="deadlock",
-        seed=0,
-        time_scale=TIME_SCALE,
-        timeout=TIMEOUT,
-        channel="tcp",
-    )
+    built: list[ClusterTransport] = []
+    make_transport = runner._make_transport
+
+    def spy(*args, **kwargs):
+        backend = make_transport(*args, **kwargs)
+        built.append(backend)
+        return backend
+
+    monkeypatch.setattr(runner, "_make_transport", spy)
+    report = run_on("cluster", "basic", "deadlock", tcp=True)
+    assert [backend.channel for backend in built] == ["tcp"]
     assert report.ok
-    assert report.channel == "tcp"
+    assert report.workers is not None and report.workers >= 1
     assert report.messages_delivered > 0
 
 
 def test_random_workload_detects_completely() -> None:
-    """The large random workload: churn, deadlocks at random, QRP1 gate."""
-    report = run_cluster(
+    """The large random workload: churn, deadlocks at random, QRP1 gate,
+    one worker OS process per node."""
+    transport = ClusterTransport(
+        seed=1, trace=False, time_scale=TIME_SCALE, max_wall_seconds=30.0
+    )
+    report = runner.run(
         "basic",
-        scenario="random",
+        "random",
+        transport=transport,
         seed=1,
-        time_scale=TIME_SCALE,
-        timeout=30.0,
         n_vertices=6,
         duration=30.0,
+        timeout=30.0,
     )
     assert report.sound
     assert report.outcome.complete
     assert report.ok
+    assert len(transport.worker_processes()) == 6
     assert report.workers == 6

@@ -15,7 +15,6 @@ import time
 
 import pytest
 
-from repro.cluster import run_cluster
 from repro.cluster.transport import ClusterTransport
 from repro.cluster.worker import (
     BACKOFF_BASE,
@@ -24,23 +23,30 @@ from repro.cluster.worker import (
     backoff_delays,
 )
 from repro.errors import ClusterError, SimulationError
+from repro.runner import RunReport, run
 
 TIME_SCALE = 0.002
 TIMEOUT = 15.0
+
+
+def run_with_worker_env(worker_env: dict[str, str]) -> RunReport:
+    """The basic deadlock scenario on a cluster whose workers carry the
+    given failure-injection hooks."""
+    transport = ClusterTransport(
+        seed=0,
+        trace=False,
+        time_scale=TIME_SCALE,
+        max_wall_seconds=TIMEOUT,
+        worker_env=worker_env,
+    )
+    return run("basic", "deadlock", transport=transport, timeout=TIMEOUT)
 
 
 class TestWorkerCrash:
     def test_mid_run_crash_raises_typed_partial_run_error(self) -> None:
         started = time.perf_counter()
         with pytest.raises(ClusterError) as excinfo:
-            run_cluster(
-                "basic",
-                scenario="deadlock",
-                seed=0,
-                time_scale=TIME_SCALE,
-                timeout=TIMEOUT,
-                worker_env={"REPRO_CLUSTER_TEST_EXIT_AFTER": "2"},
-            )
+            run_with_worker_env({"REPRO_CLUSTER_TEST_EXIT_AFTER": "2"})
         elapsed = time.perf_counter() - started
         # detected via EOF/exit status, far inside the wall budget -- the
         # whole point: a dead worker is a report, not a timeout.
@@ -92,25 +98,11 @@ class TestWorkerCrash:
 
 class TestConnectRobustness:
     def test_slow_starting_worker_is_awaited(self) -> None:
-        report = run_cluster(
-            "basic",
-            scenario="deadlock",
-            seed=0,
-            time_scale=TIME_SCALE,
-            timeout=TIMEOUT,
-            worker_env={"REPRO_CLUSTER_TEST_STARTUP_DELAY": "0.6"},
-        )
+        report = run_with_worker_env({"REPRO_CLUSTER_TEST_STARTUP_DELAY": "0.6"})
         assert report.ok
 
     def test_connect_failures_recovered_by_backoff(self) -> None:
-        report = run_cluster(
-            "basic",
-            scenario="deadlock",
-            seed=0,
-            time_scale=TIME_SCALE,
-            timeout=TIMEOUT,
-            worker_env={"REPRO_CLUSTER_TEST_CONNECT_FAILS": "2"},
-        )
+        report = run_with_worker_env({"REPRO_CLUSTER_TEST_CONNECT_FAILS": "2"})
         assert report.ok
 
     def test_connect_timeout_is_a_typed_bring_up_failure(self) -> None:

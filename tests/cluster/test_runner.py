@@ -1,4 +1,4 @@
-"""The cluster runner and its report: gates, JSON artifact, CLI wiring."""
+"""The run path on the cluster transport: gates, JSON artifact, CLI wiring."""
 
 from __future__ import annotations
 
@@ -7,18 +7,17 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.cluster import run_cluster
-from repro.cluster.runner import ClusterReport
 from repro.core.conformance import ConformanceOutcome
 from repro.errors import ConfigurationError
+from repro.runner import RunReport, run
 
 TIME_SCALE = 0.002
 
 
-def _report(**overrides) -> ClusterReport:
+def _report(**overrides) -> RunReport:
     outcome_fields = {
         "variant": "basic",
-        "scenario": "deadlock",
+        "scenario": "cycle",
         "declarations": 2,
         "soundness_violations": 0,
         "complete": True,
@@ -30,18 +29,18 @@ def _report(**overrides) -> ClusterReport:
     fields = {
         "variant": "basic",
         "scenario": "deadlock",
-        "outcome": outcome,
-        "wall_seconds": 0.5,
-        "detection_latency_seconds": 0.02,
-        "detection_latencies_seconds": (0.02, 0.03),
-        "time_scale": TIME_SCALE,
-        "channel": "unix",
-        "workers": 4,
-        "messages_delivered": 20,
+        "transport": "cluster",
         "seed": 0,
+        "outcome": outcome,
+        "detection_latencies": (4.0, 6.0),
+        "bound_violations": 0,
+        "spans_emitted": 4,
+        "ticks": 1,
+        "messages_delivered": 20,
+        "wall_seconds": 0.5,
     }
     fields.update(overrides)
-    return ClusterReport(**fields)
+    return RunReport(**fields)
 
 
 class TestReportGates:
@@ -62,7 +61,7 @@ class TestReportGates:
     def test_silent_clean_run_is_ok(self) -> None:
         report = _report(
             scenario="clean",
-            outcome={"scenario": "clean", "declarations": 0, "first_declaration_at": None},
+            outcome={"scenario": "chain", "declarations": 0, "first_declaration_at": None},
         )
         assert report.ok
 
@@ -82,10 +81,11 @@ class TestReportGates:
 
     def test_json_artifact_is_schemad_and_self_contained(self) -> None:
         payload = _report().to_json()
-        assert payload["schema"] == "repro.cluster-report/1"
+        assert payload["schema"] == "repro.run-report/1"
         assert payload["ok"] is True
-        assert payload["workers"] == 4
-        assert payload["detection_latencies_seconds"] == [0.02, 0.03]
+        assert payload["transport"] == "cluster"
+        assert payload["detection_latencies"] == [4.0, 6.0]
+        assert payload["first_declaration_at"] == 10.0
         json.dumps(payload)  # JSON-serializable as-is
 
 
@@ -93,7 +93,7 @@ class TestRunnerValidation:
     def test_random_resolves_for_every_registered_model(self) -> None:
         # Since the er/ba ensembles learned the OR model, every protocol
         # model has a randomized default; the spec resolver is the
-        # gate run_cluster delegates to.
+        # gate run() delegates to.
         from repro.core.registry import get_variant
         from repro.workloads.provision import resolve_scenario_spec
 
@@ -102,24 +102,24 @@ class TestRunnerValidation:
 
     def test_family_must_drive_the_variants_model(self) -> None:
         with pytest.raises(ConfigurationError, match="'ddb-mix' cannot drive"):
-            run_cluster("basic", scenario="ddb-mix")
+            run("basic", "ddb-mix", transport="cluster")
 
     def test_unknown_family_is_a_configuration_error(self) -> None:
         with pytest.raises(ConfigurationError, match="unknown workload family"):
-            run_cluster("basic", scenario="no-such-family")
+            run("basic", "no-such-family", transport="cluster")
 
     def test_unknown_variant_is_a_configuration_error(self) -> None:
         with pytest.raises(ConfigurationError, match="unknown detector variant"):
-            run_cluster("nope")
+            run("nope", transport="cluster")
 
 
 class TestRegistryWorkloadsOnCluster:
     def test_random_on_ddb_runs_the_transaction_mix(self) -> None:
-        # The old runner hard-coded the basic model here; the registry
-        # resolves ddb's default randomized family (ddb-mix) instead.
-        report = run_cluster(
+        # random resolves ddb's default randomized family (ddb-mix).
+        report = run(
             "ddb",
-            scenario="random",
+            "random",
+            transport="cluster",
             seed=1,
             n_vertices=2,
             duration=40.0,
@@ -132,9 +132,10 @@ class TestRegistryWorkloadsOnCluster:
         assert report.outcome.scenario == "ddb-mix"
 
     def test_ensemble_family_by_name_on_the_cluster(self) -> None:
-        report = run_cluster(
+        report = run(
             "basic",
-            scenario="er",
+            "er",
+            transport="cluster",
             seed=2,
             n_vertices=6,
             duration=0.0,
@@ -147,20 +148,24 @@ class TestRegistryWorkloadsOnCluster:
 
 
 class TestCli:
-    def test_cluster_subcommand_is_registered(self) -> None:
+    def test_cluster_transport_is_selectable(self) -> None:
         parser = build_parser()
         args = parser.parse_args(
-            ["cluster", "basic", "--scenario", "clean", "--time-scale", "0.002"]
+            ["run", "basic", "--transport", "cluster", "--scenario", "clean", "--tcp"]
         )
         assert args.variant == "basic"
+        assert args.transport == "cluster"
         assert args.scenario == "clean"
+        assert args.tcp
 
     def test_cli_run_writes_json_artifact(self, tmp_path, capsys) -> None:
         out = tmp_path / "report.json"
         code = main(
             [
-                "cluster",
+                "run",
                 "basic",
+                "--transport",
+                "cluster",
                 "--scenario",
                 "deadlock",
                 "--time-scale",
@@ -173,10 +178,11 @@ class TestCli:
         printed = capsys.readouterr().out
         assert "declarations: " in printed
         payload = json.loads(out.read_text())
-        assert payload["schema"] == "repro.cluster-report/1"
+        assert payload["schema"] == "repro.run-report/1"
         assert payload["ok"] is True
+        assert payload["transport"] == "cluster"
         assert payload["soundness_violations"] == 0
 
     def test_cli_unknown_variant_exits_2(self, capsys) -> None:
-        assert main(["cluster", "nope"]) == 2
+        assert main(["run", "nope", "--transport", "cluster"]) == 2
         assert "unknown detector variant" in capsys.readouterr().out

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import repro.cluster.transport  # expect: RPX004
 from repro import cluster  # expect: RPX004
-from repro.cluster.runner import run_cluster  # expect: RPX004
+from repro.cluster.worker import backoff_delays  # expect: RPX004
 
 
 def observe() -> object:
     from repro.cluster.frames import encode_value  # expect: RPX004
 
-    return encode_value, run_cluster, cluster, repro.cluster.transport
+    return encode_value, backoff_delays, cluster, repro.cluster.transport

@@ -5,7 +5,7 @@ subscription feeding :class:`~repro.obs.stream.StreamingSpanEngine`) must
 reproduce :func:`~repro.obs.spans.build_spans` **field for field** on every
 registered variant that exports a probe taxonomy, in both the deadlock and
 the clean conformance scenario.  The suite also pins the properties that
-make the engine fit for ``repro monitor``: bounded memory (settled spans
+make the engine fit for monitoring a ``repro run``: bounded memory (settled spans
 are evicted, ``peak_open`` stays far below the number of computations),
 zero buffering under ``trace=False``, online section 4 bound detection,
 and the ``obs.span.settled`` trace hook.
@@ -18,6 +18,7 @@ import pytest
 from repro._ids import ProbeTag
 from repro.basic.system import BasicSystem
 from repro.core import all_variants, get_variant
+from repro.core.conformance import conformance_workload
 from repro.errors import BoundViolation
 from repro.obs.spans import SCHEMAS_BY_MODEL, SpanOutcome, build_spans
 from repro.obs.stream import (
@@ -28,27 +29,28 @@ from repro.obs.stream import (
 )
 from repro.sim import categories
 from repro.workloads import scenarios
+from repro.workloads.provision import provision_workload
 
 
-def monitorable_variants():
-    """Every registered variant that can be both monitored and span-folded."""
+def span_variants():
+    """Every registered protocol variant whose probes fold into spans."""
     return [
         variant
         for variant in all_variants()
-        if variant.monitor is not None and variant.capabilities.taxonomy is not None
+        if variant.capabilities.kind == "protocol"
+        and variant.capabilities.taxonomy is not None
     ]
 
 
-def run_scenario(variant, scenario: str, seed: int = 0):
-    """Run one conformance scenario with the full trace retained."""
-    setup = variant.monitor(scenario, seed)
-    setup.system.run_to_quiescence()
-    return setup.system
+def provision(variant, scenario: str, seed: int = 0):
+    """One conformance scenario, built (full trace retained) but not run."""
+    spec = conformance_workload(variant.capabilities.model, scenario)
+    return provision_workload(variant, spec.with_seed(seed))
 
 
 VARIANT_SCENARIOS = [
     (variant.name, scenario)
-    for variant in monitorable_variants()
+    for variant in span_variants()
     for scenario in ("deadlock", "clean")
 ]
 
@@ -56,15 +58,16 @@ VARIANT_SCENARIOS = [
 class TestBatchParity:
     def test_suite_covers_every_span_schema(self) -> None:
         # if a new model gains a span schema, it must join this suite
-        covered = {variant.capabilities.model for variant in monitorable_variants()}
+        covered = {variant.capabilities.model for variant in span_variants()}
         assert set(SCHEMAS_BY_MODEL) <= covered
 
     @pytest.mark.parametrize(("name", "scenario"), VARIANT_SCENARIOS)
     def test_stream_spans_equals_build_spans(self, name: str, scenario: str) -> None:
         variant = get_variant(name)
         schema = SCHEMAS_BY_MODEL[variant.capabilities.model]
-        system = run_scenario(variant, scenario)
-        tracer = system.simulator.tracer
+        provisioned = provision(variant, scenario)
+        provisioned.run_to_quiescence()
+        tracer = provisioned.system.simulator.tracer
         batch = build_spans(tracer, schema=schema)
         streamed = stream_spans(tracer, schema)
         if scenario == "deadlock":
@@ -79,16 +82,17 @@ class TestBatchParity:
         # produces them, not from a replayed trace.
         variant = get_variant(name)
         schema = SCHEMAS_BY_MODEL[variant.capabilities.model]
-        setup = variant.monitor(scenario, 0)
+        provisioned = provision(variant, scenario)
+        tracer = provisioned.system.simulator.tracer
         live: list = []
         engine = StreamingSpanEngine(
-            schema, n_vertices=setup.n_nodes, on_span=live.append
+            schema, n_vertices=provisioned.spec.n, on_span=live.append
         )
-        engine.attach(setup.system.simulator.tracer)
-        setup.system.run_to_quiescence()
+        engine.attach(tracer)
+        provisioned.run_to_quiescence()
         engine.finish()
-        engine.detach(setup.system.simulator.tracer)
-        batch = build_spans(setup.system.simulator.tracer, schema=schema)
+        engine.detach(tracer)
+        batch = build_spans(tracer, schema=schema)
         assert sorted(live, key=span_sort_key) == batch
         assert engine.emitted == len(batch)
         assert not engine.violations

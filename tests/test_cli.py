@@ -203,20 +203,28 @@ class TestBenchCommand:
 
 
 class TestMonitorCommand:
-    FAST = ["--duration", "0.6", "--interval", "0.2", "--time-scale", "0.002"]
+    """`repro run` with its observer flags (console, exports, SLO gate)."""
 
-    def test_monitor_json_report(self, capsys) -> None:
-        assert main(["monitor", "basic", "--json", *self.FAST]) == 0
-        document = json.loads(capsys.readouterr().out)
-        assert document["schema"] == "repro.monitor-report/1"
+    FAST = ["--transport", "live", "--interval", "2", "--time-scale", "0.002"]
+
+    def report(self, tmp_path, *argv: str) -> tuple[int, dict]:
+        out = tmp_path / "report.json"
+        code = main(["run", *argv, "--json-out", str(out), *self.FAST])
+        return code, json.loads(out.read_text())
+
+    def test_monitor_json_report(self, tmp_path, capsys) -> None:
+        code, document = self.report(tmp_path, "basic")
+        assert code == 0
+        assert document["schema"] == "repro.run-report/1"
         assert document["ok"] and document["detected"]
+        assert document["transport"] == "live"
 
     def test_monitor_console_and_exports(self, tmp_path, capsys) -> None:
         metrics = tmp_path / "metrics.prom"
         spans = tmp_path / "spans.jsonl"
         assert main(
             [
-                "monitor",
+                "run",
                 "basic",
                 "--metrics-out",
                 str(metrics),
@@ -226,21 +234,51 @@ class TestMonitorCommand:
             ]
         ) == 0
         out = capsys.readouterr().out
-        assert "[monitor basic scenario=deadlock" in out
+        assert "[run basic scenario=deadlock transport=live" in out
+        assert out.startswith("t=")  # one console line per tick, first
         assert "spans streamed:" in out
         assert "FAILED" not in out
         assert "repro_computations_total" in metrics.read_text()
         assert spans.read_text().strip()
 
-    def test_monitor_clean_scenario(self, capsys) -> None:
-        assert main(["monitor", "basic", "--scenario", "clean", "--json", *self.FAST]) == 0
-        assert json.loads(capsys.readouterr().out)["detected"] is False
+    def test_monitor_clean_scenario(self, tmp_path, capsys) -> None:
+        code, document = self.report(tmp_path, "basic", "--scenario", "clean")
+        assert code == 0
+        assert document["detected"] is False
 
     def test_monitor_unknown_variant_is_an_error(self, capsys) -> None:
-        assert main(["monitor", "nope", *self.FAST]) == 2
+        assert main(["run", "nope", *self.FAST]) == 2
         assert "unknown detector variant" in capsys.readouterr().out
 
-    def test_monitor_impossible_slo_exits_nonzero(self, capsys) -> None:
-        assert main(["monitor", "basic", "--slo", "1e-9", "--json", *self.FAST]) == 1
-        document = json.loads(capsys.readouterr().out)
+    def test_monitor_impossible_slo_exits_nonzero(self, tmp_path, capsys) -> None:
+        code, document = self.report(tmp_path, "basic", "--slo", "1e-9")
+        assert code == 1
         assert document["slo_violations"] > 0 and not document["ok"]
+        assert "FAILED: " in capsys.readouterr().out
+
+    def test_run_defaults_to_the_simulator(self, capsys) -> None:
+        assert main(["run", "ddb", "--scenario", "clean"]) == 0
+        assert "transport=sim" in capsys.readouterr().out
+
+    def test_run_failure_exits_1(self, capsys) -> None:
+        assert main(["run", "basic", "--scenario", "ddb-mix"]) == 1
+        assert "RUN FAILED" in capsys.readouterr().out
+
+    def test_worker_failures_are_listed(self, capsys, monkeypatch) -> None:
+        from repro import runner
+        from repro.errors import ClusterError, WorkerFailure
+
+        def fail(*args, **kwargs):
+            raise ClusterError(
+                "cluster worker died",
+                (
+                    WorkerFailure(0, "p0", "exited", detail="boot\nTraceback: boom"),
+                    WorkerFailure(1, "p1", "stopped heartbeating"),
+                ),
+            )
+
+        monkeypatch.setattr(runner, "run", fail)
+        assert main(["run", "basic", "--transport", "cluster"]) == 1
+        out = capsys.readouterr().out
+        assert "  worker 0 (p0): exited\n    Traceback: boom\n" in out
+        assert "  worker 1 (p1): stopped heartbeating\n" in out

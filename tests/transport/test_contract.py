@@ -138,6 +138,29 @@ class TestTimers:
         finally:
             transport.close()
 
+    def test_sliced_run_ends_exactly_when_quiescent(self, backend) -> None:
+        # the run path's tick loop: run(until=...) slices, then ask the
+        # transport whether anything is still pending.
+        transport = _build(backend)
+        try:
+            sender, receiver = Recorder("a"), Recorder("b")
+            transport.register(sender)
+            transport.register(receiver)
+            fired: list[str] = []
+            transport.schedule(6.0, lambda: fired.append("timer"))
+            sender.send("b", "hello")
+            assert not transport.quiescent
+            slices = 0
+            while not transport.quiescent:
+                transport.run(until=transport.now + 2.0)
+                slices += 1
+                assert slices < 100, "sliced run never quiesced"
+            assert fired == ["timer"]
+            assert receiver.seen == [("a", "hello")]
+            assert slices >= 2
+        finally:
+            transport.close()
+
     def test_node_timer_sees_advanced_clock(self, backend) -> None:
         transport = _build(backend)
         try:

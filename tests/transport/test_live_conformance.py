@@ -1,107 +1,18 @@
-"""Cross-runtime conformance: every variant, both scenarios, live backend.
-
-The mirror of ``tests/core/test_conformance.py`` on the asyncio runtime:
-each registered detector variant runs its standard deadlock and clean
-scenarios against :class:`~repro.live.transport.AsyncioTransport` across
-three seeds.  Live interleavings are nondeterministic, but the paper's
-claims are schedule-free -- QRP2 soundness at the instant of declaration
-and QRP1 completeness must hold on *every* P4-legal delivery order, so
-zero violations here is a hard requirement, not a statistical one.
-"""
+"""The conformance suite (``test_run_conformance.py``) on the asyncio runtime."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core import all_variants
-from repro.live import run_live
-
-#: compressed clock for tests: 1 virtual unit = 2 ms wall.
-TIME_SCALE = 0.002
-#: generous per-run wall budget; a hang is a failure, not a wait.
-TIMEOUT = 20.0
-SEEDS = (0, 1, 2)
+from tests.transport.test_run_conformance import AdaptivePolicy, EveryVariant, run_on
 
 
-def _variant_ids() -> list[str]:
-    return [variant.name for variant in all_variants()]
+class TestEveryVariantLive(EveryVariant):
+    transport = "live"
 
 
-def _policy_variant_ids() -> list[str]:
-    """Variants with an initiation seam: overlays bind to a host system
-    and take no policy (provision_workload rejects the combination)."""
-    return [
-        variant.name
-        for variant in all_variants()
-        if variant.capabilities.kind != "overlay"
-    ]
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _warm_up() -> None:
-    """One throwaway live run before any timed assertion.
-
-    The first run of the session pays import and event-loop warm-up
-    costs; on a compressed clock those wall milliseconds masquerade as
-    virtual time and would skew timing-sensitive detectors (timeout).
-    """
-    run_live("basic", scenario="clean", seed=0, time_scale=TIME_SCALE, timeout=TIMEOUT)
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("name", _variant_ids())
-class TestEveryVariantLive:
-    def test_deadlock_scenario_detects_soundly(self, name: str, seed: int) -> None:
-        report = run_live(
-            name, scenario="deadlock", seed=seed, time_scale=TIME_SCALE, timeout=TIMEOUT
-        )
-        assert report.detected, f"{name} missed a genuine deadlock on the live runtime"
-        assert report.sound, (
-            f"{name} violated instant-of-declaration soundness on the live runtime"
-        )
-        assert report.outcome.first_declaration_at is not None
-        assert report.detection_latency_seconds is not None
-        assert report.detection_latency_seconds > 0.0
-
-    def test_clean_scenario_stays_silent(self, name: str, seed: int) -> None:
-        report = run_live(
-            name, scenario="clean", seed=seed, time_scale=TIME_SCALE, timeout=TIMEOUT
-        )
-        assert not report.detected, f"{name} declared on a clean live run"
-        assert report.sound
-        assert report.outcome.first_declaration_at is None
-        assert report.detection_latency_seconds is None
-
-
-@pytest.mark.parametrize("name", _policy_variant_ids())
-class TestAdaptivePolicyLive:
-    """The live-transport lane of the three-transport adaptive matrix
-    (sim lane: tests/core/test_scheduling.py; cluster lane:
-    tests/cluster/test_cluster_conformance.py)."""
-
-    def test_adaptive_deadlock_detects_soundly(self, name: str) -> None:
-        report = run_live(
-            name,
-            scenario="deadlock",
-            seed=0,
-            time_scale=TIME_SCALE,
-            timeout=TIMEOUT,
-            policy="adaptive",
-        )
-        assert report.detected, f"{name} missed a deadlock under the adaptive policy"
-        assert report.sound
-
-    def test_adaptive_clean_stays_silent(self, name: str) -> None:
-        report = run_live(
-            name,
-            scenario="clean",
-            seed=0,
-            time_scale=TIME_SCALE,
-            timeout=TIMEOUT,
-            policy="adaptive",
-        )
-        assert not report.detected
-        assert report.sound
+class TestAdaptivePolicyLive(AdaptivePolicy):
+    transport = "live"
 
 
 @pytest.mark.parametrize("family", ("er", "ba"))
@@ -110,12 +21,7 @@ def test_or_model_runs_the_graph_ensembles_live(family: str) -> None:
     family names that drive the basic model resolve and run on the OR
     model's live runtime (the sim half lives in
     tests/workloads/test_families.py)."""
-    report = run_live(
-        "ormodel",
-        scenario=family,
-        seed=1,
-        time_scale=TIME_SCALE,
-        timeout=TIMEOUT,
-    )
+    report = run_on("live", "ormodel", family, seed=1)
     assert report.sound
     assert report.outcome.complete
+    assert report.ok

@@ -50,7 +50,7 @@ class TestEveryFamily:
 @pytest.mark.parametrize("name", ("er", "ba"))
 class TestEnsemblesOnTheOrModel:
     """The same ensemble family drives both models (sim half; the live
-    half rides tests/transport/test_live_conformance.py)."""
+    half rides tests/transport/test_live_conformance.py via ``run()``)."""
 
     def test_family_declares_both_models(self, name: str) -> None:
         family = get_family(name)
