@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from bisect import bisect_left
 from collections import deque
 from collections.abc import Callable, Hashable, Iterable, Sequence
 from typing import TYPE_CHECKING, Any
@@ -141,7 +142,10 @@ class HistogramMetric:
 
     def __init__(self, buckets: Sequence[float]) -> None:
         self._buckets = tuple(buckets)
-        self._bucket_counts = [0] * len(self._buckets)
+        #: observations per bucket, not cumulative: slot ``i`` counts the
+        #: values in ``(bound[i-1], bound[i]]``, the last slot those above
+        #: every bound.
+        self._bucket_counts = [0] * (len(self._buckets) + 1)
         self._sum = 0.0
         self._count = 0
 
@@ -150,9 +154,8 @@ class HistogramMetric:
             raise ValueError("histograms cannot observe NaN")
         self._sum += value
         self._count += 1
-        for i, bound in enumerate(self._buckets):
-            if value <= bound:
-                self._bucket_counts[i] += 1
+        # bisect_left: a value equal to a bound belongs to it (``le``).
+        self._bucket_counts[bisect_left(self._buckets, value)] += 1
 
     @property
     def count(self) -> int:
@@ -170,10 +173,11 @@ class HistogramMetric:
 
     def cumulative_buckets(self) -> list[tuple[float, int]]:
         """``(le, cumulative count)`` pairs, ending with ``(+Inf, count)``."""
-        pairs = [
-            (bound, count)
-            for bound, count in zip(self._buckets, self._bucket_counts)
-        ]
+        pairs: list[tuple[float, int]] = []
+        cumulative = 0
+        for bound, count in zip(self._buckets, self._bucket_counts):
+            cumulative += count
+            pairs.append((bound, cumulative))
         pairs.append((math.inf, self._count))
         return pairs
 
@@ -197,18 +201,21 @@ class MetricFamily:
         self.name = name
         self.help = help
         self.labelnames = labelnames
+        self._names = frozenset(labelnames)
         self._children: dict[tuple[str, ...], Any] = {}
 
     def _new_child(self) -> Any:
         raise NotImplementedError
 
     def labels(self, **values: object) -> Any:
-        if tuple(sorted(values)) != tuple(sorted(self.labelnames)):
+        # exactly the declared names; the length test also rejects every
+        # call on a family declared with a repeated name
+        if values.keys() != self._names or len(values) != len(self.labelnames):
             raise ConfigurationError(
                 f"metric {self.name!r} takes labels {self.labelnames}, "
                 f"got {tuple(sorted(values))}"
             )
-        key = tuple(str(values[name]) for name in self.labelnames)
+        key = tuple([str(values[name]) for name in self.labelnames])
         child = self._children.get(key)
         if child is None:
             child = self._new_child()
@@ -454,11 +461,11 @@ class TelemetryRegistry:
 class TransportTelemetry:
     """Populate a :class:`TelemetryRegistry` from a running transport.
 
-    One category-scoped tracer subscription covers the network layer
-    (per-channel in-flight gauges, per-handler latency histograms) and,
-    per span schema, a :class:`~repro.obs.stream.StreamingSpanEngine`
-    turns settled computations into outcome counters and
-    detection-latency histograms.  Works identically on
+    Category-scoped tracer subscriptions, one handler per category,
+    cover the network layer (per-channel in-flight gauges, per-handler
+    latency histograms) and, per span schema, a
+    :class:`~repro.obs.stream.StreamingSpanEngine` turns settled
+    computations into outcome counters and detection-latency histograms.  Works identically on
     :class:`~repro.sim.transport.SimTransport` and
     :class:`~repro.live.transport.AsyncioTransport` -- the subscription
     rides the same :class:`~repro.sim.trace.Tracer` either backend owns.
@@ -501,9 +508,15 @@ class TransportTelemetry:
         #: snapshots taken so far (see :meth:`snapshot_line`).
         self.snapshots = 0
         self._attached = False
-        #: FIFO of (send time, message type) per channel, for latency
-        #: matching; P4 FIFO delivery makes the popleft correct.
-        self._in_transit: dict[tuple[Hashable, Hashable], deque[tuple[float, str]]] = {}
+        #: per channel with messages in flight: its in-flight series and
+        #: the FIFO of (send time, message type) for latency matching (P4
+        #: FIFO delivery makes the popleft correct).  A channel's entry is
+        #: dropped when it drains, so memory follows the messages in flight.
+        self._in_transit: dict[
+            tuple[Hashable, Hashable], tuple[GaugeMetric, deque[tuple[float, str]]]
+        ] = {}
+        #: latency series per message type, found without re-labelling.
+        self._latency_by_type: dict[str, HistogramMetric] = {}
 
         registry_ = self.registry
         self._in_flight = registry_.gauge(
@@ -559,8 +572,13 @@ class TransportTelemetry:
             labelnames=("model",),
         )
 
+        #: one handler per observed category (network layer first, then
+        #: each schema's probe-sent and declared categories).
+        self._handlers: dict[str, Callable[[TraceEvent], None]] = {
+            categories.NET_SENT: self._on_net_sent,
+            categories.NET_DELIVERED: self._on_net_delivered,
+        }
         self.engines: dict[str, StreamingSpanEngine] = {}
-        self._lifecycle: dict[str, tuple[str, SpanSchema]] = {}
         for schema in self.schemas:
             engine = StreamingSpanEngine(
                 schema,
@@ -570,8 +588,8 @@ class TransportTelemetry:
                 on_violation=self._make_violation_handler(schema.model),
             )
             self.engines[schema.model] = engine
-            self._lifecycle[schema.probe_sent] = ("probe_sent", schema)
-            self._lifecycle[schema.declared] = ("declared", schema)
+            self._handlers[schema.probe_sent] = self._make_edge_probe_handler(schema)
+            self._handlers[schema.declared] = self._make_declaration_handler(schema)
         if attach:
             self.attach()
 
@@ -600,42 +618,72 @@ class TransportTelemetry:
 
         return on_violation
 
+    def _make_edge_probe_handler(self, schema: SpanSchema) -> Callable[[TraceEvent], None]:
+        model = schema.model
+        edge_of = schema.edge_of
+        family = self._edge_probes
+        # each edge's series, so an edge label is stringified only once
+        by_edge: dict[Hashable, CounterMetric] = {}
+
+        def on_probe_sent(event: TraceEvent) -> None:
+            edge = edge_of(event)
+            series = by_edge.get(edge)
+            if series is None:
+                series = by_edge[edge] = family.labels(model=model, edge=edge)
+            series.inc()
+
+        return on_probe_sent
+
+    def _make_declaration_handler(self, schema: SpanSchema) -> Callable[[TraceEvent], None]:
+        model = schema.model
+
+        def on_declared(event: TraceEvent) -> None:
+            self._declarations.labels(model=model).inc()
+
+        return on_declared
+
     # ------------------------------------------------------------------
     # Network-layer plumbing
     # ------------------------------------------------------------------
 
-    def _on_event(self, event: TraceEvent) -> None:
-        category = event.category
-        if category == categories.NET_SENT:
-            sender = event["sender"]
-            destination = event["destination"]
-            type_name = type(event.details.get("message")).__name__
-            self._in_flight.labels(src=sender, dst=destination).inc()
-            self._messages.labels(src=sender, dst=destination, type=type_name).inc()
-            self._in_transit.setdefault((sender, destination), deque()).append(
-                (event.time, type_name)
+    def _on_net_sent(self, event: TraceEvent) -> None:
+        details = event.details
+        sender = details["sender"]
+        destination = details["destination"]
+        type_name = type(details.get("message")).__name__
+        channel = (sender, destination)
+        transit = self._in_transit.get(channel)
+        if transit is None:
+            transit = self._in_transit[channel] = (
+                self._in_flight.labels(src=sender, dst=destination),
+                deque(),
             )
-        elif category == categories.NET_DELIVERED:
-            sender = event["sender"]
-            destination = event["destination"]
+        in_flight, pending = transit
+        in_flight.inc()
+        self._messages.labels(src=sender, dst=destination, type=type_name).inc()
+        pending.append((event.time, type_name))
+
+    def _on_net_delivered(self, event: TraceEvent) -> None:
+        details = event.details
+        sender = details["sender"]
+        destination = details["destination"]
+        channel = (sender, destination)
+        transit = self._in_transit.get(channel)
+        if transit is None:
+            # Sent before the telemetry attached: no send time to match.
             self._in_flight.labels(src=sender, dst=destination).dec()
-            pending = self._in_transit.get((sender, destination))
-            if pending:
-                sent_at, type_name = pending.popleft()
-                self._handler_latency.labels(handler=f"deliver {type_name}").observe(
-                    event.time - sent_at
-                )
-        else:
-            action = self._lifecycle.get(category)
-            if action is None:
-                return
-            verb, schema = action
-            if verb == "probe_sent":
-                self._edge_probes.labels(
-                    model=schema.model, edge=schema.edge_of(event)
-                ).inc()
-            elif verb == "declared":
-                self._declarations.labels(model=schema.model).inc()
+            return
+        in_flight, pending = transit
+        in_flight.dec()
+        sent_at, type_name = pending.popleft()
+        if not pending:
+            del self._in_transit[channel]
+        latency = self._latency_by_type.get(type_name)
+        if latency is None:
+            latency = self._latency_by_type[type_name] = self._handler_latency.labels(
+                handler=f"deliver {type_name}"
+            )
+        latency.observe(event.time - sent_at)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -646,14 +694,8 @@ class TransportTelemetry:
         if self._attached:
             return
         tracer = self.transport.tracer
-        tracer.subscribe(
-            self._on_event,
-            categories=(
-                categories.NET_SENT,
-                categories.NET_DELIVERED,
-                *self._lifecycle,
-            ),
-        )
+        for category, handler in self._handlers.items():
+            tracer.subscribe(handler, categories=(category,))
         for engine in self.engines.values():
             engine.attach(tracer)
         self._attached = True
@@ -662,7 +704,8 @@ class TransportTelemetry:
         if not self._attached:
             return
         tracer = self.transport.tracer
-        tracer.unsubscribe(self._on_event)
+        for handler in self._handlers.values():
+            tracer.unsubscribe(handler)
         for engine in self.engines.values():
             engine.detach(tracer)
         self._attached = False

@@ -57,18 +57,58 @@ SpanSink = Callable[[ProbeComputationSpan], None]
 ViolationSink = Callable[[BoundViolation], None]
 
 
-def _tag_of(value: Any) -> ProbeTag | None:
-    return value if isinstance(value, ProbeTag) else None
-
-
 def span_sort_key(span: ProbeComputationSpan) -> tuple[float, int, int]:
     """The batch folder's ordering: initiation time, initiator, sequence."""
     start = span.initiated_at if span.initiated_at is not None else span.end_time
     return (start, span.tag.initiator, span.tag.sequence)
 
 
+class _OpenComputation:
+    """Everything the fold holds for one open computation ``(i, n)``."""
+
+    __slots__ = (
+        "edge_counts",
+        "initiator",
+        "net",
+        "outstanding",
+        "probes",
+        "receive",
+        "sequence",
+        "span",
+    )
+
+    def __init__(self, span: ProbeComputationSpan) -> None:
+        self.span = span
+        self.initiator = span.tag.initiator
+        self.sequence = span.tag.sequence
+        #: hops awaiting their protocol receive, FIFO per wait-for edge.
+        self.receive: dict[Hashable, deque[ProbeHop]] = {}
+        #: hops awaiting their net delivery, FIFO per channel
+        #: ``(sender, destination)`` -- the network's P4 FIFO order.
+        self.net: dict[tuple[Hashable, Hashable], deque[ProbeHop]] = {}
+        #: hops still awaiting a receive or a net-delivery match; zero
+        #: means no future event can belong to the tag (once its
+        #: producing handler has finished).
+        self.outstanding = 0
+        #: sent probes per edge, and their total: the online section 4 check.
+        self.edge_counts: dict[Hashable, int] = {}
+        self.probes = 0
+
+
+def _append(queues: dict[Any, deque[ProbeHop]], key: Any, hop: ProbeHop) -> None:
+    queue = queues.get(key)
+    if queue is None:
+        queue = queues[key] = deque()
+    queue.append(hop)
+
+
 class StreamingSpanEngine:
     """Rebuild probe-computation spans from a live event stream.
+
+    An event costs constant work however many computations are open:
+    each open tag keeps one record (span, matching queues, counts) in a
+    per-initiator index, eviction pops that record, and a new sequence
+    re-examines only its own initiator's open computations.
 
     Parameters
     ----------
@@ -113,23 +153,26 @@ class StreamingSpanEngine:
         self.peak_open = 0
         self._tracer: Tracer | None = None
 
-        self._spans: dict[ProbeTag, ProbeComputationSpan] = {}
-        self._awaiting_receive: dict[tuple[ProbeTag, Hashable], deque[ProbeHop]] = {}
-        self._awaiting_net: dict[
-            tuple[ProbeTag, Hashable, Hashable], deque[ProbeHop]
-        ] = {}
-        #: per-tag hops still awaiting a receive or a net-delivery match;
-        #: zero means no future event can belong to the tag (once its
-        #: producing handler has finished).
-        self._outstanding: dict[ProbeTag, int] = {}
-        #: incremental per-edge probe counts (the online section 4 check).
-        self._edge_counts: dict[ProbeTag, dict[Hashable, int]] = {}
+        #: open computations by initiator, then sequence, in the order
+        #: they opened (the per-initiator index).
+        self._open: dict[int, dict[int, _OpenComputation]] = {}
+        self._open_count = 0
         #: highest sequence seen per initiator (section 4.3 supersession).
         self._latest: dict[int, int] = {}
-        #: resolved + drained tags awaiting confirmation by the first
-        #: event of a different tag (probes of a tag are only produced
-        #: inside that tag's own receive handler).
-        self._deferred: dict[ProbeTag, None] = {}
+        #: resolved + drained computations awaiting confirmation by the
+        #: first event of a different tag (probes of a tag are only
+        #: produced inside that tag's own receive handler).
+        self._deferred: dict[_OpenComputation, None] = {}
+        #: one handler per observed category; :meth:`attach` subscribes
+        #: each to its own category, :meth:`on_event` dispatches by it.
+        self._handlers: dict[str, Callable[[TraceEvent], None]] = {
+            schema.initiated: self._on_initiated,
+            schema.probe_sent: self._on_probe_sent,
+            schema.probe_received: self._on_probe_received,
+            schema.declared: self._on_declared,
+            categories.NET_SENT: self._on_net_sent,
+            categories.NET_DELIVERED: self._on_net_delivered,
+        }
 
     # ------------------------------------------------------------------
     # Subscription plumbing
@@ -138,188 +181,204 @@ class StreamingSpanEngine:
     @property
     def categories(self) -> tuple[str, ...]:
         """The trace categories this engine must observe."""
-        schema = self.schema
-        return (
-            schema.initiated,
-            schema.probe_sent,
-            schema.probe_received,
-            schema.declared,
-            categories.NET_SENT,
-            categories.NET_DELIVERED,
-        )
+        return tuple(self._handlers)
 
     @property
     def open_computations(self) -> int:
         """Computations currently held in memory (settled ones are gone)."""
-        return len(self._spans)
+        return self._open_count
 
     def attach(self, tracer: Tracer) -> None:
-        """Subscribe to ``tracer``, category-scoped.
+        """Subscribe to ``tracer``, one handler per category.
 
         The scoped subscription is the whole point: with ``trace=False``
         every category the engine does not watch stays on the tracer's
         zero-cost path, and nothing is ever buffered in the trace log.
         """
-        tracer.subscribe(self.on_event, categories=self.categories)
+        for category, handler in self._handlers.items():
+            tracer.subscribe(handler, categories=(category,))
         self._tracer = tracer
 
     def detach(self, tracer: Tracer) -> None:
-        tracer.unsubscribe(self.on_event)
+        for handler in self._handlers.values():
+            tracer.unsubscribe(handler)
         self._tracer = None
+
+    def on_event(self, event: TraceEvent) -> None:
+        """Consume one trace event of any category (others are ignored)."""
+        handler = self._handlers.get(event.category)
+        if handler is not None:
+            handler(event)
 
     # ------------------------------------------------------------------
     # The incremental fold
     # ------------------------------------------------------------------
 
-    def _span_for(self, tag: ProbeTag, time: float) -> ProbeComputationSpan:
-        span = self._spans.get(tag)
-        if span is None:
-            span = ProbeComputationSpan(
-                tag=tag, initiator=tag.initiator, initiated_at=None, end_time=time
+    def _record(self, tag: ProbeTag, time: float) -> _OpenComputation:
+        """The open record of ``tag``, opened on its first event."""
+        initiator = tag.initiator
+        records = self._open.get(initiator)
+        if records is None:
+            records = self._open[initiator] = {}
+        record = records.get(tag.sequence)
+        if record is None:
+            record = _OpenComputation(
+                ProbeComputationSpan(
+                    tag=tag, initiator=initiator, initiated_at=None, end_time=time
+                )
             )
-            self._spans[tag] = span
-            if len(self._spans) > self.peak_open:
-                self.peak_open = len(self._spans)
-            latest = self._latest.get(tag.initiator)
+            records[tag.sequence] = record
+            self._open_count += 1
+            if self._open_count > self.peak_open:
+                self.peak_open = self._open_count
+            latest = self._latest.get(initiator)
             if latest is None or tag.sequence > latest:
-                self._latest[tag.initiator] = tag.sequence
-                self._settle_superseded(tag.initiator, tag.sequence)
-        span.end_time = max(span.end_time, time)
-        return span
+                self._latest[initiator] = tag.sequence
+                # A new latest sequence may resolve the initiator's older
+                # computations; re-examine them, and only them.
+                for older in records.values():
+                    if older.sequence < tag.sequence:
+                        self._try_settle(older)
+        elif time > record.span.end_time:
+            record.span.end_time = time
+        return record
 
-    def _settle_superseded(self, initiator: int, latest: int) -> None:
-        """A new latest sequence may resolve older computations of the
-        same initiator; re-examine them."""
-        for tag in list(self._spans):
-            if tag.initiator == initiator and tag.sequence < latest:
-                self._try_settle(tag)
+    def _on_initiated(self, event: TraceEvent) -> None:
+        tag = event.details["tag"]
+        if not isinstance(tag, ProbeTag):
+            return
+        if self._deferred:
+            self._flush_deferred(tag)
+        span = self._record(tag, event.time).span
+        if span.initiated_at is None:
+            span.initiated_at = event.time
 
-    def on_event(self, event: TraceEvent) -> None:
-        """Consume one trace event (the ``Tracer.subscribe`` callback)."""
+    def _on_probe_sent(self, event: TraceEvent) -> None:
+        tag = event.details["tag"]
+        if not isinstance(tag, ProbeTag):
+            return
+        if self._deferred:
+            self._flush_deferred(tag)
+        time = event.time
+        record = self._record(tag, time)
         schema = self.schema
-        category = event.category
-        if category == schema.initiated:
-            tag = _tag_of(event["tag"])
-            if tag is None:
-                return
-            self._flush_deferred(tag)
-            span = self._span_for(tag, event.time)
-            if span.initiated_at is None:
-                span.initiated_at = event.time
-        elif category == schema.probe_sent:
-            tag = _tag_of(event["tag"])
-            if tag is None:
-                return
-            self._flush_deferred(tag)
-            span = self._span_for(tag, event.time)
-            sender, destination = schema.sent_endpoints(event)
-            hop = ProbeHop(
-                tag=tag,
-                source=sender,
-                target=destination,
-                edge=schema.edge_of(event),
-                sent_at=event.time,
-            )
-            span.hops.append(hop)
-            self._awaiting_receive.setdefault((tag, hop.edge), deque()).append(hop)
-            self._awaiting_net.setdefault((tag, sender, destination), deque()).append(
-                hop
-            )
-            self._outstanding[tag] = self._outstanding.get(tag, 0) + 2
-            self._check_bounds_online(span, hop)
-        elif category == schema.probe_received:
-            tag = _tag_of(event["tag"])
-            if tag is None:
-                return
-            self._flush_deferred(tag)
-            span = self._span_for(tag, event.time)
-            edge = schema.edge_of(event)
-            key = (tag, edge)
-            pending = self._awaiting_receive.get(key)
-            if pending:
-                hop = pending.popleft()
-                if not pending:
-                    del self._awaiting_receive[key]
-                self._outstanding[tag] -= 1
-            else:
-                # Sliced trace: the matching send was not recorded.
-                source_pid: Hashable = event.details.get("source")
-                target_pid: Hashable = event.details.get(
-                    "target", event.details.get("site")
-                )
-                hop = ProbeHop(
-                    tag=tag, source=source_pid, target=target_pid, edge=edge
-                )
-                span.hops.append(hop)
-            hop.received_at = event.time
-            meaningful = event.details.get("meaningful")
-            hop.meaningful = bool(meaningful) if meaningful is not None else None
-            self._try_settle(tag)
-        elif category == schema.declared:
-            tag = _tag_of(event["tag"])
-            if tag is None:
-                return
-            self._flush_deferred(tag)
-            span = self._span_for(tag, event.time)
-            if span.declared_at is None:
-                span.declared_at = event.time
-                span.declared_by = schema.declared_by(event)
-            self._try_settle(tag)
-        elif category in (categories.NET_SENT, categories.NET_DELIVERED):
-            message = event.details.get("message")
-            tag = _tag_of(getattr(message, "tag", None))
-            if tag is None:
-                return
-            self._flush_deferred(tag)
-            key = (tag, event["sender"], event["destination"])
-            pending = self._awaiting_net.get(key)
-            if not pending:
-                return
-            if category == categories.NET_SENT:
-                # First hop in the queue that has no net-accept time yet.
-                for hop in pending:
-                    if hop.net_sent_at is None:
-                        hop.net_sent_at = event.time
-                        self._span_for(tag, event.time)
-                        break
-            else:
-                hop = pending.popleft()
-                if not pending:
-                    del self._awaiting_net[key]
-                hop.net_delivered_at = event.time
-                self._span_for(tag, event.time)
-                self._outstanding[tag] -= 1
-                self._try_settle(tag)
-
-    # ------------------------------------------------------------------
-    # Online section 4 bounds
-    # ------------------------------------------------------------------
-
-    def _check_bounds_online(self, span: ProbeComputationSpan, hop: ProbeHop) -> None:
-        counts = self._edge_counts.setdefault(span.tag, {})
-        count = counts.get(hop.edge, 0) + 1
-        counts[hop.edge] = count
+        sender, destination = schema.sent_endpoints(event)
+        edge = schema.edge_of(event)
+        hop = ProbeHop(
+            tag=tag, source=sender, target=destination, edge=edge, sent_at=time
+        )
+        record.span.hops.append(hop)
+        _append(record.receive, edge, hop)
+        _append(record.net, (sender, destination), hop)
+        record.outstanding += 2
+        # Online section 4 bounds.
+        counts = record.edge_counts
+        count = counts.get(edge, 0) + 1
+        counts[edge] = count
         if count == 2:
             self._violate(
                 BoundViolation(
                     "one-probe-per-edge",
-                    f"computation {span.tag} sent a second probe over edge "
-                    f"{hop.edge!r} at t={hop.sent_at} (section 4 allows "
-                    "exactly one)",
+                    f"computation {tag} sent a second probe over edge "
+                    f"{edge!r} at t={time} (section 4 allows exactly one)",
                 )
             )
-        if self.n_vertices is not None:
-            limit = self.n_vertices * (self.n_vertices - 1)
-            total = sum(counts.values())
-            if total == limit + 1:
-                self._violate(
-                    BoundViolation(
-                        "probes-le-edges",
-                        f"computation {span.tag} exceeded the {limit} possible "
-                        f"wait-for edges among {self.n_vertices} vertices at "
-                        f"t={hop.sent_at}",
-                    )
+        record.probes += 1
+        n = self.n_vertices
+        if n is not None and record.probes == n * (n - 1) + 1:
+            self._violate(
+                BoundViolation(
+                    "probes-le-edges",
+                    f"computation {tag} exceeded the {n * (n - 1)} possible "
+                    f"wait-for edges among {n} vertices at t={time}",
                 )
+            )
+
+    def _on_probe_received(self, event: TraceEvent) -> None:
+        details = event.details
+        tag = details["tag"]
+        if not isinstance(tag, ProbeTag):
+            return
+        if self._deferred:
+            self._flush_deferred(tag)
+        record = self._record(tag, event.time)
+        edge = self.schema.edge_of(event)
+        pending = record.receive.get(edge)
+        if pending:
+            hop = pending.popleft()
+            if not pending:
+                del record.receive[edge]
+            record.outstanding -= 1
+        else:
+            # Sliced trace: the matching send was not recorded.
+            source_pid: Hashable = details.get("source")
+            target_pid: Hashable = details.get("target", details.get("site"))
+            hop = ProbeHop(tag=tag, source=source_pid, target=target_pid, edge=edge)
+            record.span.hops.append(hop)
+        hop.received_at = event.time
+        meaningful = details.get("meaningful")
+        hop.meaningful = bool(meaningful) if meaningful is not None else None
+        self._try_settle(record)
+
+    def _on_declared(self, event: TraceEvent) -> None:
+        tag = event.details["tag"]
+        if not isinstance(tag, ProbeTag):
+            return
+        if self._deferred:
+            self._flush_deferred(tag)
+        record = self._record(tag, event.time)
+        span = record.span
+        if span.declared_at is None:
+            span.declared_at = event.time
+            span.declared_by = self.schema.declared_by(event)
+        self._try_settle(record)
+
+    def _net_pending(
+        self, event: TraceEvent
+    ) -> tuple[_OpenComputation, tuple[Hashable, Hashable], deque[ProbeHop]] | None:
+        """The open record, channel and hop queue a ``net.*`` event matches."""
+        details = event.details
+        tag = getattr(details.get("message"), "tag", None)
+        if not isinstance(tag, ProbeTag):
+            return None
+        if self._deferred:
+            self._flush_deferred(tag)
+        records = self._open.get(tag.initiator)
+        record = None if records is None else records.get(tag.sequence)
+        if record is None:
+            return None
+        channel = (details["sender"], details["destination"])
+        pending = record.net.get(channel)
+        if not pending:
+            return None
+        return record, channel, pending
+
+    def _on_net_sent(self, event: TraceEvent) -> None:
+        matched = self._net_pending(event)
+        if matched is None:
+            return
+        record, _, pending = matched
+        # First hop in the queue that has no net-accept time yet.
+        for hop in pending:
+            if hop.net_sent_at is None:
+                hop.net_sent_at = event.time
+                if event.time > record.span.end_time:
+                    record.span.end_time = event.time
+                break
+
+    def _on_net_delivered(self, event: TraceEvent) -> None:
+        matched = self._net_pending(event)
+        if matched is None:
+            return
+        record, channel, pending = matched
+        hop = pending.popleft()
+        if not pending:
+            del record.net[channel]
+        hop.net_delivered_at = event.time
+        if event.time > record.span.end_time:
+            record.span.end_time = event.time
+        record.outstanding -= 1
+        self._try_settle(record)
 
     def _violate(self, violation: BoundViolation) -> None:
         self.violations.append(violation)
@@ -332,58 +391,47 @@ class StreamingSpanEngine:
     # Settlement & eviction
     # ------------------------------------------------------------------
 
-    def _resolution(self, tag: ProbeTag) -> SpanOutcome | None:
-        """The outcome already determined for ``tag``, if any.
+    def _resolution(self, record: _OpenComputation) -> SpanOutcome | None:
+        """The outcome already determined for ``record``, if any.
 
         FIZZLED is never determined mid-stream: only quiescence proves
         the absence of a future declaration.
         """
-        span = self._spans[tag]
-        if span.declared_at is not None:
+        if record.span.declared_at is not None:
             return SpanOutcome.DEADLOCK
-        if tag.sequence < self._latest.get(tag.initiator, tag.sequence):
+        if record.sequence < self._latest[record.initiator]:
             return SpanOutcome.SUPERSEDED
         return None
 
-    def _try_settle(self, tag: ProbeTag) -> None:
-        if tag not in self._spans or self._outstanding.get(tag, 0) > 0:
-            return
-        if self._resolution(tag) is not None:
-            self._deferred[tag] = None
+    def _try_settle(self, record: _OpenComputation) -> None:
+        if record.outstanding == 0 and self._resolution(record) is not None:
+            self._deferred[record] = None
 
     def _flush_deferred(self, current: ProbeTag) -> None:
-        """Evict deferred tags once an event of a *different* tag proves
-        their producing handlers have completed."""
-        if not self._deferred:
-            return
-        for tag in list(self._deferred):
-            if tag == current:
+        """Evict deferred computations once an event of a *different* tag
+        proves their producing handlers have completed."""
+        for record in list(self._deferred):
+            if record.sequence == current.sequence and record.initiator == current.initiator:
                 continue
-            del self._deferred[tag]
-            if tag not in self._spans or self._outstanding.get(tag, 0) > 0:
+            del self._deferred[record]
+            if record.outstanding > 0:
                 continue
-            outcome = self._resolution(tag)
+            outcome = self._resolution(record)
             if outcome is not None:
-                self._evict(tag, outcome)
+                self._evict(record, outcome)
 
-    def _evict(self, tag: ProbeTag, outcome: SpanOutcome) -> None:
-        span = self._spans.pop(tag)
+    def _evict(self, record: _OpenComputation, outcome: SpanOutcome) -> None:
+        del self._open[record.initiator][record.sequence]
+        self._open_count -= 1
+        span = record.span
         span.outcome = outcome
-        self._outstanding.pop(tag, None)
-        self._edge_counts.pop(tag, None)
-        # Drained tags have no queue entries left; fizzled ones (flushed
-        # by finish) may.  Sweep both keyed maps for stragglers.
-        for key in [k for k in self._awaiting_receive if k[0] == tag]:
-            del self._awaiting_receive[key]
-        for key in [k for k in self._awaiting_net if k[0] == tag]:
-            del self._awaiting_net[key]
         self.emitted += 1
         tracer = self._tracer
         if tracer is not None and tracer.wants(categories.OBS_SPAN_SETTLED):
             tracer.record(
                 span.end_time,
                 categories.OBS_SPAN_SETTLED,
-                tag=tag,
+                tag=span.tag,
                 outcome=outcome.value,
                 probes_sent=span.probes_sent,
                 detection_latency=span.detection_latency,
@@ -400,18 +448,15 @@ class StreamingSpanEngine:
         batch folder's sort order; spans already emitted mid-stream are
         not repeated.
         """
-        flushed: list[ProbeComputationSpan] = []
         self._deferred.clear()
-        for tag in sorted(
-            self._spans, key=lambda t: span_sort_key(self._spans[t])
-        ):
-            span = self._spans[tag]
-            outcome = self._resolution(tag)
-            if outcome is None:
-                outcome = SpanOutcome.FIZZLED
-            self._evict(tag, outcome)
-            flushed.append(span)
-        return flushed
+        remaining = sorted(
+            (record for records in self._open.values() for record in records.values()),
+            key=lambda record: span_sort_key(record.span),
+        )
+        for record in remaining:
+            outcome = self._resolution(record)
+            self._evict(record, SpanOutcome.FIZZLED if outcome is None else outcome)
+        return [record.span for record in remaining]
 
 
 def span_to_json(span: ProbeComputationSpan) -> dict[str, Any]:

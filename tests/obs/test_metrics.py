@@ -60,6 +60,18 @@ class TestPrimitives:
             (10.0, 3),
             (math.inf, 4),
         ]
+        # ``le`` is inclusive: a value on a bound counts in that bound's
+        # bucket; +Inf lands only in the +Inf bucket.
+        for value in (1.0, 5.0, math.inf):
+            histogram.observe(value)
+        assert histogram.count == 7
+        assert histogram.sum == math.inf
+        assert histogram.cumulative_buckets() == [
+            (1.0, 3),
+            (5.0, 5),
+            (10.0, 5),
+            (math.inf, 7),
+        ]
 
     def test_empty_histogram_has_no_mean(self) -> None:
         with pytest.raises(ValueError, match="empty"):
@@ -214,11 +226,12 @@ class TestTransportTelemetry:
         for i in range(3):
             system.schedule_request(0.5 * i, i, [(i + 1) % 3])
         system.run_to_quiescence()
+        observed = [
+            family.name for family in telemetry.registry.families if family.series
+        ]
+        assert not observed, f"detached telemetry observed {observed}"
         telemetry.finish()
-        messages = telemetry.registry.counter(
-            "repro_messages_total", labelnames=("src", "dst", "type")
-        )
-        assert not messages.series, "detached telemetry must observe nothing"
+        assert telemetry.engines["basic"].emitted == 0
 
     def test_trace_false_run_still_buffers_nothing(self) -> None:
         system, _ = self.run_deadlock()

@@ -4,9 +4,11 @@
 subscription feeding :class:`~repro.obs.stream.StreamingSpanEngine`) must
 reproduce :func:`~repro.obs.spans.build_spans` **field for field** on every
 registered variant that exports a probe taxonomy, in both the deadlock and
-the clean conformance scenario.  The suite also pins the properties that
-make the engine fit for monitoring a ``repro run``: bounded memory (settled spans
-are evicted, ``peak_open`` stays far below the number of computations),
+the clean conformance scenario, and under churn (``bursty``, ``ddb-hot``),
+where each initiator has many superseded computations open at once.  The
+suite also pins the properties that make the engine fit for monitoring a
+``repro run``: bounded memory (settled spans are evicted, ``peak_open``
+stays far below the number of computations),
 zero buffering under ``trace=False``, online section 4 bound detection,
 and the ``obs.span.settled`` trace hook.
 """
@@ -30,6 +32,7 @@ from repro.obs.stream import (
 from repro.sim import categories
 from repro.workloads import scenarios
 from repro.workloads.provision import provision_workload
+from repro.workloads.spec import WorkloadSpec, make_params
 
 
 def span_variants():
@@ -108,6 +111,49 @@ class TestBatchParity:
         streamed = stream_spans(tracer, n_vertices=6)
         assert streamed == build_spans(tracer)
         assert SpanOutcome.SUPERSEDED in {span.outcome for span in streamed}
+
+
+#: churn workloads: (variant, spec, bound on simultaneously open spans).
+#: Each initiator starts computation after computation, so most are
+#: superseded while older ones of the same initiator are still open.
+CHURN = {
+    "bursty-41": ("basic", WorkloadSpec(family="bursty", n=41), 41),
+    "ddb-hot-8": (
+        "ddb",
+        WorkloadSpec(
+            family="ddb-hot",
+            n=8,
+            params=make_params(resources=32, load=4, window=25, resolve=0),
+        ),
+        None,
+    ),
+}
+
+
+class TestChurnParity:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("case", list(CHURN))
+    def test_stream_and_live_subscription_equal_build_spans(
+        self, case: str, seed: int
+    ) -> None:
+        name, spec, peak_bound = CHURN[case]
+        variant = get_variant(name)
+        schema = SCHEMAS_BY_MODEL[variant.capabilities.model]
+        provisioned = provision_workload(variant, spec.with_seed(seed))
+        tracer = provisioned.system.simulator.tracer
+        live: list = []
+        engine = StreamingSpanEngine(schema, n_vertices=spec.n, on_span=live.append)
+        engine.attach(tracer)
+        provisioned.run_to_quiescence()
+        engine.finish()
+        engine.detach(tracer)
+        batch = build_spans(tracer, schema=schema)
+        assert stream_spans(tracer, schema, n_vertices=spec.n) == batch
+        assert sorted(live, key=span_sort_key) == batch
+        assert {span.outcome for span in batch} == set(SpanOutcome)
+        assert not engine.violations
+        if peak_bound is not None:
+            assert engine.peak_open <= peak_bound
 
 
 class TestBoundedMemory:
