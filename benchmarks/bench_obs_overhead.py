@@ -6,13 +6,13 @@ monitoring a ``repro run`` honest is that a run which is *not* monitored pays
 nothing for the instrumentation points scattered through the network and
 the protocol handlers.  Two configurations matter:
 
-* **idle** -- ``trace=False``, no subscribers: every ``tracer.wants`` /
-  ``record`` call must short-circuit on the precomputed
-  :attr:`~repro.sim.trace.Tracer.idle` flag (one attribute read).
+* **idle** -- ``trace=False``, no subscribers: the tracer's route table
+  (:attr:`~repro.sim.trace.Tracer.routes`) is empty, and every
+  ``tracer.wants`` guard is one failed membership test.
 * **cold-subscribed** -- a category-scoped subscriber is attached, but
-  to categories the hot path never emits: every call now passes the
-  idle check and misses the category dict.  This is the worst case of
-  "monitoring attached elsewhere"; it must stay within 2% of idle.
+  to categories the hot path never emits: every guard now misses a
+  non-empty route table.  This is the worst case of "monitoring
+  attached elsewhere"; it must stay within 2% of idle.
 
 The comparison runs on the bare FIFO network (its per-message
 ``net.sent``/``net.delivered`` guards are the hottest tracing sites in

@@ -96,7 +96,9 @@ class SnapshotDetector(BaselineDetector):
         self.rounds_completed = 0
         for vertex in system.vertices.values():
             vertex.foreign_handler = self._make_handler(vertex.vertex_id)
-        system.transport.tracer.subscribe(self._observe_delivery)
+        system.transport.tracer.subscribe(
+            self._observe_delivery, categories=(categories.NET_DELIVERED,)
+        )
 
     def start(self) -> None:
         self.system.transport.schedule(self.period, self._begin_round, name="snapshot")
@@ -153,8 +155,6 @@ class SnapshotDetector(BaselineDetector):
         return handle
 
     def _observe_delivery(self, event: TraceEvent) -> None:
-        if event.category != categories.NET_DELIVERED:
-            return
         round_state = self._round
         if round_state is None or round_state.complete:
             return

@@ -33,25 +33,27 @@ class TimeoutDetector(BaselineDetector):
         self._blocked_since: dict[VertexId, float] = {}
 
     def start(self) -> None:
-        self.system.transport.tracer.subscribe(self._observe)
+        tracer = self.system.transport.tracer
+        tracer.subscribe(self._on_request_sent, categories=(categories.BASIC_REQUEST_SENT,))
+        tracer.subscribe(self._on_unblocked, categories=(categories.BASIC_UNBLOCKED,))
 
     # ------------------------------------------------------------------
 
-    def _observe(self, event: TraceEvent) -> None:
-        if event.category == categories.BASIC_REQUEST_SENT:
-            vertex_id = event["source"]
-            if vertex_id not in self._blocked_since:
-                self._blocked_since[vertex_id] = event.time
-                episode = self._episode[vertex_id]
-                self.system.transport.schedule(
-                    self.window,
-                    lambda v=vertex_id, e=episode: self._check(v, e),
-                    name=f"timeout check v{vertex_id}",
-                )
-        elif event.category == categories.BASIC_UNBLOCKED:
-            vertex_id = event["vertex"]
-            self._blocked_since.pop(vertex_id, None)
-            self._episode[vertex_id] += 1
+    def _on_request_sent(self, event: TraceEvent) -> None:
+        vertex_id = event["source"]
+        if vertex_id not in self._blocked_since:
+            self._blocked_since[vertex_id] = event.time
+            episode = self._episode[vertex_id]
+            self.system.transport.schedule(
+                self.window,
+                lambda v=vertex_id, e=episode: self._check(v, e),
+                name=f"timeout check v{vertex_id}",
+            )
+
+    def _on_unblocked(self, event: TraceEvent) -> None:
+        vertex_id = event["vertex"]
+        self._blocked_since.pop(vertex_id, None)
+        self._episode[vertex_id] += 1
 
     def _check(self, vertex_id: VertexId, episode: int) -> None:
         if self._episode[vertex_id] != episode:

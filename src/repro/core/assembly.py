@@ -54,9 +54,10 @@ def build_runtime(
 ) -> Runtime:
     """Build the runtime every variant shares.
 
-    ``trace=False`` is the big-sweep fast path (the tracer's zero-cost
-    category skip); ``fifo=False`` exists only for the ablation tests
-    that demonstrate the algorithm's dependence on per-channel FIFO.
+    ``trace=False`` is the big-sweep fast path (a category nobody
+    subscribed to costs its producer one route-table test);
+    ``fifo=False`` exists only for the ablation tests that demonstrate
+    the algorithm's dependence on per-channel FIFO.
     ``transport`` selects the backend: ``None`` for the deterministic
     simulator, an instance to adopt as-is, or a factory called with the
     knobs above.

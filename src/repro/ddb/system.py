@@ -166,10 +166,9 @@ class DdbSystem:
         #: Times at which any transaction aborted (stale-declaration check).
         self._abort_times: list[float] = []
 
-        self.transport.tracer.subscribe(
-            self._observe,
-            categories=(categories.DDB_EDGE_ADDED, categories.DDB_PROBE_SENT),
-        )
+        tracer = self.transport.tracer
+        tracer.subscribe(self._on_edge_added, categories=(categories.DDB_EDGE_ADDED,))
+        tracer.subscribe(self._on_probe_sent, categories=(categories.DDB_PROBE_SENT,))
 
     # ------------------------------------------------------------------
     # Accessors
@@ -308,14 +307,14 @@ class DdbSystem:
             self.metrics.histogram("ddb.detection.latency").record(self.now - formed)
         self.resolution.on_declaration(controller, process, tag)
 
-    def _observe(self, event: TraceEvent) -> None:
-        if event.category == categories.DDB_EDGE_ADDED:
-            source = event["source"]
-            if self.oracle.is_on_dark_cycle(source):
-                for member in self._dark_cycle_members(source):
-                    self.deadlock_formed_at.setdefault(member, event.time)
-        elif event.category == categories.DDB_PROBE_SENT:
-            self._probes.count(event["tag"])
+    def _on_edge_added(self, event: TraceEvent) -> None:
+        source = event.details["source"]
+        if self.oracle.is_on_dark_cycle(source):
+            for member in self._dark_cycle_members(source):
+                self.deadlock_formed_at.setdefault(member, event.time)
+
+    def _on_probe_sent(self, event: TraceEvent) -> None:
+        self._probes.count(event.details["tag"])
 
     def _dark_edges(self) -> list[tuple[ProcessId, ProcessId]]:
         return [

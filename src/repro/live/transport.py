@@ -109,9 +109,7 @@ class LiveNodeContext:
     def trace(self, category: str, **details: object) -> None:
         transport = self._transport
         tracer = transport.tracer
-        if tracer.idle:
-            return
-        if tracer.wants(category):
+        if category in tracer.routes:
             tracer.record(transport.now, category, **details)
 
     def counter(self, name: str) -> Counter:

@@ -32,7 +32,7 @@ from collections.abc import Callable, Hashable, Iterable, Sequence
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import BoundViolation, ConfigurationError
-from repro.obs.spans import SCHEMAS_BY_MODEL, ProbeComputationSpan, SpanSchema
+from repro.obs.spans import SCHEMAS_BY_MODEL, ProbeComputationSpan, SpanOutcome, SpanSchema
 from repro.obs.stream import SpanSink, StreamingSpanEngine
 from repro.sim import categories
 from repro.sim.trace import TraceEvent
@@ -458,6 +458,12 @@ class TelemetryRegistry:
         }
 
 
+#: one channel with messages in flight: its in-flight series, its
+#: message-count series by message type, and its FIFO of (send time,
+#: message type).
+_Transit = tuple[GaugeMetric, dict[str, CounterMetric], deque[tuple[float, str]]]
+
+
 class TransportTelemetry:
     """Populate a :class:`TelemetryRegistry` from a running transport.
 
@@ -508,13 +514,10 @@ class TransportTelemetry:
         #: snapshots taken so far (see :meth:`snapshot_line`).
         self.snapshots = 0
         self._attached = False
-        #: per channel with messages in flight: its in-flight series and
-        #: the FIFO of (send time, message type) for latency matching (P4
-        #: FIFO delivery makes the popleft correct).  A channel's entry is
+        #: per channel with messages in flight (P4 FIFO delivery makes the
+        #: popleft of its send times correct).  A channel's entry is
         #: dropped when it drains, so memory follows the messages in flight.
-        self._in_transit: dict[
-            tuple[Hashable, Hashable], tuple[GaugeMetric, deque[tuple[float, str]]]
-        ] = {}
+        self._in_transit: dict[tuple[Hashable, Hashable], _Transit] = {}
         #: latency series per message type, found without re-labelling.
         self._latency_by_type: dict[str, HistogramMetric] = {}
 
@@ -598,14 +601,29 @@ class TransportTelemetry:
     # ------------------------------------------------------------------
 
     def _make_span_handler(self, model: str) -> SpanSink:
+        # The model's series, labelled on first use (an eagerly created
+        # series would be exported at zero) and never again.
+        outcomes: dict[SpanOutcome, CounterMetric] = {}
+        probes: HistogramMetric | None = None
+        latencies: HistogramMetric | None = None
+
         def on_span(span: ProbeComputationSpan) -> None:
-            self._computations.labels(model=model, outcome=span.outcome.value).inc()
-            self._probes_per_computation.labels(model=model).observe(
-                float(span.probes_sent)
-            )
+            nonlocal probes, latencies
+            outcome = span.outcome
+            counter = outcomes.get(outcome)
+            if counter is None:
+                counter = outcomes[outcome] = self._computations.labels(
+                    model=model, outcome=outcome.value
+                )
+            counter.inc()
+            if probes is None:
+                probes = self._probes_per_computation.labels(model=model)
+            probes.observe(float(span.probes_sent))
             latency = span.detection_latency
             if latency is not None:
-                self._detection_latency.labels(model=model).observe(latency)
+                if latencies is None:
+                    latencies = self._detection_latency.labels(model=model)
+                latencies.observe(latency)
                 self.detection_latencies.append(latency)
             if self.span_sink is not None:
                 self.span_sink(span)
@@ -626,7 +644,7 @@ class TransportTelemetry:
         by_edge: dict[Hashable, CounterMetric] = {}
 
         def on_probe_sent(event: TraceEvent) -> None:
-            edge = edge_of(event)
+            edge = edge_of(event.details)
             series = by_edge.get(edge)
             if series is None:
                 series = by_edge[edge] = family.labels(model=model, edge=edge)
@@ -656,11 +674,17 @@ class TransportTelemetry:
         if transit is None:
             transit = self._in_transit[channel] = (
                 self._in_flight.labels(src=sender, dst=destination),
+                {},
                 deque(),
             )
-        in_flight, pending = transit
+        in_flight, sent_by_type, pending = transit
         in_flight.inc()
-        self._messages.labels(src=sender, dst=destination, type=type_name).inc()
+        sent = sent_by_type.get(type_name)
+        if sent is None:
+            sent = sent_by_type[type_name] = self._messages.labels(
+                src=sender, dst=destination, type=type_name
+            )
+        sent.inc()
         pending.append((event.time, type_name))
 
     def _on_net_delivered(self, event: TraceEvent) -> None:
@@ -673,7 +697,7 @@ class TransportTelemetry:
             # Sent before the telemetry attached: no send time to match.
             self._in_flight.labels(src=sender, dst=destination).dec()
             return
-        in_flight, pending = transit
+        in_flight, _, pending = transit
         in_flight.dec()
         sent_at, type_name = pending.popleft()
         if not pending:

@@ -25,9 +25,10 @@ The fold is schema-driven so the same machinery serves the basic model
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable, Hashable, Iterable
+from collections.abc import Callable, Hashable, Iterable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from typing import Any
 
 from repro._ids import ProbeTag
@@ -51,13 +52,18 @@ class SpanOutcome(Enum):
     SUPERSEDED = "superseded"
 
 
+#: what a :class:`SpanSchema` extractor reads: one event's ``details``.
+Details = Mapping[str, Any]
+
+
 @dataclass(frozen=True)
 class SpanSchema:
     """How to read one model's probe lifecycle out of its trace categories.
 
     The extractor callables isolate the fold from per-model detail-key
     differences (the basic model records ``source``/``target`` vertices,
-    the DDB model records ``site``/``destination``/``edge``).
+    the DDB model records ``site``/``destination``/``edge``).  Each takes
+    an event's ``details``, not the event.
     """
 
     model: str
@@ -67,41 +73,34 @@ class SpanSchema:
     declared: str
     #: network pids ``(sender, destination)`` of a probe-sent event; used
     #: both as hop endpoints and to match ``net.sent``/``net.delivered``.
-    sent_endpoints: Callable[[TraceEvent], tuple[Hashable, Hashable]]
+    sent_endpoints: Callable[[Details], tuple[Hashable, Hashable]]
     #: canonical wait-for-graph edge label of a sent/received probe event;
     #: the section 4 bound counts probes per *this* label.
-    edge_of: Callable[[TraceEvent], Hashable]
+    edge_of: Callable[[Details], Hashable]
     #: who declared (step A1): the vertex in the basic model, the victim
     #: process in the DDB model.
-    declared_by: Callable[[TraceEvent], object]
+    declared_by: Callable[[Details], object]
 
 
 def schema_from_taxonomy(model: str, taxonomy: MessageTaxonomy) -> SpanSchema:
     """Derive a fold schema from a registered variant's message taxonomy.
 
     The taxonomy names the lifecycle categories and the detail keys; this
-    turns the keys into the extractor callables the fold runs.  A single
-    edge key reads that detail verbatim (the DDB model records a canonical
+    turns the keys into the extractor callables the fold runs, each an
+    :func:`operator.itemgetter` over the event's details.  A single edge
+    key reads that detail verbatim (the DDB model records a canonical
     ``edge`` label); several keys form a tuple label (the basic model's
     ``(source, target)``).
     """
-    sender_key, destination_key = taxonomy.endpoint_keys
-    edge_keys = taxonomy.edge_keys
-    declared_by_key = taxonomy.declared_by_key
-    if len(edge_keys) == 1:
-        single_key = edge_keys[0]
-        edge_of: Callable[[TraceEvent], Hashable] = lambda e: e[single_key]  # noqa: E731
-    else:
-        edge_of = lambda e: tuple(e[key] for key in edge_keys)  # noqa: E731
     return SpanSchema(
         model=model,
         initiated=taxonomy.initiated,
         probe_sent=taxonomy.probe_sent,
         probe_received=taxonomy.probe_received,
         declared=taxonomy.declared,
-        sent_endpoints=lambda e: (e[sender_key], e[destination_key]),
-        edge_of=edge_of,
-        declared_by=lambda e: e[declared_by_key],
+        sent_endpoints=itemgetter(*taxonomy.endpoint_keys),
+        edge_of=itemgetter(*taxonomy.edge_keys),
+        declared_by=itemgetter(taxonomy.declared_by_key),
     )
 
 
@@ -109,7 +108,7 @@ def _registered_schemas() -> dict[str, SpanSchema]:
     """One schema per registered variant model that declares a taxonomy.
 
     Built exactly once at import: ``SpanSchema`` equality falls back to
-    the identity of its extractor lambdas, so every consumer must share
+    the identity of its extractors, so every consumer must share
     these instances rather than re-deriving their own.
     """
     schemas: dict[str, SpanSchema] = {}
@@ -307,12 +306,12 @@ def build_spans(
             if tag is None:
                 continue
             span = span_for(tag, event.time)
-            sender, destination = schema.sent_endpoints(event)
+            sender, destination = schema.sent_endpoints(event.details)
             hop = ProbeHop(
                 tag=tag,
                 source=sender,
                 target=destination,
-                edge=schema.edge_of(event),
+                edge=schema.edge_of(event.details),
                 sent_at=event.time,
             )
             span.hops.append(hop)
@@ -323,7 +322,7 @@ def build_spans(
             if tag is None:
                 continue
             span = span_for(tag, event.time)
-            edge = schema.edge_of(event)
+            edge = schema.edge_of(event.details)
             pending = awaiting_receive.get((tag, edge))
             if pending:
                 hop = pending.popleft()
@@ -347,7 +346,7 @@ def build_spans(
             span = span_for(tag, event.time)
             if span.declared_at is None:
                 span.declared_at = event.time
-                span.declared_by = schema.declared_by(event)
+                span.declared_by = schema.declared_by(event.details)
         elif category in (categories.NET_SENT, categories.NET_DELIVERED):
             message = event.details.get("message")
             tag = _tag_of(getattr(message, "tag", None))

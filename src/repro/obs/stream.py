@@ -192,8 +192,8 @@ class StreamingSpanEngine:
         """Subscribe to ``tracer``, one handler per category.
 
         The scoped subscription is the whole point: with ``trace=False``
-        every category the engine does not watch stays on the tracer's
-        zero-cost path, and nothing is ever buffered in the trace log.
+        every category the engine does not watch stays out of the
+        tracer's routes, and nothing is ever buffered in the trace log.
         """
         for category, handler in self._handlers.items():
             tracer.subscribe(handler, categories=(category,))
@@ -254,7 +254,8 @@ class StreamingSpanEngine:
             span.initiated_at = event.time
 
     def _on_probe_sent(self, event: TraceEvent) -> None:
-        tag = event.details["tag"]
+        details = event.details
+        tag = details["tag"]
         if not isinstance(tag, ProbeTag):
             return
         if self._deferred:
@@ -262,8 +263,8 @@ class StreamingSpanEngine:
         time = event.time
         record = self._record(tag, time)
         schema = self.schema
-        sender, destination = schema.sent_endpoints(event)
-        edge = schema.edge_of(event)
+        sender, destination = schema.sent_endpoints(details)
+        edge = schema.edge_of(details)
         hop = ProbeHop(
             tag=tag, source=sender, target=destination, edge=edge, sent_at=time
         )
@@ -302,7 +303,7 @@ class StreamingSpanEngine:
         if self._deferred:
             self._flush_deferred(tag)
         record = self._record(tag, event.time)
-        edge = self.schema.edge_of(event)
+        edge = self.schema.edge_of(details)
         pending = record.receive.get(edge)
         if pending:
             hop = pending.popleft()
@@ -330,7 +331,7 @@ class StreamingSpanEngine:
         span = record.span
         if span.declared_at is None:
             span.declared_at = event.time
-            span.declared_by = self.schema.declared_by(event)
+            span.declared_by = self.schema.declared_by(event.details)
         self._try_settle(record)
 
     def _net_pending(

@@ -31,9 +31,11 @@ from repro.core.assembly import build_runtime, require_fleet
 from repro.core.transport import Transport, TransportFactory
 from repro.core.engine import CompletenessReport, DeclarationLog
 from repro.ormodel.initiation import OrInitiationPolicy
+from repro.ormodel.messages import Grant
 from repro.ormodel.vertex import OrVertexProcess
 from repro.sim import categories
 from repro.sim.network import DelayModel
+from repro.sim.trace import TraceEvent
 
 
 class OrWaitGraph:
@@ -134,10 +136,9 @@ class OrSystem:
         #: needed because the state-only criterion is not stable while a
         #: grant is travelling (its receiver is about to unblock).
         self._grants_in_flight: dict[tuple[VertexId, VertexId], int] = {}
-        self.transport.tracer.subscribe(
-            self._observe,
-            categories=(categories.NET_SENT, categories.NET_DELIVERED),
-        )
+        tracer = self.transport.tracer
+        tracer.subscribe(self._on_net_sent, categories=(categories.NET_SENT,))
+        tracer.subscribe(self._on_net_delivered, categories=(categories.NET_DELIVERED,))
         self.vertices: dict[VertexId, OrVertexProcess] = {}
         for i in range(n_vertices):
             vid = VertexId(i)
@@ -206,14 +207,16 @@ class OrSystem:
     # Verification
     # ------------------------------------------------------------------
 
-    def _observe(self, event) -> None:
-        from repro.ormodel.messages import Grant
-
-        if event.category == categories.NET_SENT and isinstance(event["message"], Grant):
-            key = (event["sender"], event["destination"])
+    def _on_net_sent(self, event: TraceEvent) -> None:
+        details = event.details
+        if isinstance(details["message"], Grant):
+            key = (details["sender"], details["destination"])
             self._grants_in_flight[key] = self._grants_in_flight.get(key, 0) + 1
-        elif event.category == categories.NET_DELIVERED and isinstance(event["message"], Grant):
-            key = (event["sender"], event["destination"])
+
+    def _on_net_delivered(self, event: TraceEvent) -> None:
+        details = event.details
+        if isinstance(details["message"], Grant):
+            key = (details["sender"], details["destination"])
             self._grants_in_flight[key] -= 1
             if not self._grants_in_flight[key]:
                 del self._grants_in_flight[key]

@@ -207,9 +207,8 @@ class Simulator:
     def trace_now(self, category: str, **details: object) -> None:
         """Record a trace event stamped with the current time."""
         tracer = self.tracer
-        if tracer.idle:
-            return
-        tracer.record(self.clock.now, category, **details)
+        if category in tracer.routes:
+            tracer.record(self.clock.now, category, **details)
 
     def __repr__(self) -> str:
         return (

@@ -6,13 +6,14 @@ is recorded as a :class:`TraceEvent` with the virtual time and a payload
 dict.  Tests replay traces to check temporal claims such as QRP2's "on a
 black cycle *at the time the probe is received*".
 
-Fan-out is category-indexed: subscribers may register for specific
-categories, and :meth:`Tracer.record` dispatches only to the wildcard list
-plus the matching category's list.  When recording is disabled and a
-category has no subscriber, ``record`` returns after one set lookup without
-building a :class:`TraceEvent` -- untraced categories cost (almost) zero,
-which is what lets big sweeps run with ``trace=False`` while on-line
-observers still watch the handful of categories they care about.
+Fan-out is routed: :attr:`Tracer.routes` maps each category somebody reads
+to the tuple of subscribers it reaches, wildcards first.  The table is
+rebuilt on every subscribe, unsubscribe and ``enabled`` flip, never per
+record.  Producers test ``category in tracer.routes`` before they call
+:meth:`Tracer.record`, so a category nobody reads costs one membership
+test: no :class:`TraceEvent`, no call.  That is what lets big sweeps run
+with ``trace=False`` while on-line observers still watch the handful of
+categories they care about.
 """
 
 from __future__ import annotations
@@ -41,35 +42,71 @@ class TraceEvent:
         return self.details[key]
 
 
+# Tracer.record builds each TraceEvent without the dataclass ``__init__``,
+# which sets every field through ``object.__setattr__`` (how a frozen
+# dataclass gets past its own ``__setattr__``) at about three times the
+# cost of a plain build.  The slot descriptors set the fields directly;
+# the event stays frozen to everyone else.
+_set_time: Callable[[TraceEvent, float], None] = vars(TraceEvent)["time"].__set__
+_set_category: Callable[[TraceEvent, str], None] = vars(TraceEvent)["category"].__set__
+_set_details: Callable[[TraceEvent, dict[str, Any]], None] = vars(TraceEvent)[
+    "details"
+].__set__
+
+Routes = dict[str, tuple[Subscriber, ...]]
+
+
+class _Broadcast(Routes):
+    """A route table that routes every category.
+
+    In force while the log is on or a wildcard subscriber is attached:
+    every record is then read by someone.  A category with scoped
+    subscribers maps to the wildcards plus those; any other category
+    reaches the wildcards alone.
+    """
+
+    __slots__ = ("_wildcards",)
+
+    def __init__(self, routes: Routes, wildcards: tuple[Subscriber, ...]) -> None:
+        super().__init__(routes)
+        self._wildcards = wildcards
+
+    def __contains__(self, category: object) -> bool:
+        return True
+
+    def __missing__(self, category: str) -> tuple[Subscriber, ...]:
+        return self._wildcards
+
+
 class Tracer:
-    """Append-only trace log with category filtering.
+    """Append-only trace log with category-routed fan-out.
 
     Recording can be disabled (``enabled=False``) for large benchmark runs
-    where only metrics matter; ``record`` then becomes a cheap no-op for
-    every category nobody subscribed to.  Subscribers registered with
+    where only metrics matter.  Subscribers registered with
     :meth:`subscribe` are invoked synchronously on every matching recorded
     event and are how the on-line invariant checkers hook into a running
     simulation.
+
+    :attr:`routes` is the precomputed dispatch table: category -> tuple of
+    subscribers, wildcard subscribers first, then the category's scoped
+    ones in subscription order.  A category is in the table exactly when
+    recording it would log it or reach a subscriber.  Subscribe,
+    unsubscribe and every ``enabled`` flip rebuild it; :meth:`record`
+    only reads it.  Read it, never write it.
     """
 
-    __slots__ = (
-        "_by_category",
-        "_enabled",
-        "_events",
-        "_idle",
-        "_subscribers",
-        "_wants_all",
-    )
+    __slots__ = ("_by_category", "_enabled", "_events", "_wildcards", "routes")
+
+    routes: Routes
 
     def __init__(self, enabled: bool = True) -> None:
         self._enabled = enabled
         self._events: list[TraceEvent] = []
         #: wildcard subscribers: see every recorded event.
-        self._subscribers: list[Subscriber] = []
+        self._wildcards: list[Subscriber] = []
         #: category-scoped subscribers: see only their categories' events.
         self._by_category: dict[str, list[Subscriber]] = {}
-        self._idle = not enabled
-        self._wants_all = enabled
+        self._rebuild_routes()
 
     @property
     def enabled(self) -> bool:
@@ -79,58 +116,53 @@ class Tracer:
     @enabled.setter
     def enabled(self, value: bool) -> None:
         self._enabled = value
-        self._recompute_flags()
+        self._rebuild_routes()
 
     @property
     def idle(self) -> bool:
-        """True when no recorded event could reach anyone.
+        """True when no recorded event could reach anyone."""
+        return not (self._enabled or self._wildcards or self._by_category)
 
-        Precomputed on every ``enabled`` flip and (un)subscription, so hot
-        call sites (``NodeContext.trace``, ``Simulator.trace_now``) pay one
-        attribute read -- not a set lookup -- on the ``trace=False``
-        no-subscriber fast path the big sweeps run on.
+    def _rebuild_routes(self) -> None:
+        """Recompute :attr:`routes` from the log flag and the subscribers.
+
+        A new table replaces the old one, so a :meth:`record` already
+        dispatching keeps the subscriber tuple it started with.
         """
-        return self._idle
-
-    def _recompute_flags(self) -> None:
-        """Refresh the two precomputed dispatch flags.
-
-        ``_idle`` short-circuits everything when nobody could see an
-        event; ``_wants_all`` short-circuits the per-category lookup when
-        every event is seen anyway (log enabled or a wildcard subscriber
-        attached).  Both exist so the hot guards below stay at one or two
-        attribute reads -- the cold-subscribed regime every protocol
-        system runs in (systems attach their own category observers).
-        """
-        self._idle = not (self._enabled or self._subscribers or self._by_category)
-        self._wants_all = self._enabled or bool(self._subscribers)
+        wildcards = tuple(self._wildcards)
+        routes = {
+            category: wildcards + tuple(scoped)
+            for category, scoped in self._by_category.items()
+        }
+        self.routes = _Broadcast(routes, wildcards) if self._enabled or wildcards else routes
 
     def wants(self, category: str) -> bool:
         """True when recording ``category`` now would reach anyone.
 
         Call sites with expensive payloads (the network builds a kwargs
         dict per message) use this to skip the :meth:`record` call
-        entirely on untraced categories.
+        entirely on categories nobody reads.
         """
-        if self._idle:
-            return False
-        return self._wants_all or category in self._by_category
+        return category in self.routes
 
     def record(self, time: float, category: str, **details: Any) -> None:
-        """Record one event (no-op when disabled and nobody subscribed)."""
-        if self._idle:
+        """Record one event: log it if enabled, then call its subscribers.
+
+        A category not in :attr:`routes` returns at once.  The subscribers
+        are those routed when the call starts: one that subscribes or
+        unsubscribes during the dispatch takes effect from the next record.
+        """
+        routes = self.routes
+        if category not in routes:
             return
-        targeted = self._by_category.get(category)
-        if targeted is None and not self._wants_all:
-            return
-        event = TraceEvent(time=time, category=category, details=details)
+        event = TraceEvent.__new__(TraceEvent)
+        _set_time(event, time)
+        _set_category(event, category)
+        _set_details(event, details)
         if self._enabled:
             self._events.append(event)
-        for subscriber in self._subscribers:
+        for subscriber in routes[category]:
             subscriber(event)
-        if targeted is not None:
-            for subscriber in targeted:
-                subscriber(event)
 
     def subscribe(
         self, callback: Subscriber, categories: Iterable[str] | None = None
@@ -139,19 +171,20 @@ class Tracer:
 
         With ``categories=None`` (the default) the callback sees every
         event.  Passing an iterable of category names scopes the callback
-        to exactly those categories; all *other* categories then stay on
-        the zero-cost path when recording is disabled.
+        to exactly those categories; all *other* categories then stay
+        unrouted when recording is disabled.  A subscription made while a
+        record is dispatching takes effect from the next record.
         """
         if categories is None:
-            self._subscribers.append(callback)
-            self._recompute_flags()
+            self._wildcards.append(callback)
+            self._rebuild_routes()
             return
         names = tuple(categories)
         if not names:
             raise ValueError("categories must be None (wildcard) or non-empty")
         for name in names:
             self._by_category.setdefault(name, []).append(callback)
-        self._recompute_flags()
+        self._rebuild_routes()
 
     def unsubscribe(self, callback: Subscriber) -> None:
         """Detach a subscriber registered with :meth:`subscribe`.
@@ -161,11 +194,13 @@ class Tracer:
         each), i.e. one ``subscribe(cb, categories=...)`` call is undone by
         one ``unsubscribe(cb)``.  Raises :class:`ValueError` if ``callback``
         is not currently subscribed -- a silent no-op here would hide
-        double-detach bugs in invariant checkers.
+        double-detach bugs in invariant checkers.  Unsubscribing while a
+        record is dispatching takes effect from the next record: the
+        current one still reaches every subscriber it was routed to.
         """
         try:
-            self._subscribers.remove(callback)
-            self._recompute_flags()
+            self._wildcards.remove(callback)
+            self._rebuild_routes()
             return
         except ValueError:
             pass
@@ -181,7 +216,7 @@ class Tracer:
                 del self._by_category[name]
         if not removed:
             raise ValueError(f"callback {callback!r} is not subscribed to this tracer")
-        self._recompute_flags()
+        self._rebuild_routes()
 
     @contextmanager
     def subscribed(

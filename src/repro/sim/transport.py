@@ -58,9 +58,8 @@ class SimNodeContext:
     def trace(self, category: str, **details: object) -> None:
         simulator = self._simulator
         tracer = simulator.tracer
-        if tracer.idle:
-            return
-        tracer.record(simulator.clock.now, category, **details)
+        if category in tracer.routes:
+            tracer.record(simulator.clock.now, category, **details)
 
     def counter(self, name: str) -> Counter:
         return self._simulator.metrics.counter(name)
