@@ -57,7 +57,13 @@ from collections.abc import Hashable
 from pathlib import Path
 from typing import Any
 
-from repro.cluster.frames import decode_value, encode_value, read_frame, write_frame
+from repro.cluster.frames import (
+    decode_value,
+    encode_frame,
+    encode_value,
+    read_frame,
+    write_frame,
+)
 from repro.errors import ClusterError, SimulationError, WorkerFailure
 from repro.live.transport import AsyncioTransport, LiveNodeContext
 from repro.sim import categories
@@ -247,15 +253,17 @@ class ClusterTransport(AsyncioTransport):
                 self._loop.run_until_complete(self._teardown())
                 raise
             self._brought_up = True
-            # The start frame anchors each worker's virtual-time origin;
-            # it travels through the same outbox as message frames, so no
-            # message can overtake it on the wire.
-            for link in self._links:
-                link.outbox.put_nowait(
-                    {"kind": "start", "time_scale": self.time_scale}
-                )
             self._watcher = self._loop.create_task(self._watch())
         super()._start()
+        # The start frame anchors each worker's virtual-time origin just
+        # after the coordinator's.  It is written now, not queued for the
+        # loop's next spin: a run that is over before its first event never
+        # spins the loop.  It still precedes every message frame on the
+        # wire, since those wait in the outboxes until the write loops run.
+        start = encode_frame({"kind": "start", "time_scale": self.time_scale})
+        for link in self._links:
+            assert link.writer is not None
+            link.writer.write(start)
 
     async def _bring_up(self) -> None:
         self._tempdir = tempfile.mkdtemp(prefix="repro-cluster-")
@@ -388,7 +396,7 @@ class ClusterTransport(AsyncioTransport):
                         decode_value(frame["dst"]),
                         decode_value(frame["payload"]),
                     )
-                    self._deliver(delivery)
+                    self._guarded(self._deliver, delivery)
                 else:
                     self._worker_lost(link, f"sent unknown frame kind {kind!r}")
                     return
@@ -472,7 +480,7 @@ class ClusterTransport(AsyncioTransport):
             self._failure = ClusterError(
                 "cluster run failed", failures=tuple(self._failures)
             )
-        self._activity.set()
+        self._settle()
 
     # ------------------------------------------------------------------
     # Teardown

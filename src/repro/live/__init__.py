@@ -1,12 +1,12 @@
-"""Live (wall-clock) runtime: nodes as asyncio tasks behind the seam.
+"""Live (wall-clock) runtime: nodes on an asyncio event loop behind the seam.
 
 The deterministic simulator answers "what does the protocol do on this
 exact schedule"; this package answers "does the same node code, byte for
 byte, behave on a real concurrent runtime".  :class:`AsyncioTransport`
 implements the :class:`~repro.core.transport.Transport` contract with an
-asyncio event loop: per-channel FIFO delivery queues, configurable delay
-injection, wall-clock timers scaled into virtual units, and a
-run-until-declaration driver with a wall-clock timeout.
+asyncio event loop: per-channel FIFO delivery on plain loop timers,
+configurable delay injection, wall-clock timers scaled into virtual
+units, and a run-until-declaration driver with a wall-clock timeout.
 
 Because delivery interleavings now come from the host scheduler, live
 runs are *not* reproducible -- but the paper's claims (QRP2 soundness at

@@ -4,10 +4,11 @@
 subclasses the simulator runs, on a private asyncio event loop:
 
 * **P4 by construction.**  Every ordered ``(sender, destination)`` pair
-  gets its own FIFO queue drained by one consumer task; a message's
-  injected delay only stretches the consumer's sleep, so delivery order
-  on a channel always equals send order, no message is lost, and every
-  delay is finite.
+  keeps a deque of its in-flight deliveries, and only the head has a loop
+  timer armed; when that timer fires it delivers the head and arms the
+  next.  A message's injected delay only moves its own timer, so delivery
+  order on a channel always equals send order, no message is lost, and
+  every delay is finite.
 * **Atomicity note.**  Handlers run synchronously inside loop callbacks
   of a single-threaded loop, so a step, once started, completes before
   any other delivery or timer fires -- the section 3 requirement.
@@ -18,16 +19,21 @@ subclasses the simulator runs, on a private asyncio event loop:
   from the host scheduler, not a deterministic queue.
 
 The loop only spins inside the ``run*`` methods (the synchronous driver
-facade shared with :class:`~repro.sim.transport.SimTransport`).  Each
-``run*`` call enforces ``max_wall_seconds``: a live system that fails to
-quiesce or to satisfy the predicate raises
+facade shared with :class:`~repro.sim.transport.SimTransport`).  A run
+waits on one future that the event callbacks resolve themselves: every
+delivery and timer firing ends with one stop check (a failure, the
+predicate, quiescence, the event budget), and the ``until`` and
+``max_wall_seconds`` deadlines are two loop timers.  A live system that
+fails to quiesce or to satisfy the predicate raises
 :class:`~repro.errors.SimulationError` instead of hanging the caller.
 """
 
 from __future__ import annotations
 
 import asyncio
+import math
 import random
+from collections import deque
 from collections.abc import Callable, Hashable
 from typing import Any
 
@@ -38,8 +44,13 @@ from repro.sim.network import DelayModel, FixedDelay
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import Tracer
 
-#: type of one queued delivery: (delivery time in units, sender, dest, message)
+#: type of one in-flight delivery: (delivery time in units, sender, dest, message)
 _Delivery = tuple[float, Hashable, Hashable, Any]
+
+
+def _never() -> bool:
+    """The stop predicate of every run but ``run_until``."""
+    return False
 
 
 class LiveTimerHandle:
@@ -72,14 +83,16 @@ class LiveTimerHandle:
         self._done = True
         if self._asyncio_handle is not None:
             self._asyncio_handle.cancel()
-        self._transport._timer_resolved(fired=False)
+        self._transport._pending_timers -= 1
 
     def _fire(self) -> None:
-        if self._done:
-            return
+        """Run the callback, under the transport's guard; :meth:`cancel`
+        cancels the loop handle, so a cancelled timer never gets here."""
         self._done = True
-        self._transport._timer_resolved(fired=True)
-        self._transport._guarded(self.callback)
+        transport = self._transport
+        transport._pending_timers -= 1
+        transport._executed += 1
+        self.callback()
 
 
 class LiveNodeContext:
@@ -176,10 +189,9 @@ class AsyncioTransport:
         self._origin: float | None = None
         self._closed = False
         self._processes: dict[Hashable, Any] = {}
-        self._channels: dict[tuple[Hashable, Hashable], asyncio.Queue[_Delivery]] = {}
-        self._consumers: dict[tuple[Hashable, Hashable], asyncio.Task[None]] = {}
-        #: unordered delivery tasks used when ``fifo=False`` (ablations).
-        self._loose_tasks: set[asyncio.Task[None]] = set()
+        #: in-flight deliveries per ``(sender, destination)`` channel; the
+        #: head of a non-empty deque is the one with a loop timer armed.
+        self._channels: dict[tuple[Hashable, Hashable], deque[_Delivery]] = {}
         #: timers created before the first run; armed when the origin is
         #: fixed (setup wall time may exceed small virtual times, so they
         #: cannot be armed against the wall clock yet).
@@ -189,11 +201,17 @@ class AsyncioTransport:
         self._in_flight = 0
         self._executed = 0
         self._failure: BaseException | None = None
-        self._activity = asyncio.Event()
+        #: the running ``run*`` call: the future its callbacks resolve (None
+        #: once resolved and between runs), its predicate, its event limit
+        #: and its two deadline timers.
+        self._waiter: asyncio.Future[bool] | None = None
+        self._stop: Callable[[], bool] = _never
+        self._event_limit: float = math.inf
+        self._deadlines: list[asyncio.TimerHandle] = []
         self._rngs: dict[str, random.Random] = {}
         self._sent_counter = self.metrics.counter("net.messages.sent")
         self._delivered_counter = self.metrics.counter("net.messages.delivered")
-        self._in_flight_gauge = self.metrics.gauge("net.messages.in_flight")
+        self._type_counters: dict[str, Counter] = {}
 
     # ------------------------------------------------------------------
     # Clock
@@ -245,9 +263,9 @@ class AsyncioTransport:
         """Queue ``message`` on the ``sender -> destination`` channel.
 
         Accounting matches the sim network: ``net.messages.sent`` plus a
-        per-type counter, the in-flight gauge, and a ``net.sent`` trace
-        event -- so observers (e.g. the OR model's in-flight grant
-        tracker) work unchanged on live runs.
+        per-type counter and a ``net.sent`` trace event -- so observers
+        (e.g. the OR model's in-flight grant tracker) work unchanged on
+        live runs.
         """
         if destination not in self._processes:
             raise SimulationError(
@@ -268,8 +286,11 @@ class AsyncioTransport:
             raise SimulationError(f"delay model produced negative delay {nominal}")
 
         self._sent_counter.increment()
-        self.metrics.counter(f"net.messages.sent.{type_key}").increment()
-        self._in_flight_gauge.increment()
+        type_counter = self._type_counters.get(type_key)
+        if type_counter is None:
+            type_counter = self.metrics.counter(f"net.messages.sent.{type_key}")
+            self._type_counters[type_key] = type_counter
+        type_counter.increment()
         self._in_flight += 1
         if self.tracer.wants(categories.NET_SENT):
             self.tracer.record(
@@ -287,36 +308,30 @@ class AsyncioTransport:
 
     def _dispatch(self, delivery: _Delivery) -> None:
         if not self.fifo:
-            # Ablation mode: every message sleeps independently, so two
+            # Ablation mode: every message has its own timer, so two
             # messages on one channel can genuinely overtake each other.
-            task = self._loop.create_task(self._deliver_loose(delivery))
-            self._loose_tasks.add(task)
-            task.add_done_callback(self._loose_tasks.discard)
+            self._arm(delivery[0], self._deliver, delivery)
             return
-        channel = (delivery[1], delivery[2])
-        queue = self._channels.get(channel)
-        if queue is None:
-            queue = asyncio.Queue()
-            self._channels[channel] = queue
-            self._consumers[channel] = self._loop.create_task(self._consume(queue))
-        queue.put_nowait(delivery)
+        key = (delivery[1], delivery[2])
+        channel = self._channels.get(key)
+        if channel is None:
+            channel = self._channels[key] = deque()
+        channel.append(delivery)
+        if len(channel) == 1:
+            self._arm(delivery[0], self._deliver_head, channel)
 
-    async def _consume(self, queue: "asyncio.Queue[_Delivery]") -> None:
-        """Drain one channel serially: FIFO regardless of drawn delays."""
-        while True:
-            delivery = await queue.get()
-            await self._sleep_until(delivery[0])
-            self._deliver(delivery)
+    def _deliver_head(self, channel: deque[_Delivery]) -> None:
+        """Deliver a channel's head and arm the message behind it.
 
-    async def _deliver_loose(self, delivery: _Delivery) -> None:
-        await self._sleep_until(delivery[0])
+        A message's timer is armed only when the one before it fires, so
+        channel order is send order whatever delays were drawn (P4).  The
+        next timer is armed before the handler runs: a handler that sends
+        on this same channel then finds it busy, or idle and arms it.
+        """
+        delivery = channel.popleft()
+        if channel:
+            self._arm(channel[0][0], self._deliver_head, channel)
         self._deliver(delivery)
-
-    async def _sleep_until(self, when_units: float) -> None:
-        assert self._origin is not None
-        remaining = self._origin + when_units * self.time_scale - self._loop.time()
-        if remaining > 0:
-            await asyncio.sleep(remaining)
 
     def _deliver(self, delivery: _Delivery) -> None:
         _, sender, destination, message = delivery
@@ -329,12 +344,18 @@ class AsyncioTransport:
                 message=message,
             )
         self._delivered_counter.increment()
-        self._in_flight_gauge.decrement()
         self._in_flight -= 1
         self._executed += 1
-        process = self._processes[destination]
-        self._guarded(lambda: process.on_message(sender, message))
-        self._activity.set()
+        self._processes[destination].on_message(sender, message)
+
+    def _arm(
+        self, when: float, action: Callable[..., None], *args: Any
+    ) -> asyncio.TimerHandle:
+        """Run ``action(*args)`` under the guard at virtual time ``when``."""
+        assert self._origin is not None
+        return self._loop.call_at(
+            self._origin + when * self.time_scale, self._guarded, action, *args
+        )
 
     # ------------------------------------------------------------------
     # Timers
@@ -364,37 +385,47 @@ class AsyncioTransport:
         if self._origin is None:
             self._unarmed_timers.append(handle)
         else:
-            self._arm(handle)
+            handle._asyncio_handle = self._arm(when, handle._fire)
         return handle
 
-    def _arm(self, handle: LiveTimerHandle) -> None:
-        assert self._origin is not None
-        wall = self._origin + handle.when * self.time_scale
-        handle._asyncio_handle = self._loop.call_at(wall, handle._fire)
-
-    def _timer_resolved(self, fired: bool) -> None:
-        self._pending_timers -= 1
-        if fired:
-            self._executed += 1
-        self._activity.set()
-
     # ------------------------------------------------------------------
-    # Handler guard
+    # The guard and the stop check
     # ------------------------------------------------------------------
 
-    def _guarded(self, action: Callable[[], None]) -> None:
-        """Run one handler/timer action, capturing the first failure.
+    def _guarded(self, action: Callable[..., None], *args: Any) -> None:
+        """Run one loop callback's ``action``, then the run's stop check.
 
-        The driver re-raises it; later actions still run (a live system
-        has no way to freeze its peers), but only the first failure is
-        reported, matching the simulator's fail-on-first behaviour.
+        Every event runs here -- a delivery (its trace record, counters
+        and handler), a timer firing, a run's deadlines -- and so does the
+        ``run_until`` predicate, evaluated after each of them.  The first
+        exception is kept for the driver, which re-raises it; later
+        actions still run (a live system has no way to freeze its peers),
+        but only the first failure is reported, matching the simulator's
+        fail-on-first behaviour.
         """
         try:
-            action()
+            action(*args)
+            if self._waiter is not None and self._stop():
+                self._resolve(True)
         except Exception as exc:  # noqa: BLE001 - transported to the driver
             if self._failure is None:
                 self._failure = exc
-            self._activity.set()
+        self._settle()
+
+    def _settle(self) -> None:
+        """End the run on a failure, at quiescence, or at its event limit."""
+        if self._waiter is not None and (
+            self._failure is not None
+            or (self._in_flight == 0 and self._pending_timers == 0)
+            or self._executed >= self._event_limit
+        ):
+            self._resolve(False)
+
+    def _resolve(self, satisfied: bool) -> None:
+        """Hand the running ``run*`` call its result (at most once)."""
+        waiter, self._waiter = self._waiter, None
+        if waiter is not None:
+            waiter.set_result(satisfied)
 
     # ------------------------------------------------------------------
     # Driving
@@ -408,7 +439,7 @@ class AsyncioTransport:
         self._origin = self._loop.time()
         for handle in self._unarmed_timers:
             if not handle._done:
-                self._arm(handle)
+                handle._asyncio_handle = self._arm(handle.when, handle._fire)
         self._unarmed_timers.clear()
         pending, self._pending_sends = self._pending_sends, []
         for delivery in pending:
@@ -418,41 +449,25 @@ class AsyncioTransport:
     def quiescent(self) -> bool:
         return self._in_flight == 0 and self._pending_timers == 0
 
-    async def _drive(
-        self,
-        stop: Callable[[], bool],
-        until_wall: float | None,
-        max_events: int | None,
-    ) -> bool:
-        budget_deadline = self._loop.time() + self.max_wall_seconds
-        baseline = self._executed
-        while True:
-            self._activity.clear()
-            if self._failure is not None:
-                failure, self._failure = self._failure, None
-                raise failure
-            if stop():
-                return True
-            if self.quiescent:
-                return False
-            if max_events is not None and self._executed - baseline >= max_events:
-                return False
-            wall = self._loop.time()
-            if until_wall is not None and wall >= until_wall:
-                return False
-            if wall >= budget_deadline:
-                raise SimulationError(
-                    f"live run exceeded max_wall_seconds={self.max_wall_seconds} "
-                    f"(virtual t={self.now:.3f}, {self._in_flight} in flight, "
-                    f"{self._pending_timers} timers pending)"
-                )
-            timeout = budget_deadline - wall
-            if until_wall is not None:
-                timeout = min(timeout, until_wall - wall)
-            try:
-                await asyncio.wait_for(self._activity.wait(), timeout)
-            except asyncio.TimeoutError:
-                pass
+    def _arm_deadlines(self, until: float | None) -> None:
+        """A run's first action: arm its wall budget and ``until`` timers."""
+        self._deadlines = [
+            self._loop.call_later(self.max_wall_seconds, self._guarded, self._expire)
+        ]
+        if until is None:
+            return
+        if until <= self.now:
+            self._resolve(False)
+        else:
+            self._deadlines.append(self._arm(until, self._resolve, False))
+
+    def _expire(self) -> None:
+        if self._waiter is not None:
+            raise SimulationError(
+                f"live run exceeded max_wall_seconds={self.max_wall_seconds} "
+                f"(virtual t={self.now:.3f}, {self._in_flight} in flight, "
+                f"{self._pending_timers} timers pending)"
+            )
 
     def _run_driver(
         self,
@@ -460,23 +475,41 @@ class AsyncioTransport:
         until: float | None,
         max_events: int | None,
     ) -> bool:
+        """Spin the loop until an event callback resolves this run's future.
+
+        Arming the deadlines goes through the guard like any event, so a
+        run that is over before its first event never spins the loop.
+        """
         self._start()
-        assert self._origin is not None
-        until_wall = (
-            None if until is None else self._origin + until * self.time_scale
+        waiter: asyncio.Future[bool] = self._loop.create_future()
+        self._waiter = waiter
+        self._stop = stop
+        self._event_limit = (
+            math.inf if max_events is None else self._executed + max_events
         )
-        return bool(
-            self._loop.run_until_complete(self._drive(stop, until_wall, max_events))
-        )
+        try:
+            self._guarded(self._arm_deadlines, until)
+            if not waiter.done():
+                self._loop.run_until_complete(waiter)
+        finally:
+            for deadline in self._deadlines:
+                deadline.cancel()
+            self._deadlines = []
+            self._waiter = None
+            self._stop = _never
+        if self._failure is not None:
+            failure, self._failure = self._failure, None
+            raise failure
+        return waiter.result()
 
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
         """Run until quiescence, the virtual ``until`` deadline, or a
-        ``max_events`` budget (checked between wake-ups, so it may
-        overshoot by in-progress deliveries)."""
-        self._run_driver(lambda: False, until, max_events)
+        ``max_events`` budget.  Each is checked after every event; events
+        already due in the loop pass that reaches one may still run."""
+        self._run_driver(_never, until, max_events)
 
     def run_to_quiescence(self, max_events: int = 1_000_000) -> None:
-        self._run_driver(lambda: False, None, max_events)
+        self._run_driver(_never, None, max_events)
 
     def run_until(
         self, predicate: Callable[[], bool], max_events: int = 1_000_000
@@ -492,17 +525,10 @@ class AsyncioTransport:
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Cancel consumers and close the private loop (idempotent)."""
+        """Close the private loop, dropping armed timers (idempotent)."""
         if self._closed:
             return
         self._closed = True
-        tasks = [*self._consumers.values(), *self._loose_tasks]
-        for task in tasks:
-            task.cancel()
-        if tasks:
-            self._loop.run_until_complete(
-                asyncio.gather(*tasks, return_exceptions=True)
-            )
         self._loop.close()
 
     def __repr__(self) -> str:

@@ -124,9 +124,10 @@ class Histogram:
 class Gauge:
     """A point-in-time value that can move both ways.
 
-    Counters are monotone by contract; gauges track levels -- messages in
-    flight, live event-queue depth -- that rise and fall.  The profiling
-    layer (:mod:`repro.obs.profile`) samples gauges into time series.
+    Counters are monotone by contract; gauges track levels that rise and
+    fall, such as the event-queue depth the profiling layer
+    (:mod:`repro.obs.profile`) keeps in ``sim.queue.depth`` and samples
+    into a time series of the same name.
     """
 
     __slots__ = ("name", "_value")

@@ -137,7 +137,6 @@ class Network:
         metrics = simulator.metrics
         self._sent_counter = metrics.counter("net.messages.sent")
         self._delivered_counter = metrics.counter("net.messages.delivered")
-        self._in_flight = metrics.gauge("net.messages.in_flight")
         self._type_counters: dict[str, Counter] = {}
         self._deliver_names: dict[tuple[str, Hashable, Hashable], str] = {}
 
@@ -206,8 +205,6 @@ class Network:
             type_counter = self.simulator.metrics.counter(f"net.messages.sent.{type_key}")
             self._type_counters[type_key] = type_counter
         type_counter.increment()
-        in_flight = self._in_flight
-        in_flight.increment()
         tracer = self.simulator.tracer
         if tracer.wants(categories.NET_SENT):
             tracer.record(
@@ -230,7 +227,6 @@ class Network:
                     message=message,
                 )
             delivered_counter.increment()
-            in_flight.decrement()
             self._processes[destination].on_message(sender, message)
 
         name_key = (type_key, sender, destination)

@@ -11,15 +11,21 @@ them.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.cluster.transport import ClusterTransport
 from repro.core.transport import Transport
 from repro.errors import SimulationError
 from repro.live.transport import AsyncioTransport
+from repro.sim import categories
 from repro.sim.network import UniformDelay
 from repro.sim.process import Process
 from repro.sim.transport import SimTransport
+
+#: wall-clock budget of every live and cluster run in this suite.
+WALL_BUDGET_S = 20.0
 
 
 class Recorder(Process):
@@ -33,26 +39,39 @@ class Recorder(Process):
         self.seen.append((sender, message))
 
 
-def _build(backend: str, seed: int = 0, delay_model=None) -> Transport:
+def _build(backend: str, seed: int = 0, delay_model=None, fifo: bool = True) -> Transport:
     if backend == "sim":
         from repro.core.assembly import build_runtime
 
-        return build_runtime(seed=seed, delay_model=delay_model).transport
+        return build_runtime(seed=seed, delay_model=delay_model, fifo=fifo).transport
     if backend == "cluster":
         # Same tiny time scale; the FIFO and delivery assertions now hold
         # across real process boundaries and socket frames.
         return ClusterTransport(
-            seed=seed, delay_model=delay_model, time_scale=0.001, max_wall_seconds=20.0
+            seed=seed,
+            delay_model=delay_model,
+            fifo=fifo,
+            time_scale=0.001,
+            max_wall_seconds=WALL_BUDGET_S,
         )
     # Tiny time scale: drawn delays become sub-millisecond sleeps, so the
-    # whole suite stays fast while the loop genuinely interleaves tasks.
+    # whole suite stays fast while the loop genuinely interleaves callbacks.
     return AsyncioTransport(
-        seed=seed, delay_model=delay_model, time_scale=0.001, max_wall_seconds=20.0
+        seed=seed,
+        delay_model=delay_model,
+        fifo=fifo,
+        time_scale=0.001,
+        max_wall_seconds=WALL_BUDGET_S,
     )
 
 
 @pytest.fixture(params=["sim", "asyncio", "cluster"])
 def backend(request) -> str:
+    return request.param
+
+
+@pytest.fixture(params=["asyncio", "cluster"])
+def wall_backend(request) -> str:
     return request.param
 
 
@@ -106,6 +125,107 @@ class TestP4Fifo:
             assert sorted(m for _, m in receiver.seen) == payload
             assert transport.metrics.counter("net.messages.sent").value == 40
             assert transport.metrics.counter("net.messages.delivered").value == 40
+        finally:
+            transport.close()
+
+
+class TestChannelChain:
+    """One channel's deliveries, with delays scripted so the second of two
+    messages would overtake the first (1 ms per unit on the wall clock)."""
+
+    @staticmethod
+    def _slow_then_fast(backend: str, fifo: bool) -> list[object]:
+        transport = _build(backend, fifo=fifo)
+        try:
+            sender = Recorder("a")
+            receiver = Recorder("b")
+            transport.register(sender)
+            transport.register(receiver)
+            transport.delay_override = lambda src, dst, message: 20.0 if message == 0 else 1.0
+            sender.send("b", 0)
+            sender.send("b", 1)
+            transport.run_to_quiescence()
+            assert transport.quiescent
+            assert transport.metrics.counter("net.messages.delivered").value == 2
+            return [message for _, message in receiver.seen]
+        finally:
+            transport.close()
+
+    def test_fifo_short_message_waits_behind_the_armed_head(self, wall_backend) -> None:
+        assert self._slow_then_fast(wall_backend, fifo=True) == [0, 1]
+
+    def test_loose_short_message_overtakes(self, wall_backend) -> None:
+        assert self._slow_then_fast(wall_backend, fifo=False) == [1, 0]
+
+    def test_handler_sending_on_its_own_channel_delivers_each_once(self, backend) -> None:
+        # A delivery's handler appends to the channel it was delivered
+        # from: the chain must neither drop nor double-deliver.
+        class Looper(Process):
+            def __init__(self, pid) -> None:
+                super().__init__(pid)
+                self.seen: list[object] = []
+
+            def on_message(self, sender, message) -> None:
+                self.seen.append(message)
+                if message < 10:
+                    self.send(self.pid, message + 10)
+
+        transport = _build(backend, seed=5, delay_model=UniformDelay(0.1, 2.0))
+        try:
+            node = Looper("loop")
+            transport.register(node)
+            for i in range(3):
+                node.send("loop", i)
+            transport.run_to_quiescence()
+            assert node.seen == [0, 1, 2, 10, 11, 12]
+        finally:
+            transport.close()
+
+
+class TestCallbackFailures:
+    """A coordinator-side callback that raises surfaces as its own
+    exception, at once -- not as a wall-budget error or a lost worker."""
+
+    @staticmethod
+    def _pair(transport: Transport) -> tuple[Recorder, Recorder]:
+        sender = Recorder("a")
+        receiver = Recorder("b")
+        transport.register(sender)
+        transport.register(receiver)
+        return sender, receiver
+
+    def test_raising_trace_subscriber_surfaces(self, backend) -> None:
+        def explode(event) -> None:
+            raise ValueError("boom in subscriber")
+
+        transport = _build(backend)
+        try:
+            sender, _ = self._pair(transport)
+            transport.tracer.subscribe(explode, [categories.NET_DELIVERED])
+            sender.send("b", 1)
+            started = time.perf_counter()
+            with pytest.raises(ValueError, match="boom in subscriber"):
+                transport.run_to_quiescence()
+            assert time.perf_counter() - started < WALL_BUDGET_S / 4
+        finally:
+            transport.close()
+
+    def test_raising_predicate_surfaces(self, backend) -> None:
+        transport = _build(backend)
+        try:
+            sender, receiver = self._pair(transport)
+
+            def predicate() -> bool:
+                if receiver.seen:
+                    raise ValueError("boom in predicate")
+                return False
+
+            for i in range(3):
+                sender.send("b", i)
+            started = time.perf_counter()
+            with pytest.raises(ValueError, match="boom in predicate"):
+                transport.run_until(predicate)
+            assert time.perf_counter() - started < WALL_BUDGET_S / 4
         finally:
             transport.close()
 
@@ -211,6 +331,38 @@ class TestRegistrationAndDriving:
             assert len(receiver.seen) >= 3
             transport.run_to_quiescence()
             assert len(receiver.seen) == 10
+        finally:
+            transport.close()
+
+    def test_zero_event_run_runs_nothing_and_a_pause_delays_nothing(self, backend) -> None:
+        # run(max_events=0) only fixes the clock's origin (and spawns the
+        # cluster's workers): the t=0 timer waits for the next run, and a
+        # pause before that run must not shift the workers' clocks.
+        class Stamper(Process):
+            def __init__(self, pid) -> None:
+                super().__init__(pid)
+                self.received_at: list[float] = []
+
+            def on_message(self, sender, message) -> None:
+                self.received_at.append(self.now)
+
+        transport = _build(backend)
+        try:
+            sender = Recorder("a")
+            receiver = Stamper("b")
+            transport.register(sender)
+            transport.register(receiver)
+            fired: list[float] = []
+            transport.schedule(0.0, lambda: fired.append(transport.now))
+            transport.run(max_events=0)
+            assert fired == []
+            time.sleep(0.1)  # 100 units at 1 ms per unit
+            sent_at = transport.now
+            sender.send("b", "hello")
+            transport.run_to_quiescence()
+            assert len(fired) == 1
+            assert len(receiver.received_at) == 1
+            assert receiver.received_at[0] - sent_at < 50.0
         finally:
             transport.close()
 
