@@ -2,7 +2,8 @@
 
 Kept dependency-free and generic over hashable node types so both the
 basic-model (``VertexId``) and DDB (``ProcessId``) verification code use
-the same, well-tested implementation.
+the same, well-tested implementation.  :func:`discard_edge` also keeps
+the DDB controllers' intra-edge index.
 """
 
 from __future__ import annotations
@@ -68,3 +69,13 @@ def cyclic_sccs(adjacency: Mapping[Node, Iterable[Node]]) -> list[set[Node]]:
         if node not in index:
             strongconnect(node)
     return components
+
+
+def discard_edge(adjacency: dict[Node, set[Node]], source: Node, target: Node) -> None:
+    """Remove ``source -> target`` from a successor index, and ``source``'s
+    entry once it is empty, so an index over finished nodes stays empty."""
+    targets = adjacency.get(source)
+    if targets is not None:
+        targets.discard(target)
+        if not targets:
+            del adjacency[source]

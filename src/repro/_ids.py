@@ -10,14 +10,19 @@ A DDB *process* is the pair ``(T_i, S_j)`` (``ProcessId``); resources are
 named by ``ResourceId``.  Probe computations are tagged ``(initiator, n)``
 (``ProbeTag``), matching the paper's ``(i, n)`` tags.
 
-All identifiers are lightweight ``NewType`` wrappers over ``int``/``str`` so
+The scalar identifiers are ``NewType`` wrappers over ``int``/``str`` so
 they stay hashable, orderable, and cheap, while letting type checkers catch
 cross-wiring (e.g. passing a transaction id where a site id is expected).
+The two composite identifiers are frozen dataclasses: ``ProcessId`` is
+backed by the tuple ``(transaction, site)`` so that hashing, equality and
+ordering run at C speed on the DDB hot path, and ``ProbeTag`` is a plain
+ordered dataclass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NewType
 
 VertexId = NewType("VertexId", int)
@@ -26,19 +31,37 @@ TransactionId = NewType("TransactionId", int)
 ResourceId = NewType("ResourceId", str)
 
 
-@dataclass(frozen=True, order=True)
-class ProcessId:
+@dataclass(frozen=True, eq=False, init=False)
+class ProcessId(tuple[TransactionId, SiteId]):
     """Identity of a DDB process: the tuple ``(T_i, S_j)`` from the paper.
 
     A transaction is implemented by a collection of processes with at most
     one process per computer; ``ProcessId`` uniquely identifies one of them.
+
+    The instance *is* the tuple ``(transaction, site)``: hashing, equality
+    and ordering are the tuple's own.  So ``hash(p) == hash((t, s))``,
+    processes sort lexicographically on ``(transaction, site)``, and a
+    ``ProcessId`` compares equal to the plain tuple ``(t, s)``.  The hash
+    must stay the tuple's: every set and dict of processes then iterates in
+    the order it did when the class was an ordinary frozen dataclass, which
+    keeps traces, probe order and sweep shape hashes unchanged.  It is
+    still a frozen dataclass with fields ``transaction`` and ``site``, so
+    the tagged-JSON codecs encode and rebuild it by field name.
     """
 
-    transaction: TransactionId
-    site: SiteId
+    __slots__ = ()
+
+    transaction: TransactionId = property(itemgetter(0))  # type: ignore[assignment]
+    site: SiteId = property(itemgetter(1))  # type: ignore[assignment]
+
+    def __new__(cls, transaction: TransactionId, site: SiteId) -> ProcessId:
+        return tuple.__new__(cls, (transaction, site))
+
+    def __reduce__(self) -> tuple[type[ProcessId], tuple[TransactionId, SiteId]]:
+        return (ProcessId, (self[0], self[1]))
 
     def __str__(self) -> str:
-        return f"(T{self.transaction},S{self.site})"
+        return f"(T{self[0]},S{self[1]})"
 
 
 @dataclass(frozen=True, order=True)

@@ -288,7 +288,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         document = baseline.record(path, repeats=args.repeats)
         print(f"[baseline written to {path}]")
         for name, value in sorted(document["throughput"].items()):
-            print(f"  {name}: {value:.1f} ev/s")
+            print(f"  {name}: {value:.6g} events per calibration op")
         for name, digest in sorted(document["shapes"].items()):
             print(f"  shape {name}: {digest[:16]}...")
         return 0
@@ -624,8 +624,9 @@ def build_parser() -> argparse.ArgumentParser:
         "bench",
         help="record or check the quick benchmark baseline (CI regression gate)",
         description=(
-            "The quick bench tier: three engine micro-benchmarks "
-            "(events/sec) plus a deterministic shape hash of every sweep "
+            "The quick bench tier: four engine micro-benchmarks "
+            "(events per calibration op, so the floors hold across "
+            "hosts) plus a deterministic shape hash of every sweep "
             "grid's quick run.  'record' writes the baseline; 'check' "
             "fails (exit 1) on a >threshold throughput drop or any shape "
             "change."

@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Hashable, Iterable
 
+from repro._algo import discard_edge
 from repro._ids import ProbeTag, ProcessId, ResourceId, SiteId, TransactionId
 from repro.ddb.detector import DdbDetector
 from repro.ddb.locks import LockMode, LockRequest, ResourceLock, compatible
@@ -73,6 +74,9 @@ class Controller(Process):
         self._resource_edges: dict[ResourceId, set[ProcessEdge]] = {}
         #: reference counts: several resources may induce the same edge
         self._intra_refs: dict[ProcessEdge, int] = {}
+        #: waiter -> holders over the edges with a positive count: the
+        #: intra edges leaving each local process (P3 knowledge, indexed)
+        self._intra_out: dict[ProcessId, set[ProcessId]] = {}
         #: newest incarnation seen per transaction (stale-message guard)
         self._latest_incarnation: dict[TransactionId, int] = {}
 
@@ -194,9 +198,8 @@ class Controller(Process):
         for site, items in sorted(by_site.items()):
             agent_pid = ProcessId(transaction=execution.spec.tid, site=site)
             serial = next(self._serial_counter)
-            execution.waiting_remote[site] = RemoteWait(
-                target=agent_pid, serial=serial, sent_at=self.now
-            )
+            edge = EdgeRef(origin=home_pid, target=agent_pid, serial=serial)
+            execution.waiting_remote[site] = RemoteWait(edge=edge, sent_at=self.now)
             execution.agent_sites.add(site)
             self.oracle.add_inter_edge(home_pid, agent_pid, serial)
             self.ctx.trace(
@@ -205,7 +208,7 @@ class Controller(Process):
             self.send(
                 site,
                 RemoteAcquireRequest(
-                    edge=EdgeRef(origin=home_pid, target=agent_pid, serial=serial),
+                    edge=edge,
                     transaction=execution.spec.tid,
                     incarnation=execution.incarnation,
                     items=tuple(items),
@@ -347,7 +350,8 @@ class Controller(Process):
             )
 
     def _sync_resource_edges(self, resource: ResourceId, force: bool = False) -> None:
-        """Diff the wait edges induced by ``resource`` against the oracle."""
+        """Diff the wait edges induced by ``resource`` against the oracle
+        and the local intra adjacency."""
         lock = self.locks.get(resource)
         new_edges = lock.all_wait_edges() if lock is not None else set()
         old_edges = self._resource_edges.get(resource, set())
@@ -355,6 +359,7 @@ class Controller(Process):
             count = self._intra_refs.get(edge, 0)
             self._intra_refs[edge] = count + 1
             if count == 0:
+                self._intra_out.setdefault(edge[0], set()).add(edge[1])
                 self.oracle.add_intra_edge(*edge)
                 self.ctx.trace(
                     categories.DDB_EDGE_ADDED, kind="intra", source=edge[0], target=edge[1]
@@ -366,6 +371,7 @@ class Controller(Process):
             count = self._intra_refs[edge] - 1
             if count == 0:
                 del self._intra_refs[edge]
+                discard_edge(self._intra_out, *edge)
                 if force:
                     self.oracle.force_remove_intra_edge(*edge)
                 else:
@@ -508,7 +514,7 @@ class Controller(Process):
         if execution is None or execution.finished:
             return
         wait = execution.waiting_remote.get(edge.target.site)
-        if wait is None or wait.serial != edge.serial:
+        if wait is None or wait.edge.serial != edge.serial:
             self.ctx.counter("ddb.messages.stale").increment()
             return
         self.oracle.delete_inter_edge(edge.origin, edge.target, edge.serial)
@@ -568,7 +574,7 @@ class Controller(Process):
         # 2. Drop outgoing inter edges (the agent-side state is cleaned by
         #    the RemoteAbort that follows on the same FIFO channel).
         for wait in execution.waiting_remote.values():
-            self.oracle.force_remove_inter_edge(home_pid, wait.target)
+            self.oracle.force_remove_inter_edge(home_pid, wait.edge.target)
         execution.waiting_remote.clear()
         # 3. Release locally held locks (home now has no outgoing edges).
         for resource in sorted(execution.held_local):
@@ -606,23 +612,11 @@ class Controller(Process):
     # Local knowledge for the detector (process axiom P3)
     # ------------------------------------------------------------------
 
-    def _waiting_resources(self, pid: ProcessId) -> set[ResourceId]:
-        execution = self.executions.get(pid.transaction)
-        if execution is not None and execution.spec.home_process == pid:
-            return set(execution.waiting_local)
-        agent = self.agents.get(pid.transaction)
-        if agent is not None and agent.pid == pid and agent.inbound is not None:
-            return set(agent.inbound.remaining)
-        return set()
-
     def intra_successors(self, pid: ProcessId) -> set[ProcessId]:
-        """Processes ``pid`` waits for along intra-controller edges."""
-        result: set[ProcessId] = set()
-        for resource in self._waiting_resources(pid):
-            lock = self.locks.get(resource)
-            if lock is not None:
-                result |= lock.waits_for(pid)
-        return result
+        """Processes ``pid`` waits for along intra-controller edges: the
+        holders blocking its waiting lock requests, read from the adjacency
+        :meth:`_sync_resource_edges` keeps in step with the lock tables."""
+        return set(self._intra_out.get(pid, ()))
 
     def _held_resources(self, pid: ProcessId) -> set[ResourceId]:
         execution = self.executions.get(pid.transaction)
@@ -665,9 +659,9 @@ class Controller(Process):
         """
         reached: set[ProcessId] = set(start)
         stack = [p for p in reached if p != stop]
+        intra_out = self._intra_out
         while stack:
-            current = stack.pop()
-            for successor in self.intra_successors(current):
+            for successor in intra_out.get(stack.pop(), ()):
                 if successor not in reached:
                     reached.add(successor)
                     if successor != stop:
@@ -679,10 +673,7 @@ class Controller(Process):
         execution = self.executions.get(pid.transaction)
         if execution is None or execution.spec.home_process != pid or execution.finished:
             return []
-        return [
-            EdgeRef(origin=pid, target=wait.target, serial=wait.serial)
-            for _, wait in sorted(execution.waiting_remote.items())
-        ]
+        return [wait.edge for _, wait in sorted(execution.waiting_remote.items())]
 
     def inter_edge_black(self, edge: EdgeRef) -> bool:
         """P3: is ``edge`` an incoming black inter edge at this controller?"""

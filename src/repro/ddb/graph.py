@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
+from repro._algo import cyclic_sccs, discard_edge
 from repro._ids import ProcessId
 from repro.basic.graph import EdgeColor
 from repro.errors import AxiomViolation
@@ -38,8 +39,11 @@ class DdbWaitForGraph:
         self._intra: set[ProcessEdge] = set()
         #: inter edges: edge -> (colour, serial)
         self._inter: dict[ProcessEdge, tuple[EdgeColor, int]] = {}
+        #: every edge, by source
         self._out: dict[ProcessId, set[ProcessId]] = {}
-        self._in: dict[ProcessId, set[ProcessId]] = {}
+        #: the grey and black edges, by source: every edge is dark when
+        #: added (G1/G3) and stops being dark when whitened or removed
+        self._dark_out: dict[ProcessId, set[ProcessId]] = {}
 
     # ------------------------------------------------------------------
     # Intra-controller edges (G1, G2 of the DDB axioms)
@@ -141,6 +145,7 @@ class DdbWaitForGraph:
                 f"cannot whiten {(source, target)}: target {target} has outgoing edges",
             )
         self._inter[(source, target)] = (EdgeColor.WHITE, serial)
+        discard_edge(self._dark_out, source, target)
         return True
 
     def delete_inter_edge(self, source: ProcessId, target: ProcessId, serial: int) -> bool:
@@ -172,11 +177,11 @@ class DdbWaitForGraph:
 
     def _link(self, source: ProcessId, target: ProcessId) -> None:
         self._out.setdefault(source, set()).add(target)
-        self._in.setdefault(target, set()).add(source)
+        self._dark_out.setdefault(source, set()).add(target)
 
     def _unlink(self, source: ProcessId, target: ProcessId) -> None:
-        self._out[source].discard(target)
-        self._in[target].discard(source)
+        discard_edge(self._out, source, target)
+        discard_edge(self._dark_out, source, target)
 
     # ------------------------------------------------------------------
     # Queries
@@ -201,6 +206,14 @@ class DdbWaitForGraph:
         for edge, (color, _) in self._inter.items():
             yield edge, color
 
+    def dark_edges(self) -> list[ProcessEdge]:
+        """The grey and black edges (intra edges are black)."""
+        return [
+            (source, target)
+            for source, targets in self._dark_out.items()
+            for target in targets
+        ]
+
     def __len__(self) -> int:
         return len(self._intra) + len(self._inter)
 
@@ -208,15 +221,34 @@ class DdbWaitForGraph:
     # Cycle analysis (verification ground truth)
     # ------------------------------------------------------------------
 
-    def _dark_successors(
-        self, process: ProcessId, colors: frozenset[EdgeColor]
-    ) -> Iterable[ProcessId]:
+    def _black_successors(self, process: ProcessId) -> Iterable[ProcessId]:
         for target in self._out.get(process, ()):
-            if self.color(process, target) in colors:
+            if self.color(process, target) is EdgeColor.BLACK:
                 yield target
 
-    def _on_cycle(self, process: ProcessId, colors: frozenset[EdgeColor]) -> bool:
-        stack = list(self._dark_successors(process, colors))
+    def has_dark_path(self, source: ProcessId, target: ProcessId) -> bool:
+        """Is there a non-empty path of grey/black edges from ``source``
+        to ``target``?"""
+        dark_out = self._dark_out
+        stack = [source]
+        visited = {source}
+        while stack:
+            for successor in dark_out.get(stack.pop(), ()):
+                if successor == target:
+                    return True
+                if successor not in visited:
+                    visited.add(successor)
+                    stack.append(successor)
+        return False
+
+    def is_on_dark_cycle(self, process: ProcessId) -> bool:
+        """Deadlock ground truth: a cycle of grey/black edges through
+        ``process`` (intra edges count as black)."""
+        return self.has_dark_path(process, process)
+
+    def is_on_black_cycle(self, process: ProcessId) -> bool:
+        """QRP2 ground truth: an all-black cycle through ``process``."""
+        stack = list(self._black_successors(process))
         visited: set[ProcessId] = set()
         while stack:
             current = stack.pop()
@@ -225,17 +257,8 @@ class DdbWaitForGraph:
             if current in visited:
                 continue
             visited.add(current)
-            stack.extend(self._dark_successors(current, colors))
+            stack.extend(self._black_successors(current))
         return False
-
-    def is_on_dark_cycle(self, process: ProcessId) -> bool:
-        """Deadlock ground truth: a cycle of grey/black edges through
-        ``process`` (intra edges count as black)."""
-        return self._on_cycle(process, frozenset({EdgeColor.GREY, EdgeColor.BLACK}))
-
-    def is_on_black_cycle(self, process: ProcessId) -> bool:
-        """QRP2 ground truth: an all-black cycle through ``process``."""
-        return self._on_cycle(process, frozenset({EdgeColor.BLACK}))
 
     def processes(self) -> set[ProcessId]:
         seen: set[ProcessId] = set()
@@ -244,8 +267,17 @@ class DdbWaitForGraph:
             seen.add(b)
         return seen
 
+    def dark_cycle_components(self) -> list[set[ProcessId]]:
+        """The cyclic SCCs of the dark subgraph: one Tarjan pass.
+
+        G1-DDB and G3-DDB forbid self-edges, so a process lies on a dark
+        cycle exactly when its dark SCC has more than one member.
+        """
+        return cyclic_sccs(self._dark_out)
+
     def processes_on_dark_cycles(self) -> set[ProcessId]:
-        return {p for p in self.processes() if self.is_on_dark_cycle(p)}
+        """Processes in a cyclic SCC of the dark subgraph."""
+        return set().union(*self.dark_cycle_components())
 
     def deadlocked_transactions(self) -> set[int]:
         """Transactions owning at least one process on a dark cycle."""

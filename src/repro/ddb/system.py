@@ -27,14 +27,12 @@ from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 
 from repro._ids import ProbeTag, ProcessId, ResourceId, SiteId, TransactionId
-from repro.basic.graph import EdgeColor
 from repro.core.assembly import build_runtime, require_fleet
 from repro.core.transport import Transport, TransportFactory
 from repro.core.engine import (
     DeclarationLog,
     ProbeAccounting,
     completeness_report,
-    dark_components,
 )
 from repro.ddb.controller import Controller
 from repro.ddb.graph import DdbWaitForGraph
@@ -163,8 +161,10 @@ class DdbSystem:
         self.probes_per_computation = self._probes.per_computation
         #: Workload hook: called as ``callback(execution, aborted)``.
         self.finished_callback: Callable[[TransactionExecution, bool], None] | None = None
-        #: Times at which any transaction aborted (stale-declaration check).
-        self._abort_times: list[float] = []
+        #: Time of the latest abort of any transaction (stale-declaration
+        #: check).  Aborts happen at non-decreasing times no later than
+        #: now, so "an abort in [formed, now]" is "latest abort >= formed".
+        self._last_abort: float | None = None
 
         tracer = self.transport.tracer
         tracer.subscribe(self._on_edge_added, categories=(categories.DDB_EDGE_ADDED,))
@@ -242,7 +242,7 @@ class DdbSystem:
         record = self.transactions[execution.spec.tid]
         if aborted:
             record.aborts += 1
-            self._abort_times.append(self.now)
+            self._last_abort = self.now
         else:
             record.commits += 1
             record.committed_at = self.now
@@ -289,9 +289,8 @@ class DdbSystem:
         stale = (
             not on_black
             and formed is not None
-            and any(
-                formed <= abort_time <= self.now for abort_time in self._abort_times
-            )
+            and self._last_abort is not None
+            and self._last_abort >= formed
         )
         if stale:
             self.metrics.counter("ddb.declarations.stale").increment()
@@ -308,24 +307,24 @@ class DdbSystem:
         self.resolution.on_declaration(controller, process, tag)
 
     def _on_edge_added(self, event: TraceEvent) -> None:
-        source = event.details["source"]
-        if self.oracle.is_on_dark_cycle(source):
+        """Record when each process first joins a dark cycle.
+
+        Edges are dark when added and never turn dark later, so a new dark
+        cycle must use the edge just added, and every process it puts on a
+        cycle lies in the source's SCC (DESIGN.md, "DDB cost").
+        """
+        details = event.details
+        source = details["source"]
+        if self.oracle.has_dark_path(details["target"], source):
             for member in self._dark_cycle_members(source):
                 self.deadlock_formed_at.setdefault(member, event.time)
 
     def _on_probe_sent(self, event: TraceEvent) -> None:
         self._probes.count(event.details["tag"])
 
-    def _dark_edges(self) -> list[tuple[ProcessId, ProcessId]]:
-        return [
-            edge
-            for edge, color in self.oracle.edges()
-            if color is not EdgeColor.WHITE
-        ]
-
     def _dark_cycle_members(self, start: ProcessId) -> set[ProcessId]:
         """Processes on dark cycles in the SCC of ``start``."""
-        for component in dark_components(self._dark_edges()):
+        for component in self.oracle.dark_cycle_components():
             if start in component:
                 return component
         return {start}
@@ -342,7 +341,7 @@ class DdbSystem:
         :func:`repro.core.engine.completeness_report`.
         """
         report = completeness_report(
-            self._dark_edges(),
+            self.oracle.dark_edges(),
             declared={d.process for d in self.declarations},
             deadlocked=self.oracle.processes_on_dark_cycles(),
         )

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro._ids import ProcessId, ResourceId, SiteId, TransactionId
 from repro.ddb.locks import LockMode
+from repro.ddb.messages import EdgeRef
 from repro.errors import ConfigurationError
 
 
@@ -66,8 +68,10 @@ class TransactionSpec:
                 result.update(rid for rid, _ in operation.items)
         return result
 
-    @property
+    @cached_property
     def home_process(self) -> ProcessId:
+        """``(T_i, S_home)``, built once per spec: controllers compare
+        against it on every lock grant, probe sweep and admission."""
         return ProcessId(transaction=self.tid, site=self.home)
 
 
@@ -83,10 +87,13 @@ class TransactionStatus(enum.Enum):
 @dataclass
 class RemoteWait:
     """Home-side record of one outstanding remote acquisition (an outgoing
-    inter-controller edge)."""
+    inter-controller edge).
 
-    target: ProcessId
-    serial: int
+    ``edge`` is the one :class:`EdgeRef` the request carried; probe sweeps
+    send it as is rather than rebuilding it.
+    """
+
+    edge: EdgeRef
     sent_at: float
 
 

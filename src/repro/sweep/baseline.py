@@ -1,27 +1,34 @@
 """The quick benchmark tier: throughput baselines + sweep shape hashes.
 
-``repro bench record`` writes ``BENCH_baseline.json``: events/sec for
-three engine micro-benchmarks (mirroring
+``repro bench record`` writes ``BENCH_baseline.json``: the throughput of
+four engine micro-benchmarks (mirroring
 ``benchmarks/bench_engine_throughput.py``) and a SHA-256 of the canonical
 quick-grid document for every shipped sweep grid.  ``repro bench check``
 re-measures and fails when
 
-* any micro-benchmark's events/sec falls more than ``threshold`` (default
+* any micro-benchmark's throughput falls more than ``threshold`` (default
   25%) below its recorded baseline -- a hot-path performance regression;
 * any grid's shape hash differs -- a *behavioural* change to experiment
   results (which must be deliberate: re-record with ``repro bench record``
   or, in CI, push a commit whose message contains ``[bench-reset]``).
 
-Throughput numbers are wall-clock and therefore machine-dependent; the
-committed baseline is only compared against runs on the same class of
-machine (CI re-records on reset rather than trusting a developer laptop).
-Shape hashes are deterministic everywhere -- see :mod:`repro.sweep.merge`.
+Throughput is measured in events per *calibration op*: each repeat's
+events/sec divided by the speed of a fixed pure-python loop timed just
+before and just after it (:func:`calibrate`, the end-to-end benchmark's
+calibration).  A host that is uniformly slower -- another machine, or a
+shared one whose speed swings between runs -- slows the loop and the
+micro-benchmark alike, so the ratio measures the code rather than the
+host.  Shape hashes are deterministic for a given interpreter -- see
+:mod:`repro.sweep.merge` -- but Python 3.12 sums floats more exactly
+than 3.10 and 3.11, so four grids hash differently there; the committed
+hashes are the 3.10/3.11 ones.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from collections.abc import Callable
 from pathlib import Path
@@ -31,11 +38,32 @@ from repro.sweep.grids import GRIDS, build_grid
 from repro.sweep.merge import canonical_json, merge_results
 from repro.sweep.runner import run_sweep
 
-SCHEMA = "repro.bench/1"
+SCHEMA = "repro.bench/2"
 
-#: Micro-benchmark repeat count; the best (max ev/s) of the repeats is
-#: used, which is the standard way to damp scheduler noise on CI runners.
+#: Micro-benchmark repeat count; the best (max events per calibration op)
+#: of the repeats is used, which is the standard way to damp scheduler
+#: noise on CI runners.
 REPEATS = 5
+
+#: Iterations of the calibration loop.  The recorded floors are in units
+#: of this loop, so it is fixed: another size would record numbers that
+#: cannot be compared with the baseline.
+_CALIBRATION_ITERATIONS = 40_000
+
+
+def calibrate() -> float:
+    """Iterations per second of a fixed pure-python loop.
+
+    The same loop as ``benchmarks/e2e/lanes.calibrate`` (``src/`` may not
+    import ``benchmarks/``), so both tiers count time in the same units.
+    """
+    start = time.perf_counter()
+    total = 0
+    table: dict[int, int] = {}
+    for i in range(_CALIBRATION_ITERATIONS):
+        total = (total + i * i) % 1_000_003
+        table[i & 1023] = total
+    return _CALIBRATION_ITERATIONS / (time.perf_counter() - start)
 
 
 def _bench_event_loop() -> tuple[int, float]:
@@ -120,15 +148,21 @@ MICRO_BENCHMARKS: dict[str, Callable[[], tuple[int, float]]] = {
 
 
 def measure_throughput(repeats: int = REPEATS) -> dict[str, float]:
-    """Best-of-``repeats`` events/sec for each micro-benchmark."""
+    """Best-of-``repeats`` events per calibration op for each micro-benchmark.
+
+    The host's speed is the geometric mean of two calibrations, one just
+    before and one just after the repeat.
+    """
     throughput: dict[str, float] = {}
     for name, bench in MICRO_BENCHMARKS.items():
         best = 0.0
         for _ in range(repeats):
+            before = calibrate()
             events, elapsed = bench()
+            ops_per_s = math.sqrt(before * calibrate())
             if elapsed > 0:
-                best = max(best, events / elapsed)
-        throughput[name] = round(best, 1)
+                best = max(best, events / (elapsed * ops_per_s))
+        throughput[name] = float(f"{best:.6g}")
     return throughput
 
 
@@ -182,8 +216,8 @@ def check(
         ratio = measured / recorded if recorded else float("inf")
         verdict = "ok" if ratio >= 1.0 - threshold else "REGRESSION"
         lines.append(
-            f"throughput {name}: {measured:>12.1f} ev/s "
-            f"(baseline {recorded:.1f}, x{ratio:.2f}) {verdict}"
+            f"throughput {name}: {measured:>12.6g} ev/op "
+            f"(baseline {recorded:.6g}, x{ratio:.2f}) {verdict}"
         )
         if verdict != "ok":
             failures.append(

@@ -1,8 +1,10 @@
-"""Shared builders for DDB tests."""
+"""Shared builders for DDB tests, and reference oracle queries."""
 
 from __future__ import annotations
 
-from repro._ids import ResourceId, SiteId, TransactionId
+from repro._ids import ProcessId, ResourceId, SiteId, TransactionId
+from repro.basic.graph import EdgeColor
+from repro.ddb.graph import DdbWaitForGraph
 from repro.ddb.locks import LockMode
 from repro.ddb.system import DdbSystem
 from repro.ddb.transaction import Think, TransactionSpec, acquire
@@ -55,3 +57,27 @@ def ring_deadlock(n_sites: int, **kwargs) -> DdbSystem:
             at=0.05 * i,
         )
     return system
+
+
+def dark_edges_by_colour(graph: DdbWaitForGraph) -> list[tuple[ProcessId, ProcessId]]:
+    """The grey and black edges, filtered by colour from ``edges()`` rather
+    than read from the oracle's dark index."""
+    return [edge for edge, color in graph.edges() if color is not EdgeColor.WHITE]
+
+
+def on_dark_cycle_by_colour(graph: DdbWaitForGraph, process: ProcessId) -> bool:
+    """Reference for ``is_on_dark_cycle``: a walk over the colour-filtered
+    edges from ``process`` back to itself."""
+    successors: dict[ProcessId, list[ProcessId]] = {}
+    for source, target in dark_edges_by_colour(graph):
+        successors.setdefault(source, []).append(target)
+    stack = list(successors.get(process, ()))
+    visited: set[ProcessId] = set()
+    while stack:
+        current = stack.pop()
+        if current == process:
+            return True
+        if current not in visited:
+            visited.add(current)
+            stack.extend(successors.get(current, ()))
+    return False

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 from pathlib import Path
 
@@ -53,10 +54,19 @@ class TestMerge:
 
 @pytest.fixture
 def fast_bench(monkeypatch: pytest.MonkeyPatch):
-    """Replace the real micro-benchmarks/shapes with instant fakes."""
-    speed = {"value": 1000.0}
+    """Replace the real micro-benchmarks/shapes/calibration with instant fakes.
+
+    ``value`` is the fake micro-benchmark's events/sec on a host whose
+    calibration loop runs one op per second, so events per calibration op
+    read as events/sec; ``host`` scales the whole machine's speed, the
+    calibration loop and the micro-benchmark together.
+    """
+    speed = {"value": 1000.0, "host": 1.0}
+    monkeypatch.setattr(baseline, "calibrate", lambda: speed["host"])
     monkeypatch.setattr(
-        baseline, "MICRO_BENCHMARKS", {"fake.engine": lambda: (100, 100 / speed["value"])}
+        baseline,
+        "MICRO_BENCHMARKS",
+        {"fake.engine": lambda: (100, 100 / (speed["value"] * speed["host"]))},
     )
     monkeypatch.setattr(
         baseline, "measure_shapes", lambda grids=("g1",): dict.fromkeys(grids, "abc123")
@@ -78,6 +88,48 @@ class TestBaselineRoundTrip:
         fast_bench["value"] = 500.0  # 2x slower than recorded: beyond 25%
         with pytest.raises(baseline.BenchRegression, match="regressed"):
             baseline.check(path, threshold=0.25, repeats=1)
+
+    def test_same_code_on_a_twice_slower_host_passes(
+        self, tmp_path: Path, fast_bench
+    ) -> None:
+        path = tmp_path / "BENCH_baseline.json"
+        baseline.record(path, repeats=1)
+        fast_bench["host"] = 0.5  # calibration and micro-benchmark both take 2x
+        lines = baseline.check(path, threshold=0.25, repeats=1)
+        assert any("fake.engine" in line and "x1.00" in line for line in lines)
+
+    def test_twice_slower_code_fails_even_on_a_twice_faster_host(
+        self, tmp_path: Path, fast_bench
+    ) -> None:
+        path = tmp_path / "BENCH_baseline.json"
+        baseline.record(path, repeats=1)
+        # events/sec is unchanged, so a wall-clock floor would pass it.
+        fast_bench["value"] = 500.0
+        fast_bench["host"] = 2.0
+        with pytest.raises(baseline.BenchRegression, match="regressed"):
+            baseline.check(path, threshold=0.25, repeats=1)
+
+    def test_real_micro_benchmark_slowed_twice_fails(
+        self, tmp_path: Path, monkeypatch: pytest.MonkeyPatch
+    ) -> None:
+        # Real calibration loop and a real micro-benchmark: doing the
+        # event-loop benchmark's work twice per reported run must fail.
+        monkeypatch.setattr(
+            baseline, "measure_shapes", lambda grids=("g1",): dict.fromkeys(grids, "abc")
+        )
+        event_loop = baseline.MICRO_BENCHMARKS["engine.event_loop"]
+        monkeypatch.setattr(baseline, "MICRO_BENCHMARKS", {"engine.event_loop": event_loop})
+        path = tmp_path / "BENCH_baseline.json"
+        baseline.record(path, repeats=3)
+
+        def twice() -> tuple[int, float]:
+            events, first = event_loop()
+            _, second = event_loop()
+            return events, first + second
+
+        monkeypatch.setattr(baseline, "MICRO_BENCHMARKS", {"engine.event_loop": twice})
+        with pytest.raises(baseline.BenchRegression, match="regressed"):
+            baseline.check(path, threshold=0.25, repeats=3)
 
     def test_small_slowdown_within_threshold_passes(
         self, tmp_path: Path, fast_bench
@@ -130,3 +182,23 @@ class TestCommittedBaseline:
         document = json.loads(self.path().read_text())
         assert document["shapes"]["e3"] == baseline.shape_hash("e3")
         assert document["shapes"]["e6"] == baseline.shape_hash("e6")
+
+    def test_calibration_loop_is_the_e2e_harness_loop(self) -> None:
+        # src/ may not import benchmarks/, so calibrate() is a copy of the
+        # e2e harness's; the recorded floors are in that loop's units.
+        def calibrate_of(path: Path) -> ast.FunctionDef:
+            return next(
+                node
+                for node in ast.parse(path.read_text()).body
+                if isinstance(node, ast.FunctionDef) and node.name == "calibrate"
+            )
+
+        def loop_body(function: ast.FunctionDef) -> list[str]:
+            loop = next(node for node in ast.walk(function) if isinstance(node, ast.For))
+            return [ast.dump(statement) for statement in loop.body]
+
+        harness = calibrate_of(self.path().parent / "e2e" / "lanes.py")
+        ours = calibrate_of(Path(baseline.__file__))
+        assert loop_body(ours) == loop_body(harness)
+        (size,) = harness.args.defaults
+        assert ast.literal_eval(size) == baseline._CALIBRATION_ITERATIONS

@@ -171,6 +171,7 @@ class TestBenchCommand:
     def test_record_then_check(self, tmp_path, capsys, monkeypatch) -> None:
         from repro.sweep import baseline
 
+        monkeypatch.setattr(baseline, "calibrate", lambda: 1.0)
         monkeypatch.setattr(
             baseline, "MICRO_BENCHMARKS", {"fake.engine": lambda: (100, 0.001)}
         )
@@ -186,6 +187,7 @@ class TestBenchCommand:
     def test_check_fails_on_regression(self, tmp_path, capsys, monkeypatch) -> None:
         from repro.sweep import baseline
 
+        monkeypatch.setattr(baseline, "calibrate", lambda: 1.0)
         monkeypatch.setattr(
             baseline, "MICRO_BENCHMARKS", {"fake.engine": lambda: (100, 0.001)}
         )
