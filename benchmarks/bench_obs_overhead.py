@@ -1,25 +1,29 @@
 """Observability overhead: tracing must be free when nobody is watching.
 
 The streaming telemetry layer (``repro.obs.stream`` / ``repro.obs.metrics``)
-rides :meth:`repro.sim.trace.Tracer.subscribe`; the cost model that makes
-monitoring a ``repro run`` honest is that a run which is *not* monitored pays
-nothing for the instrumentation points scattered through the network and
-the protocol handlers.  Two configurations matter:
+rides :meth:`repro.sim.trace.Tracer.subscribe` for protocol categories and
+:meth:`repro.sim.trace.Tracer.observe_messages` for sends and deliveries;
+the cost model that makes monitoring a ``repro run`` honest is that a run
+which is *not* monitored pays nothing for the instrumentation points
+scattered through the network and the protocol handlers.  Two
+configurations matter:
 
 * **idle** -- ``trace=False``, no subscribers: the tracer's route table
-  (:attr:`~repro.sim.trace.Tracer.routes`) is empty, and every
-  ``tracer.wants`` guard is one failed membership test.
+  (:attr:`~repro.sim.trace.Tracer.routes`) and its message observer
+  tuples are empty; every ``tracer.wants`` guard is one failed
+  membership test and every send or delivery loops over an empty tuple.
 * **cold-subscribed** -- a category-scoped subscriber is attached, but
   to categories the hot path never emits: every guard now misses a
-  non-empty route table.  This is the worst case of "monitoring
-  attached elsewhere"; it must stay within 2% of idle.
+  non-empty route table, and ``net.*`` stays unrouted, so the message
+  tuples stay empty.  This is the worst case of "monitoring attached
+  elsewhere"; it must stay within 2% of idle.
 
-The comparison runs on the bare FIFO network (its per-message
-``net.sent``/``net.delivered`` guards are the hottest tracing sites in
-the engine); protocol systems attach their own category observers, so
+The comparison runs on the bare FIFO network (its per-message observer
+loops are the hottest instrumentation sites in the engine); protocol
+systems attach their own category subscribers and message observers, so
 they are *always* in the cold-subscribed regime -- which is exactly why
 the cold path must be cheap.  The monitor configuration itself (span
-engine subscribed, ``trace=False``) is benchmarked end to end below and
+engine attached, ``trace=False``) is benchmarked end to end below and
 its absolute throughput is ratcheted in ``BENCH_baseline.json``
 (micro-benchmark ``obs.monitor_stream`` via ``repro bench``).
 """
@@ -55,8 +59,8 @@ def _run_network(subscribe_cold: bool) -> float:
     simulator = Simulator(seed=0, trace=False)
     if subscribe_cold:
         # A real category-scoped subscription (the monitor's mechanism),
-        # but on a category this run never emits: every net.sent /
-        # net.delivered guard pays the full non-idle dispatch and misses.
+        # but on a category this run never emits: net.* stays unrouted,
+        # so every send and delivery still finds no observer.
         simulator.tracer.subscribe(
             lambda event: None, categories=(categories.PROFILE_QUEUE_SAMPLED,)
         )

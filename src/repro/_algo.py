@@ -71,6 +71,25 @@ def cyclic_sccs(adjacency: Mapping[Node, Iterable[Node]]) -> list[set[Node]]:
     return components
 
 
+def has_path(adjacency: Mapping[Node, Iterable[Node]], source: Node, target: Node) -> bool:
+    """Is there a non-empty path from ``source`` to ``target``?
+
+    With ``target == source`` this asks whether ``source`` lies on a
+    cycle.  Iterative DFS, so long chains stay clear of the recursion
+    limit.
+    """
+    stack = [source]
+    visited = {source}
+    while stack:
+        for successor in adjacency.get(stack.pop(), ()):
+            if successor == target:
+                return True
+            if successor not in visited:
+                visited.add(successor)
+                stack.append(successor)
+    return False
+
+
 def discard_edge(adjacency: dict[Node, set[Node]], source: Node, target: Node) -> None:
     """Remove ``source -> target`` from a successor index, and ``source``'s
     entry once it is empty, so an index over finished nodes stays empty."""

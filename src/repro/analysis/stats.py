@@ -15,7 +15,7 @@ from dataclasses import dataclass
 def mean(values: Sequence[float]) -> float:
     if not values:
         raise ValueError("mean of empty sequence")
-    return sum(values) / len(values)
+    return math.fsum(values) / len(values)
 
 
 def stdev(values: Sequence[float]) -> float:
@@ -23,7 +23,7 @@ def stdev(values: Sequence[float]) -> float:
     if len(values) < 2:
         return 0.0
     center = mean(values)
-    return math.sqrt(sum((v - center) ** 2 for v in values) / (len(values) - 1))
+    return math.sqrt(math.fsum((v - center) ** 2 for v in values) / (len(values) - 1))
 
 
 def confidence_interval_95(values: Sequence[float]) -> float:

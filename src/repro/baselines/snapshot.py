@@ -43,8 +43,6 @@ from repro.baselines.base import BaselineDetector
 from repro.basic.messages import Reply
 from repro.basic.system import BasicSystem
 from repro.errors import ConfigurationError
-from repro.sim import categories
-from repro.sim.trace import TraceEvent
 
 
 @dataclass(frozen=True)
@@ -96,9 +94,7 @@ class SnapshotDetector(BaselineDetector):
         self.rounds_completed = 0
         for vertex in system.vertices.values():
             vertex.foreign_handler = self._make_handler(vertex.vertex_id)
-        system.transport.tracer.subscribe(
-            self._observe_delivery, categories=(categories.NET_DELIVERED,)
-        )
+        system.transport.tracer.observe_messages(on_delivered=self._observe_delivery)
 
     def start(self) -> None:
         self.system.transport.schedule(self.period, self._begin_round, name="snapshot")
@@ -154,16 +150,17 @@ class SnapshotDetector(BaselineDetector):
 
         return handle
 
-    def _observe_delivery(self, event: TraceEvent) -> None:
+    def _observe_delivery(
+        self, time: float, sender: VertexId, destination: VertexId, message: object
+    ) -> None:
         round_state = self._round
         if round_state is None or round_state.complete:
             return
-        message = event["message"]
         if isinstance(message, Marker):
             return
-        key = (event["sender"], event["destination"])
+        key = (sender, destination)
         if (
-            event["destination"] in round_state.states
+            destination in round_state.states
             and key in round_state.channels
             and key not in round_state.closed
         ):

@@ -23,13 +23,18 @@ Edge colours (section 2.2):
 A *dark* edge is grey or black.  A **dark cycle** -- a cycle all of whose
 edges are dark -- persists forever (no edge on it can ever be whitened),
 and is exactly the paper's notion of deadlock.
+
+Besides every edge by source, the graph indexes its dark edges and its
+black edges by source, so the cycle queries walk one colour class with
+no colour lookup (DESIGN.md, "Oracle cost").
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 
+from repro._algo import cyclic_sccs, discard_edge, has_path
 from repro._ids import VertexId
 from repro.errors import AxiomViolation
 
@@ -61,6 +66,10 @@ class WaitForGraph:
         self._color: dict[Edge, EdgeColor] = {}
         self._out: dict[VertexId, set[VertexId]] = {}
         self._in: dict[VertexId, set[VertexId]] = {}
+        #: the grey and black edges, by source: G1 adds, G3 removes.
+        self._dark_out: dict[VertexId, set[VertexId]] = {}
+        #: the black edges, by source: G2 adds, G3 removes.
+        self._black_out: dict[VertexId, set[VertexId]] = {}
 
     # ------------------------------------------------------------------
     # Axiom-checked transitions (G1-G4)
@@ -78,11 +87,13 @@ class WaitForGraph:
         self._color[edge] = EdgeColor.GREY
         self._out.setdefault(source, set()).add(target)
         self._in.setdefault(target, set()).add(source)
+        self._dark_out.setdefault(source, set()).add(target)
 
     def blacken(self, source: VertexId, target: VertexId) -> None:
         """G2: a grey edge turns black (the request was received)."""
         self._expect(source, target, EdgeColor.GREY, axiom="G2")
         self._color[(source, target)] = EdgeColor.BLACK
+        self._black_out.setdefault(source, set()).add(target)
 
     def whiten(self, source: VertexId, target: VertexId) -> None:
         """G3: a black edge turns white; ``target`` must have no outgoing
@@ -95,6 +106,8 @@ class WaitForGraph:
                 f"edges {sorted(self._out[target])} (only active processes reply)",
             )
         self._color[(source, target)] = EdgeColor.WHITE
+        discard_edge(self._dark_out, source, target)
+        discard_edge(self._black_out, source, target)
 
     def delete_edge(self, source: VertexId, target: VertexId) -> None:
         """G4: a white edge disappears (the reply was received)."""
@@ -138,6 +151,14 @@ class WaitForGraph:
         """All ``(edge, colour)`` pairs, in insertion order."""
         return iter(self._color.items())
 
+    def dark_edges(self) -> list[Edge]:
+        """The grey and black edges."""
+        return [
+            (source, target)
+            for source, targets in self._dark_out.items()
+            for target in targets
+        ]
+
     def vertices(self) -> set[VertexId]:
         """All vertices incident to at least one current edge."""
         seen: set[VertexId] = set()
@@ -154,38 +175,13 @@ class WaitForGraph:
     # Dark/black cycle analysis (ground truth for verification)
     # ------------------------------------------------------------------
 
-    def _cycle_successors(
-        self, vertex: VertexId, colors: frozenset[EdgeColor]
-    ) -> Iterable[VertexId]:
-        for target in self._out.get(vertex, ()):
-            if self._color.get((vertex, target)) in colors:
-                yield target
-
-    def _on_cycle(self, vertex: VertexId, colors: frozenset[EdgeColor]) -> bool:
-        """True iff a cycle through ``vertex`` exists using only ``colors``.
-
-        Equivalent to: ``vertex`` is reachable from itself via a non-empty
-        path of edges whose colours are all in ``colors``.  Iterative DFS.
-        """
-        stack = list(self._cycle_successors(vertex, colors))
-        visited: set[VertexId] = set()
-        while stack:
-            current = stack.pop()
-            if current == vertex:
-                return True
-            if current in visited:
-                continue
-            visited.add(current)
-            stack.extend(self._cycle_successors(current, colors))
-        return False
-
     def is_on_dark_cycle(self, vertex: VertexId) -> bool:
         """True iff ``vertex`` lies on a cycle of grey/black edges.
 
         This is the paper's deadlock condition: a dark cycle persists
         forever (section 2.4), so a vertex on one is deadlocked.
         """
-        return self._on_cycle(vertex, frozenset({EdgeColor.GREY, EdgeColor.BLACK}))
+        return has_path(self._dark_out, vertex, vertex)
 
     def is_on_black_cycle(self, vertex: VertexId) -> bool:
         """True iff ``vertex`` lies on a cycle of all-black edges.
@@ -194,11 +190,18 @@ class WaitForGraph:
         receives a meaningful probe, so soundness checks use the black --
         not merely dark -- predicate.
         """
-        return self._on_cycle(vertex, frozenset({EdgeColor.BLACK}))
+        return has_path(self._black_out, vertex, vertex)
 
     def vertices_on_dark_cycles(self) -> set[VertexId]:
-        """All vertices currently on at least one dark cycle."""
-        return {v for v in self.vertices() if self.is_on_dark_cycle(v)}
+        """All vertices currently on at least one dark cycle: the cyclic
+        SCCs of the dark subgraph, found in one Tarjan pass (G1 forbids
+        self-edges, so a cyclic SCC is one with more than one member)."""
+        return set().union(*cyclic_sccs(self._dark_out))
+
+    def _dark_successors(self, vertex: VertexId) -> Iterator[VertexId]:
+        for target in self._out.get(vertex, ()):
+            if self._color[(vertex, target)] is not EdgeColor.WHITE:
+                yield target
 
     def find_dark_cycle(self, vertex: VertexId) -> list[VertexId] | None:
         """Return one dark cycle through ``vertex`` as a vertex list, or None.
@@ -206,13 +209,15 @@ class WaitForGraph:
         The list starts and ends logically at ``vertex`` (the closing edge
         back to the first element is implied, not repeated).  Iterative
         DFS (one successor iterator per path vertex), so cycles of any
-        length stay clear of the recursion limit.
+        length stay clear of the recursion limit.  The walk follows
+        ``_out``, not the dark index: ``_out``'s iteration order picks
+        which cycle comes back, and with it the formation times stamped
+        from that cycle.
         """
-        colors = frozenset({EdgeColor.GREY, EdgeColor.BLACK})
         path: list[VertexId] = [vertex]
         on_path: set[VertexId] = {vertex}
         visited: set[VertexId] = set()
-        successors = [iter(self._cycle_successors(vertex, colors))]
+        successors = [self._dark_successors(vertex)]
         while successors:
             for nxt in successors[-1]:
                 if nxt == vertex:
@@ -221,7 +226,7 @@ class WaitForGraph:
                     continue
                 path.append(nxt)
                 on_path.add(nxt)
-                successors.append(iter(self._cycle_successors(nxt, colors)))
+                successors.append(self._dark_successors(nxt))
                 break
             else:
                 successors.pop()

@@ -28,8 +28,9 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from repro._ids import ProbeTag, VertexId
-from repro.basic.graph import EdgeColor, WaitForGraph
+from repro.basic.graph import WaitForGraph
 from repro.basic.initiation import ImmediateInitiation, InitiationPolicy
+from repro.basic.messages import Probe
 from repro.basic.vertex import VertexProcess
 from repro.core.assembly import build_runtime, require_fleet
 from repro.core.transport import Transport, TransportFactory
@@ -138,13 +139,13 @@ class BasicSystem:
             self.transport.register(vertex)
             self.vertices[vid] = vertex
 
-        # Category-scoped subscriptions, one handler per category: with
-        # trace=False every *other* category then stays out of the
-        # tracer's routes and costs its producer one membership test,
-        # which is most of the win of running big sweeps untraced.
+        # One category-scoped subscription: with trace=False every *other*
+        # category then stays out of the tracer's routes and costs its
+        # producer one membership test, which is most of the win of
+        # running big sweeps untraced.  Probes are counted as messages.
         tracer = self.transport.tracer
         tracer.subscribe(self._on_request_sent, categories=(categories.BASIC_REQUEST_SENT,))
-        tracer.subscribe(self._on_probe_sent, categories=(categories.BASIC_PROBE_SENT,))
+        tracer.observe_messages(on_sent=self._on_message_sent)
 
     # ------------------------------------------------------------------
     # Convenience accessors
@@ -228,24 +229,20 @@ class BasicSystem:
             for member in cycle:
                 self.deadlock_formed_at.setdefault(member, event.time)
 
-    def _on_probe_sent(self, event: TraceEvent) -> None:
-        self._probes.count(event.details["tag"])
+    def _on_message_sent(
+        self, time: float, sender: VertexId, destination: VertexId, message: object
+    ) -> None:
+        if isinstance(message, Probe):
+            self._probes.count(message.tag)
 
     # ------------------------------------------------------------------
     # Quiescence-time checks
     # ------------------------------------------------------------------
 
-    def _dark_edges(self) -> list[tuple[VertexId, VertexId]]:
-        return [
-            edge
-            for edge, color in self.oracle.edges()
-            if color is not EdgeColor.WHITE
-        ]
-
     def _dark_sccs(self) -> list[set[VertexId]]:
         """Strongly connected components of the dark subgraph that contain a
         cycle (size > 1; the graph has no self-loops)."""
-        return dark_components(self._dark_edges())
+        return dark_components(self.oracle.dark_edges())
 
     def completeness_report(self) -> CompletenessReport[VertexId]:
         """Check Theorem 1 + the section 4.2 initiation rule at quiescence.
@@ -254,7 +251,7 @@ class BasicSystem:
         vertex that declared deadlock.
         """
         return completeness_report(
-            self._dark_edges(),
+            self.oracle.dark_edges(),
             declared={d.vertex for d in self.declarations},
             deadlocked=self.oracle.vertices_on_dark_cycles(),
         )

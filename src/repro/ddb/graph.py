@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
-from repro._algo import cyclic_sccs, discard_edge
+from repro._algo import cyclic_sccs, discard_edge, has_path
 from repro._ids import ProcessId
 from repro.basic.graph import EdgeColor
 from repro.errors import AxiomViolation
@@ -229,17 +229,7 @@ class DdbWaitForGraph:
     def has_dark_path(self, source: ProcessId, target: ProcessId) -> bool:
         """Is there a non-empty path of grey/black edges from ``source``
         to ``target``?"""
-        dark_out = self._dark_out
-        stack = [source]
-        visited = {source}
-        while stack:
-            for successor in dark_out.get(stack.pop(), ()):
-                if successor == target:
-                    return True
-                if successor not in visited:
-                    visited.add(successor)
-                    stack.append(successor)
-        return False
+        return has_path(self._dark_out, source, target)
 
     def is_on_dark_cycle(self, process: ProcessId) -> bool:
         """Deadlock ground truth: a cycle of grey/black edges through

@@ -37,6 +37,7 @@ from repro.core.engine import (
 from repro.ddb.controller import Controller
 from repro.ddb.graph import DdbWaitForGraph
 from repro.ddb.initiation import DdbImmediateInitiation, DdbInitiationPolicy
+from repro.ddb.messages import DdbProbe
 from repro.ddb.resolution import NoResolution, VictimPolicy
 from repro.ddb.transaction import TransactionExecution, TransactionSpec
 from repro.errors import ConfigurationError, ProtocolError
@@ -168,7 +169,7 @@ class DdbSystem:
 
         tracer = self.transport.tracer
         tracer.subscribe(self._on_edge_added, categories=(categories.DDB_EDGE_ADDED,))
-        tracer.subscribe(self._on_probe_sent, categories=(categories.DDB_PROBE_SENT,))
+        tracer.observe_messages(on_sent=self._on_message_sent)
 
     # ------------------------------------------------------------------
     # Accessors
@@ -319,8 +320,11 @@ class DdbSystem:
             for member in self._dark_cycle_members(source):
                 self.deadlock_formed_at.setdefault(member, event.time)
 
-    def _on_probe_sent(self, event: TraceEvent) -> None:
-        self._probes.count(event.details["tag"])
+    def _on_message_sent(
+        self, time: float, sender: SiteId, destination: SiteId, message: object
+    ) -> None:
+        if isinstance(message, DdbProbe):
+            self._probes.count(message.tag)
 
     def _dark_cycle_members(self, start: ProcessId) -> set[ProcessId]:
         """Processes on dark cycles in the SCC of ``start``."""

@@ -38,7 +38,6 @@ from collections.abc import Callable, Hashable
 from typing import Any
 
 from repro.errors import SimulationError
-from repro.sim import categories
 from repro.sim.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.sim.network import DelayModel, FixedDelay
 from repro.sim.rng import RngRegistry
@@ -263,9 +262,9 @@ class AsyncioTransport:
         """Queue ``message`` on the ``sender -> destination`` channel.
 
         Accounting matches the sim network: ``net.messages.sent`` plus a
-        per-type counter and a ``net.sent`` trace event -- so observers
-        (e.g. the OR model's in-flight grant tracker) work unchanged on
-        live runs.
+        per-type counter, and the tracer's message observers see the send
+        -- so observers (e.g. the OR model's in-flight grant tracker) work
+        unchanged on live runs.
         """
         if destination not in self._processes:
             raise SimulationError(
@@ -292,14 +291,8 @@ class AsyncioTransport:
             self._type_counters[type_key] = type_counter
         type_counter.increment()
         self._in_flight += 1
-        if self.tracer.wants(categories.NET_SENT):
-            self.tracer.record(
-                now,
-                categories.NET_SENT,
-                sender=sender,
-                destination=destination,
-                message=message,
-            )
+        for observer in self.tracer.sent_observers:
+            observer(now, sender, destination, message)
         delivery: _Delivery = (now + nominal, sender, destination, message)
         if self._origin is None:
             self._pending_sends.append(delivery)
@@ -335,14 +328,12 @@ class AsyncioTransport:
 
     def _deliver(self, delivery: _Delivery) -> None:
         _, sender, destination, message = delivery
-        if self.tracer.wants(categories.NET_DELIVERED):
-            self.tracer.record(
-                self.now,
-                categories.NET_DELIVERED,
-                sender=sender,
-                destination=destination,
-                message=message,
-            )
+        observers = self.tracer.delivered_observers
+        if observers:
+            # One clock read, so every observer sees the same instant.
+            now = self.now
+            for observer in observers:
+                observer(now, sender, destination, message)
         self._delivered_counter.increment()
         self._in_flight -= 1
         self._executed += 1

@@ -6,9 +6,10 @@ A *live* monitor needs the opposite trade: bounded-memory aggregates
 (bucketed histograms, high-water gauges) addressable by label sets and
 exportable in the Prometheus text format.  This module provides that
 layer, plus :class:`TransportTelemetry` -- the bridge that populates it
-from any :class:`~repro.core.transport.Transport` backend through a
-category-scoped tracer subscription, so the same wiring observes the
-deterministic simulator and the live asyncio runtime.
+from any :class:`~repro.core.transport.Transport` backend through the
+tracer's message observers and category-scoped subscriptions, so the
+same wiring observes the deterministic simulator and the live asyncio
+runtime.
 
 Everything here is stamped with **virtual** time (the transport's clock);
 per lint rule RPX002 this module never reads the wall clock, which keeps
@@ -467,9 +468,10 @@ _Transit = tuple[GaugeMetric, dict[str, CounterMetric], deque[tuple[float, str]]
 class TransportTelemetry:
     """Populate a :class:`TelemetryRegistry` from a running transport.
 
-    Category-scoped tracer subscriptions, one handler per category,
-    cover the network layer (per-channel in-flight gauges, per-handler
-    latency histograms) and, per span schema, a
+    The tracer's message observers cover the network layer (per-channel
+    in-flight gauges, per-handler latency histograms); category-scoped
+    subscriptions, one handler per category, count probes per edge and
+    declarations; and, per span schema, a
     :class:`~repro.obs.stream.StreamingSpanEngine` turns settled
     computations into outcome counters and detection-latency histograms.  Works identically on
     :class:`~repro.sim.transport.SimTransport` and
@@ -575,12 +577,10 @@ class TransportTelemetry:
             labelnames=("model",),
         )
 
-        #: one handler per observed category (network layer first, then
-        #: each schema's probe-sent and declared categories).
-        self._handlers: dict[str, Callable[[TraceEvent], None]] = {
-            categories.NET_SENT: self._on_net_sent,
-            categories.NET_DELIVERED: self._on_net_delivered,
-        }
+        #: one handler per observed category: each schema's probe-sent
+        #: and declared categories (sends and deliveries arrive through
+        #: the tracer's message channel).
+        self._handlers: dict[str, Callable[[TraceEvent], None]] = {}
         self.engines: dict[str, StreamingSpanEngine] = {}
         for schema in self.schemas:
             engine = StreamingSpanEngine(
@@ -664,11 +664,10 @@ class TransportTelemetry:
     # Network-layer plumbing
     # ------------------------------------------------------------------
 
-    def _on_net_sent(self, event: TraceEvent) -> None:
-        details = event.details
-        sender = details["sender"]
-        destination = details["destination"]
-        type_name = type(details.get("message")).__name__
+    def _on_net_sent(
+        self, time: float, sender: Hashable, destination: Hashable, message: Any
+    ) -> None:
+        type_name = type(message).__name__
         channel = (sender, destination)
         transit = self._in_transit.get(channel)
         if transit is None:
@@ -685,12 +684,11 @@ class TransportTelemetry:
                 src=sender, dst=destination, type=type_name
             )
         sent.inc()
-        pending.append((event.time, type_name))
+        pending.append((time, type_name))
 
-    def _on_net_delivered(self, event: TraceEvent) -> None:
-        details = event.details
-        sender = details["sender"]
-        destination = details["destination"]
+    def _on_net_delivered(
+        self, time: float, sender: Hashable, destination: Hashable, message: Any
+    ) -> None:
         channel = (sender, destination)
         transit = self._in_transit.get(channel)
         if transit is None:
@@ -707,7 +705,7 @@ class TransportTelemetry:
             latency = self._latency_by_type[type_name] = self._handler_latency.labels(
                 handler=f"deliver {type_name}"
             )
-        latency.observe(event.time - sent_at)
+        latency.observe(time - sent_at)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -718,6 +716,7 @@ class TransportTelemetry:
         if self._attached:
             return
         tracer = self.transport.tracer
+        tracer.observe_messages(self._on_net_sent, self._on_net_delivered)
         for category, handler in self._handlers.items():
             tracer.subscribe(handler, categories=(category,))
         for engine in self.engines.values():
@@ -728,6 +727,7 @@ class TransportTelemetry:
         if not self._attached:
             return
         tracer = self.transport.tracer
+        tracer.unobserve_messages(self._on_net_sent, self._on_net_delivered)
         for handler in self._handlers.values():
             tracer.unsubscribe(handler)
         for engine in self.engines.values():

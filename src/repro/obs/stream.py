@@ -4,10 +4,11 @@
 after the run -- the wrong shape for the live backend and for
 long-running workloads, where the full trace either does not exist
 (``trace=False``) or must not be buffered.  This module rebuilds the
-same :class:`~repro.obs.spans.ProbeComputationSpan` records one
-:class:`~repro.sim.trace.TraceEvent` at a time, via a category-scoped
-:meth:`~repro.sim.trace.Tracer.subscribe` hook, and emits each span the
-moment its computation ``(i, n)`` resolves:
+same :class:`~repro.obs.spans.ProbeComputationSpan` records one event
+at a time -- the protocol categories via category-scoped
+:meth:`~repro.sim.trace.Tracer.subscribe` hooks, sends and deliveries
+via :meth:`~repro.sim.trace.Tracer.observe_messages` -- and emits each
+span the moment its computation ``(i, n)`` resolves:
 
 * **deadlock** -- the A1 declaration arrived and every probe hop of the
   tag has drained (received + net-delivered);
@@ -163,13 +164,18 @@ class StreamingSpanEngine:
         #: first event of a different tag (probes of a tag are only
         #: produced inside that tag's own receive handler).
         self._deferred: dict[_OpenComputation, None] = {}
-        #: one handler per observed category; :meth:`attach` subscribes
-        #: each to its own category, :meth:`on_event` dispatches by it.
-        self._handlers: dict[str, Callable[[TraceEvent], None]] = {
+        #: one handler per protocol category; :meth:`attach` subscribes
+        #: each to its own category.
+        self._traced: dict[str, Callable[[TraceEvent], None]] = {
             schema.initiated: self._on_initiated,
             schema.probe_sent: self._on_probe_sent,
             schema.probe_received: self._on_probe_received,
             schema.declared: self._on_declared,
+        }
+        #: :meth:`on_event`'s dispatch: the protocol categories plus the
+        #: ``net.*`` records of a replayed trace.
+        self._handlers: dict[str, Callable[[TraceEvent], None]] = {
+            **self._traced,
             categories.NET_SENT: self._on_net_sent,
             categories.NET_DELIVERED: self._on_net_delivered,
         }
@@ -179,28 +185,27 @@ class StreamingSpanEngine:
     # ------------------------------------------------------------------
 
     @property
-    def categories(self) -> tuple[str, ...]:
-        """The trace categories this engine must observe."""
-        return tuple(self._handlers)
-
-    @property
     def open_computations(self) -> int:
         """Computations currently held in memory (settled ones are gone)."""
         return self._open_count
 
     def attach(self, tracer: Tracer) -> None:
-        """Subscribe to ``tracer``, one handler per category.
+        """Observe ``tracer``'s messages and subscribe one handler per
+        protocol category.
 
         The scoped subscription is the whole point: with ``trace=False``
         every category the engine does not watch stays out of the
-        tracer's routes, and nothing is ever buffered in the trace log.
+        tracer's routes, no ``net.*`` event is built, and nothing is ever
+        buffered in the trace log.
         """
-        for category, handler in self._handlers.items():
+        tracer.observe_messages(self._message_sent, self._message_delivered)
+        for category, handler in self._traced.items():
             tracer.subscribe(handler, categories=(category,))
         self._tracer = tracer
 
     def detach(self, tracer: Tracer) -> None:
-        for handler in self._handlers.values():
+        tracer.unobserve_messages(self._message_sent, self._message_delivered)
+        for handler in self._traced.values():
             tracer.unsubscribe(handler)
         self._tracer = None
 
@@ -335,11 +340,10 @@ class StreamingSpanEngine:
         self._try_settle(record)
 
     def _net_pending(
-        self, event: TraceEvent
+        self, sender: Hashable, destination: Hashable, message: Any
     ) -> tuple[_OpenComputation, tuple[Hashable, Hashable], deque[ProbeHop]] | None:
-        """The open record, channel and hop queue a ``net.*`` event matches."""
-        details = event.details
-        tag = getattr(details.get("message"), "tag", None)
+        """The open record, channel and hop queue a send or delivery matches."""
+        tag = getattr(message, "tag", None)
         if not isinstance(tag, ProbeTag):
             return None
         if self._deferred:
@@ -348,38 +352,54 @@ class StreamingSpanEngine:
         record = None if records is None else records.get(tag.sequence)
         if record is None:
             return None
-        channel = (details["sender"], details["destination"])
+        channel = (sender, destination)
         pending = record.net.get(channel)
         if not pending:
             return None
         return record, channel, pending
 
-    def _on_net_sent(self, event: TraceEvent) -> None:
-        matched = self._net_pending(event)
+    def _message_sent(
+        self, time: float, sender: Hashable, destination: Hashable, message: Any
+    ) -> None:
+        matched = self._net_pending(sender, destination, message)
         if matched is None:
             return
         record, _, pending = matched
         # First hop in the queue that has no net-accept time yet.
         for hop in pending:
             if hop.net_sent_at is None:
-                hop.net_sent_at = event.time
-                if event.time > record.span.end_time:
-                    record.span.end_time = event.time
+                hop.net_sent_at = time
+                if time > record.span.end_time:
+                    record.span.end_time = time
                 break
 
-    def _on_net_delivered(self, event: TraceEvent) -> None:
-        matched = self._net_pending(event)
+    def _message_delivered(
+        self, time: float, sender: Hashable, destination: Hashable, message: Any
+    ) -> None:
+        matched = self._net_pending(sender, destination, message)
         if matched is None:
             return
         record, channel, pending = matched
         hop = pending.popleft()
         if not pending:
             del record.net[channel]
-        hop.net_delivered_at = event.time
-        if event.time > record.span.end_time:
-            record.span.end_time = event.time
+        hop.net_delivered_at = time
+        if time > record.span.end_time:
+            record.span.end_time = time
         record.outstanding -= 1
         self._try_settle(record)
+
+    def _on_net_sent(self, event: TraceEvent) -> None:
+        details = event.details
+        self._message_sent(
+            event.time, details["sender"], details["destination"], details.get("message")
+        )
+
+    def _on_net_delivered(self, event: TraceEvent) -> None:
+        details = event.details
+        self._message_delivered(
+            event.time, details["sender"], details["destination"], details.get("message")
+        )
 
     def _violate(self, violation: BoundViolation) -> None:
         self.violations.append(violation)

@@ -33,9 +33,7 @@ from repro.core.engine import CompletenessReport, DeclarationLog
 from repro.ormodel.initiation import OrInitiationPolicy
 from repro.ormodel.messages import Grant
 from repro.ormodel.vertex import OrVertexProcess
-from repro.sim import categories
 from repro.sim.network import DelayModel
-from repro.sim.trace import TraceEvent
 
 
 class OrWaitGraph:
@@ -136,9 +134,7 @@ class OrSystem:
         #: needed because the state-only criterion is not stable while a
         #: grant is travelling (its receiver is about to unblock).
         self._grants_in_flight: dict[tuple[VertexId, VertexId], int] = {}
-        tracer = self.transport.tracer
-        tracer.subscribe(self._on_net_sent, categories=(categories.NET_SENT,))
-        tracer.subscribe(self._on_net_delivered, categories=(categories.NET_DELIVERED,))
+        self.transport.tracer.observe_messages(self._on_net_sent, self._on_net_delivered)
         self.vertices: dict[VertexId, OrVertexProcess] = {}
         for i in range(n_vertices):
             vid = VertexId(i)
@@ -207,16 +203,18 @@ class OrSystem:
     # Verification
     # ------------------------------------------------------------------
 
-    def _on_net_sent(self, event: TraceEvent) -> None:
-        details = event.details
-        if isinstance(details["message"], Grant):
-            key = (details["sender"], details["destination"])
+    def _on_net_sent(
+        self, time: float, sender: VertexId, destination: VertexId, message: object
+    ) -> None:
+        if isinstance(message, Grant):
+            key = (sender, destination)
             self._grants_in_flight[key] = self._grants_in_flight.get(key, 0) + 1
 
-    def _on_net_delivered(self, event: TraceEvent) -> None:
-        details = event.details
-        if isinstance(details["message"], Grant):
-            key = (details["sender"], details["destination"])
+    def _on_net_delivered(
+        self, time: float, sender: VertexId, destination: VertexId, message: object
+    ) -> None:
+        if isinstance(message, Grant):
+            key = (sender, destination)
             self._grants_in_flight[key] -= 1
             if not self._grants_in_flight[key]:
                 del self._grants_in_flight[key]

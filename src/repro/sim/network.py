@@ -24,7 +24,6 @@ from collections.abc import Callable, Hashable
 from typing import Any, Protocol
 
 from repro.errors import SimulationError
-from repro.sim import categories
 from repro.sim.metrics import Counter
 from repro.sim.process import Process
 from repro.sim.simulator import Simulator
@@ -172,7 +171,8 @@ class Network:
 
         Accounting: increments ``net.messages.sent`` and a per-message-type
         counter ``net.messages.sent.<TypeName>`` -- the benchmarks read the
-        probe counters from here.
+        probe counters from here.  The tracer's message observers see the
+        send now and the delivery when it happens.
         """
         if destination not in self._processes:
             raise SimulationError(
@@ -206,26 +206,14 @@ class Network:
             self._type_counters[type_key] = type_counter
         type_counter.increment()
         tracer = self.simulator.tracer
-        if tracer.wants(categories.NET_SENT):
-            tracer.record(
-                now,
-                categories.NET_SENT,
-                sender=sender,
-                destination=destination,
-                message=message,
-            )
+        for observer in tracer.sent_observers:
+            observer(now, sender, destination, message)
 
         delivered_counter = self._delivered_counter
 
         def deliver() -> None:
-            if tracer.wants(categories.NET_DELIVERED):
-                tracer.record(
-                    self.simulator.now,
-                    categories.NET_DELIVERED,
-                    sender=sender,
-                    destination=destination,
-                    message=message,
-                )
+            for observer in tracer.delivered_observers:
+                observer(self.simulator.now, sender, destination, message)
             delivered_counter.increment()
             self._processes[destination].on_message(sender, message)
 

@@ -14,16 +14,29 @@ record.  Producers test ``category in tracer.routes`` before they call
 test: no :class:`TraceEvent`, no call.  That is what lets big sweeps run
 with ``trace=False`` while on-line observers still watch the handful of
 categories they care about.
+
+Sends and deliveries take a positional channel instead:
+:meth:`Tracer.observe_messages` attaches callbacks that the transports
+call as ``(time, sender, destination, message)``, from the tuples
+:attr:`Tracer.sent_observers` and :attr:`Tracer.delivered_observers`,
+which are rebuilt with the routes.  A ``net.*`` :class:`TraceEvent` is
+built only while that category is routed (the log, a wildcard or a
+``net.*`` subscriber); the tuple then starts with the tracer's own
+adapter, which records it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Hashable, Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.sim import categories as _categories
+
 Subscriber = Callable[["TraceEvent"], None]
+#: a send or delivery, as ``(time, sender, destination, message)``.
+MessageObserver = Callable[[float, Hashable, Hashable, Any], None]
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,11 +106,32 @@ class Tracer:
     recording it would log it or reach a subscriber.  Subscribe,
     unsubscribe and every ``enabled`` flip rebuild it; :meth:`record`
     only reads it.  Read it, never write it.
+
+    :attr:`sent_observers` and :attr:`delivered_observers` are the
+    message channel's dispatch tuples, rebuilt together with
+    :attr:`routes` (and on :meth:`observe_messages` and
+    :meth:`unobserve_messages`).  A transport calls each entry as
+    ``observer(time, sender, destination, message)`` for every send and
+    delivery, iterating the tuple it read when the dispatch started.
+    While ``net.sent`` (``net.delivered``) is routed, its tuple starts
+    with an adapter that records the ``net.*`` :class:`TraceEvent`.
     """
 
-    __slots__ = ("_by_category", "_enabled", "_events", "_wildcards", "routes")
+    __slots__ = (
+        "_by_category",
+        "_delivered",
+        "_enabled",
+        "_events",
+        "_sent",
+        "_wildcards",
+        "delivered_observers",
+        "routes",
+        "sent_observers",
+    )
 
     routes: Routes
+    sent_observers: tuple[MessageObserver, ...]
+    delivered_observers: tuple[MessageObserver, ...]
 
     def __init__(self, enabled: bool = True) -> None:
         self._enabled = enabled
@@ -106,6 +140,9 @@ class Tracer:
         self._wildcards: list[Subscriber] = []
         #: category-scoped subscribers: see only their categories' events.
         self._by_category: dict[str, list[Subscriber]] = {}
+        #: message observers: see every send / every delivery.
+        self._sent: list[MessageObserver] = []
+        self._delivered: list[MessageObserver] = []
         self._rebuild_routes()
 
     @property
@@ -120,28 +157,66 @@ class Tracer:
 
     @property
     def idle(self) -> bool:
-        """True when no recorded event could reach anyone."""
-        return not (self._enabled or self._wildcards or self._by_category)
+        """True when no recorded event could reach anyone and no message
+        observer is attached."""
+        return not (
+            self._enabled
+            or self._wildcards
+            or self._by_category
+            or self._sent
+            or self._delivered
+        )
 
     def _rebuild_routes(self) -> None:
-        """Recompute :attr:`routes` from the log flag and the subscribers.
+        """Recompute :attr:`routes` and the message observer tuples.
 
-        A new table replaces the old one, so a :meth:`record` already
-        dispatching keeps the subscriber tuple it started with.
+        New tables replace the old ones, so a :meth:`record` or a message
+        dispatch already running keeps the tuple it started with.
         """
         wildcards = tuple(self._wildcards)
         routes = {
             category: wildcards + tuple(scoped)
             for category, scoped in self._by_category.items()
         }
-        self.routes = _Broadcast(routes, wildcards) if self._enabled or wildcards else routes
+        if self._enabled or wildcards:
+            routes = _Broadcast(routes, wildcards)
+        self.routes = routes
+        sent = tuple(self._sent)
+        if _categories.NET_SENT in routes:
+            sent = (self._record_sent, *sent)
+        delivered = tuple(self._delivered)
+        if _categories.NET_DELIVERED in routes:
+            delivered = (self._record_delivered, *delivered)
+        self.sent_observers = sent
+        self.delivered_observers = delivered
+
+    def _record_sent(
+        self, time: float, sender: Hashable, destination: Hashable, message: Any
+    ) -> None:
+        self.record(
+            time,
+            _categories.NET_SENT,
+            sender=sender,
+            destination=destination,
+            message=message,
+        )
+
+    def _record_delivered(
+        self, time: float, sender: Hashable, destination: Hashable, message: Any
+    ) -> None:
+        self.record(
+            time,
+            _categories.NET_DELIVERED,
+            sender=sender,
+            destination=destination,
+            message=message,
+        )
 
     def wants(self, category: str) -> bool:
         """True when recording ``category`` now would reach anyone.
 
-        Call sites with expensive payloads (the network builds a kwargs
-        dict per message) use this to skip the :meth:`record` call
-        entirely on categories nobody reads.
+        Call sites with expensive payloads use this to skip building the
+        payload and the :meth:`record` call on categories nobody reads.
         """
         return category in self.routes
 
@@ -216,6 +291,52 @@ class Tracer:
                 del self._by_category[name]
         if not removed:
             raise ValueError(f"callback {callback!r} is not subscribed to this tracer")
+        self._rebuild_routes()
+
+    def observe_messages(
+        self,
+        on_sent: MessageObserver | None = None,
+        on_delivered: MessageObserver | None = None,
+    ) -> None:
+        """Call ``on_sent`` for every send and ``on_delivered`` for every
+        delivery, as ``(time, sender, destination, message)``.
+
+        Observers run after the ``net.*`` record, if any, in the order
+        they were attached.  One attached while a message is dispatching
+        takes effect from the next message.
+        """
+        if on_sent is None and on_delivered is None:
+            raise ValueError("observe_messages needs on_sent or on_delivered")
+        if on_sent is not None:
+            self._sent.append(on_sent)
+        if on_delivered is not None:
+            self._delivered.append(on_delivered)
+        self._rebuild_routes()
+
+    def unobserve_messages(
+        self,
+        on_sent: MessageObserver | None = None,
+        on_delivered: MessageObserver | None = None,
+    ) -> None:
+        """Detach observers attached with :meth:`observe_messages`.
+
+        Raises :class:`ValueError`, detaching nothing, when a given
+        callback is not attached, as :meth:`unsubscribe` does.  A message
+        already dispatching still reaches it.
+        """
+        attached = (
+            (on_sent is not None or on_delivered is not None)
+            and (on_sent is None or on_sent in self._sent)
+            and (on_delivered is None or on_delivered in self._delivered)
+        )
+        if not attached:
+            raise ValueError(
+                f"observers {on_sent!r}, {on_delivered!r} are not attached to this tracer"
+            )
+        if on_sent is not None:
+            self._sent.remove(on_sent)
+        if on_delivered is not None:
+            self._delivered.remove(on_delivered)
         self._rebuild_routes()
 
     @contextmanager

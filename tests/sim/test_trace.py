@@ -7,8 +7,13 @@ from typing import Any
 import pytest
 
 from repro.basic.system import BasicSystem
+from repro.core.assembly import build_runtime
+from repro.core.registry import get_variant
+from repro.core.transport import Transport
+from repro.obs.metrics import telemetry_for_variant
 from repro.sim import categories
 from repro.sim import trace as trace_module
+from repro.sim.process import Process
 from repro.sim.trace import TraceEvent, Tracer
 from repro.workloads.scenarios import schedule_cycle
 
@@ -275,10 +280,189 @@ class TestRoutes:
         schedule_cycle(system, list(range(6)))
         system.run_to_quiescence()
         assert len(system.declarations) == 6
-        read = {categories.BASIC_REQUEST_SENT, categories.BASIC_PROBE_SENT}
+        read = {categories.BASIC_REQUEST_SENT}
         assert set(recorded) == read
         assert len(built) == len(recorded)
         assert {event.category for event in built} == read
+
+
+    def test_monitored_untraced_cycle_builds_no_net_event(
+        self, monkeypatch: pytest.MonkeyPatch
+    ) -> None:
+        # Telemetry and the span fold read sends and deliveries through
+        # the message channel: attached with trace=False, they route no
+        # net.* category, so no net.* TraceEvent is ever built.
+        recorded: list[str] = []
+        built: list[TraceEvent] = []
+        record = Tracer.record
+
+        def counting_record(
+            tracer: Tracer, time: float, category: str, **details: Any
+        ) -> None:
+            recorded.append(category)
+            record(tracer, time, category, **details)
+
+        class CountedEvent(TraceEvent):
+            def __new__(cls, *args: Any, **kwargs: Any) -> CountedEvent:
+                event = super().__new__(cls)
+                built.append(event)
+                return event
+
+        monkeypatch.setattr(Tracer, "record", counting_record)
+        monkeypatch.setattr(trace_module, "TraceEvent", CountedEvent)
+        system = BasicSystem(n_vertices=6, trace=False)
+        telemetry = telemetry_for_variant(
+            system.transport, get_variant("basic").capabilities, n_vertices=6
+        )
+        schedule_cycle(system, list(range(6)))
+        system.run_to_quiescence()
+        telemetry.finish()
+        assert len(telemetry.detection_latencies) == 6
+        assert telemetry.registry.snapshot()["repro_messages_total"]["series"]
+        net = {categories.NET_SENT, categories.NET_DELIVERED}
+        assert not net & set(recorded)
+        assert not net & {event.category for event in built}
+
+
+class _Sink(Process):
+    def on_message(self, sender: Any, message: Any) -> None:
+        pass
+
+
+def _pair(trace: bool = False) -> Transport:
+    """A sim transport with processes ``a`` and ``b`` registered."""
+    transport = build_runtime(trace=trace).transport
+    transport.register(_Sink("a"))
+    transport.register(_Sink("b"))
+    return transport
+
+
+class TestMessageChannel:
+    """observe_messages: the positional channel for sends and deliveries."""
+
+    @pytest.mark.parametrize(
+        "enabled, wildcard, scoped, built_categories",
+        [
+            (False, False, None, set()),
+            (False, False, categories.BASIC_PROBE_SENT, set()),
+            (False, False, categories.NET_SENT, {categories.NET_SENT}),
+            (False, False, categories.NET_DELIVERED, {categories.NET_DELIVERED}),
+            (False, True, None, {categories.NET_SENT, categories.NET_DELIVERED}),
+            (True, False, None, {categories.NET_SENT, categories.NET_DELIVERED}),
+        ],
+        ids=["observer-only", "other-scoped", "sent-scoped", "delivered-scoped",
+             "wildcard", "log"],
+    )
+    def test_net_events_are_built_only_while_routed(
+        self,
+        monkeypatch: pytest.MonkeyPatch,
+        enabled: bool,
+        wildcard: bool,
+        scoped: str | None,
+        built_categories: set[str],
+    ) -> None:
+        built: list[TraceEvent] = []
+
+        class CountedEvent(TraceEvent):
+            def __new__(cls, *args: Any, **kwargs: Any) -> CountedEvent:
+                event = super().__new__(cls)
+                built.append(event)
+                return event
+
+        monkeypatch.setattr(trace_module, "TraceEvent", CountedEvent)
+        transport = _pair(trace=enabled)
+        tracer = transport.tracer
+        sent: list[tuple[Any, ...]] = []
+        delivered: list[tuple[Any, ...]] = []
+        tracer.observe_messages(
+            lambda *call: sent.append(call), lambda *call: delivered.append(call)
+        )
+        if wildcard:
+            tracer.subscribe(lambda event: None)
+        if scoped is not None:
+            tracer.subscribe(lambda event: None, categories=(scoped,))
+        transport.process("a").send("b", "m")
+        transport.run_to_quiescence()
+        assert sent == [(0.0, "a", "b", "m")]
+        assert delivered == [(1.0, "a", "b", "m")]
+        assert {event.category for event in built} == built_categories
+        assert len(built) == len(built_categories)
+
+    def test_adapter_records_before_the_observers_run(self) -> None:
+        transport = _pair()
+        tracer = transport.tracer
+        order: list[tuple[str, Any]] = []
+        tracer.observe_messages(
+            lambda *call: order.append(("sent-observer", call[3])),
+            lambda *call: order.append(("delivered-observer", call[3])),
+        )
+        tracer.subscribe(
+            lambda event: order.append((event.category, event["message"])),
+            categories=(categories.NET_SENT, categories.NET_DELIVERED),
+        )
+        transport.process("a").send("b", "m")
+        transport.run_to_quiescence()
+        assert order == [
+            (categories.NET_SENT, "m"),
+            ("sent-observer", "m"),
+            (categories.NET_DELIVERED, "m"),
+            ("delivered-observer", "m"),
+        ]
+
+    def test_observer_changes_during_a_dispatch_start_with_the_next_message(
+        self,
+    ) -> None:
+        transport = _pair()
+        tracer = transport.tracer
+        seen: list[tuple[str, Any]] = []
+
+        def late(time: float, sender: Any, destination: Any, message: Any) -> None:
+            seen.append(("late", message))
+
+        def first(time: float, sender: Any, destination: Any, message: Any) -> None:
+            seen.append(("first", message))
+            tracer.unobserve_messages(on_sent=first)
+            tracer.observe_messages(on_sent=late)
+
+        def second(time: float, sender: Any, destination: Any, message: Any) -> None:
+            seen.append(("second", message))
+
+        tracer.observe_messages(on_sent=first)
+        tracer.observe_messages(on_sent=second)
+        sender = transport.process("a")
+        sender.send("b", 1)
+        sender.send("b", 2)
+        assert seen == [("first", 1), ("second", 1), ("second", 2), ("late", 2)]
+
+    def test_idle_is_false_while_any_observer_is_attached(self) -> None:
+        tracer = Tracer(enabled=False)
+
+        def observer(time: float, sender: Any, destination: Any, message: Any) -> None:
+            pass
+
+        assert tracer.idle
+        for attached in ({"on_sent": observer}, {"on_delivered": observer}):
+            tracer.observe_messages(**attached)
+            assert not tracer.idle
+            assert tracer.routes == {}
+            tracer.unobserve_messages(**attached)
+            assert tracer.idle
+
+    def test_unobserving_an_unknown_callback_raises(self) -> None:
+        tracer = Tracer(enabled=False)
+
+        def attached(time: float, sender: Any, destination: Any, message: Any) -> None:
+            pass
+
+        tracer.observe_messages(on_sent=attached)
+        with pytest.raises(ValueError, match="not attached"):
+            tracer.unobserve_messages(on_delivered=attached)
+        with pytest.raises(ValueError, match="not attached"):
+            tracer.unobserve_messages(attached, lambda *call: None)
+        # a failed detach detaches nothing
+        assert tracer.sent_observers == (attached,)
+        tracer.unobserve_messages(on_sent=attached)
+        assert tracer.idle
 
 
 class TestRng:

@@ -129,6 +129,47 @@ class TestP4Fifo:
             transport.close()
 
 
+class TestMessageObservers:
+    """The tracer's message channel sees each send and delivery once."""
+
+    def test_each_observer_sees_every_send_and_delivery_once(self, backend) -> None:
+        transport = _build(backend, seed=5, delay_model=UniformDelay(0.1, 2.0))
+        try:
+            receiver = Recorder("hub")
+            transport.register(receiver)
+            senders = [Recorder(f"s{i}") for i in range(2)]
+            for process in senders:
+                transport.register(process)
+            logs = [([], []) for _ in range(2)]
+            for sent, delivered in logs:
+                # *call rejects keyword arguments: the channel is positional.
+                transport.tracer.observe_messages(
+                    lambda *call, log=sent: log.append(call),
+                    lambda *call, log=delivered: log.append(call),
+                )
+            for i in range(15):
+                for process in senders:
+                    process.send("hub", i)
+            transport.run_to_quiescence()
+            sends = [(process.pid, "hub", i) for i in range(15) for process in senders]
+            for sent, delivered in logs:
+                assert [call[1:] for call in sent] == sends
+                assert len(delivered) == len(sends)
+                for process in senders:
+                    channel = [call[2:] for call in delivered if call[1] == process.pid]
+                    assert channel == [("hub", i) for i in range(15)]
+                # each delivery is observed just before its handler runs
+                assert [(s, m) for _, s, _, m in delivered] == receiver.seen
+                sent_at = {call[1:]: call[0] for call in sent}
+                times = [call[0] for call in delivered]
+                assert times == sorted(times)
+                for call in delivered:
+                    assert call[0] >= sent_at[call[1:]]
+            assert logs[0] == logs[1]
+        finally:
+            transport.close()
+
+
 class TestChannelChain:
     """One channel's deliveries, with delays scripted so the second of two
     messages would overtake the first (1 ms per unit on the wall clock)."""
@@ -205,6 +246,22 @@ class TestCallbackFailures:
             sender.send("b", 1)
             started = time.perf_counter()
             with pytest.raises(ValueError, match="boom in subscriber"):
+                transport.run_to_quiescence()
+            assert time.perf_counter() - started < WALL_BUDGET_S / 4
+        finally:
+            transport.close()
+
+    def test_raising_message_observer_surfaces(self, backend) -> None:
+        def explode(time, sender, destination, message) -> None:
+            raise ValueError("boom in observer")
+
+        transport = _build(backend)
+        try:
+            sender, _ = self._pair(transport)
+            transport.tracer.observe_messages(on_delivered=explode)
+            sender.send("b", 1)
+            started = time.perf_counter()
+            with pytest.raises(ValueError, match="boom in observer"):
                 transport.run_to_quiescence()
             assert time.perf_counter() - started < WALL_BUDGET_S / 4
         finally:
