@@ -4,8 +4,10 @@ Every byte that crosses a worker boundary is one *frame*: a 4-byte
 big-endian length prefix followed by that many bytes of UTF-8 JSON (an
 object).  Frames ride ordered byte streams (Unix-domain or TCP sockets),
 so frame order on a connection equals write order -- the transport's
-per-channel FIFO guarantee (axiom P4) reduces to "one serial writer per
-channel" on top of this module.
+per-channel FIFO guarantee (axiom P4) reduces to "write each channel's
+frames to one socket, in send order" on top of this module.  Reading is
+incremental: :class:`FrameReader` takes bytes as the socket hands them
+over and returns every frame they complete.
 
 Protocol messages are arbitrary Python values (frozen dataclasses,
 tuples, frozensets, enums, ...), so the JSON payload uses a small tagged
@@ -13,7 +15,11 @@ encoding (:func:`encode_value` / :func:`decode_value`).  Decoding never
 imports code: a dataclass or enum payload only decodes if its defining
 module is already imported, which is always true on the coordinator (it
 authored the frame) and turns a forged type reference into a hard error
-instead of an import.
+instead of an import.  The codec remembers each dataclass type's wire
+reference and field names, and each wire reference that already resolved
+to a dataclass, so a message type is reflected on once, not per message;
+a reference that fails to resolve is never remembered, so it is refused
+on every call.
 
 The worker program (:mod:`repro.cluster.worker`) deliberately does *not*
 import this module -- workers treat payloads as opaque JSON and only
@@ -23,7 +29,6 @@ imports the repro package.
 
 from __future__ import annotations
 
-import asyncio
 import dataclasses
 import enum
 import json
@@ -41,6 +46,15 @@ MAX_FRAME_BYTES = 8 * 1024 * 1024
 
 _KIND = "__repro__"
 
+#: one encoder for every frame (``json.dumps`` with separators builds a
+#: new one per call); the bytes are the same.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+#: dataclass type -> (wire reference, field names), filled on first encode.
+_DATACLASS_SHAPES: dict[type, tuple[str, tuple[str, ...]]] = {}
+#: wire reference -> the dataclass it resolved to, filled only after the
+#: reference resolved in ``sys.modules`` and named a dataclass.
+_DATACLASS_TYPES: dict[str, Any] = {}
+
 
 def encode_value(value: Any) -> Any:
     """Encode one protocol message (or id) into JSON-able form.
@@ -53,15 +67,19 @@ def encode_value(value: Any) -> Any:
     """
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
+    shape = _DATACLASS_SHAPES.get(type(value))
+    if shape is not None:
+        ref, names = shape
+        fields = {name: encode_value(getattr(value, name)) for name in names}
+        return {_KIND: "dataclass", "type": ref, "fields": fields}
     if isinstance(value, enum.Enum):
         cls = type(value)
         return {_KIND: "enum", "type": _type_ref(cls), "name": value.name}
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        fields = {
-            field.name: encode_value(getattr(value, field.name))
-            for field in dataclasses.fields(value)
-        }
-        return {_KIND: "dataclass", "type": _type_ref(type(value)), "fields": fields}
+        # Remember the type's shape, then encode through the path above.
+        names = tuple(field.name for field in dataclasses.fields(value))
+        _DATACLASS_SHAPES[type(value)] = (_type_ref(type(value)), names)
+        return encode_value(value)
     if isinstance(value, tuple):
         return {_KIND: "tuple", "items": [encode_value(item) for item in value]}
     if isinstance(value, frozenset):
@@ -87,6 +105,18 @@ def decode_value(payload: Any) -> Any:
     if not isinstance(payload, dict):
         return payload
     kind = payload.get(_KIND)
+    if kind == "dataclass":
+        ref = payload["type"]
+        cls = _DATACLASS_TYPES.get(ref)
+        if cls is None:
+            cls = _resolve_type(ref)
+            if not dataclasses.is_dataclass(cls):
+                raise ClusterError(f"frame names non-dataclass type {ref!r}")
+            _DATACLASS_TYPES[ref] = cls
+        fields = {
+            name: decode_value(value) for name, value in payload["fields"].items()
+        }
+        return cls(**fields)
     if kind == "tuple":
         return tuple(decode_value(item) for item in payload["items"])
     if kind == "frozenset":
@@ -100,14 +130,6 @@ def decode_value(payload: Any) -> Any:
     if kind == "enum":
         cls = _resolve_type(payload["type"])
         return cls[payload["name"]]
-    if kind == "dataclass":
-        cls = _resolve_type(payload["type"])
-        if not dataclasses.is_dataclass(cls):
-            raise ClusterError(f"frame names non-dataclass type {payload['type']!r}")
-        fields = {
-            name: decode_value(value) for name, value in payload["fields"].items()
-        }
-        return cls(**fields)
     raise ClusterError(f"frame payload has unknown encoding kind {kind!r}")
 
 
@@ -134,7 +156,7 @@ def _resolve_type(ref: str) -> Any:
 
 def encode_frame(frame: dict[str, Any]) -> bytes:
     """One complete frame as bytes: header plus JSON body."""
-    body = json.dumps(frame, separators=(",", ":")).encode("utf-8")
+    body = _ENCODER.encode(frame).encode("utf-8")
     if len(body) > MAX_FRAME_BYTES:
         raise ClusterError(
             f"frame of {len(body)} bytes exceeds MAX_FRAME_BYTES "
@@ -143,7 +165,7 @@ def encode_frame(frame: dict[str, Any]) -> bytes:
     return HEADER.pack(len(body)) + body
 
 
-def decode_frame(body: bytes) -> dict[str, Any]:
+def decode_frame(body: bytes | bytearray) -> dict[str, Any]:
     """Parse one frame body; malformed bytes raise :class:`ClusterError`."""
     try:
         frame = json.loads(body.decode("utf-8"))
@@ -154,33 +176,48 @@ def decode_frame(body: bytes) -> dict[str, Any]:
     return frame
 
 
-async def read_frame(reader: asyncio.StreamReader) -> dict[str, Any] | None:
-    """Read one frame; ``None`` on clean EOF at a frame boundary.
+class FrameReader:
+    """Incremental frame parser for one byte stream.
 
-    EOF in the middle of a frame (a peer dying mid-write) raises
-    :class:`ClusterError` -- a torn frame is evidence of a failure, not
-    a shutdown.
+    :meth:`feed` takes whatever bytes the socket delivered and returns the
+    frames they complete, in stream order, keeping a partial frame until
+    the rest arrives.  A header announcing more than
+    :data:`MAX_FRAME_BYTES` is refused as soon as its four bytes are in,
+    before any of the body.  At end of stream, :meth:`eof` tells a clean
+    close at a frame boundary from a torn frame -- the latter is evidence
+    of a failure, not a shutdown.
     """
-    try:
-        header = await reader.readexactly(HEADER.size)
-    except asyncio.IncompleteReadError as error:
-        if not error.partial:
-            return None
-        raise ClusterError("connection closed inside a frame header") from error
-    (length,) = HEADER.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise ClusterError(
-            f"incoming frame announces {length} bytes "
-            f"(> MAX_FRAME_BYTES {MAX_FRAME_BYTES}); stream is corrupt"
-        )
-    try:
-        body = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as error:
-        raise ClusterError("connection closed inside a frame body") from error
-    return decode_frame(body)
 
+    __slots__ = ("_buffer",)
 
-async def write_frame(writer: asyncio.StreamWriter, frame: dict[str, Any]) -> None:
-    """Write one frame and drain, so backpressure reaches the sender."""
-    writer.write(encode_frame(frame))
-    await writer.drain()
+    def __init__(self) -> None:
+        self._buffer = bytearray()
+
+    def feed(self, data: bytes) -> list[dict[str, Any]]:
+        """Append ``data``; decode and return every frame now complete."""
+        buffer = self._buffer
+        buffer += data
+        frames: list[dict[str, Any]] = []
+        offset = 0
+        end = len(buffer)
+        while end - offset >= HEADER.size:
+            (length,) = HEADER.unpack_from(buffer, offset)
+            if length > MAX_FRAME_BYTES:
+                raise ClusterError(
+                    f"incoming frame announces {length} bytes "
+                    f"(> MAX_FRAME_BYTES {MAX_FRAME_BYTES}); stream is corrupt"
+                )
+            start = offset + HEADER.size
+            if end - start < length:
+                break
+            offset = start + length
+            frames.append(decode_frame(buffer[start:offset]))
+        del buffer[:offset]
+        return frames
+
+    def eof(self) -> None:
+        """The stream ended: raise :class:`ClusterError` inside a frame."""
+        if len(self._buffer) >= HEADER.size:
+            raise ClusterError("connection closed inside a frame body")
+        if self._buffer:
+            raise ClusterError("connection closed inside a frame header")

@@ -18,26 +18,33 @@ path -- the part the paper axiomatises:
 * ``send()`` samples the seeded injected delay (inherited from
   :class:`~repro.live.transport.AsyncioTransport`), serializes the
   message, and frames it to the **destination's** worker;
-* the worker queues it per inbound channel, sleeps until the virtual due
-  time on its own clock, and echoes a ``deliver`` frame back;
+* the worker keeps each inbound channel's frames in a deque, with a loop
+  timer armed for the head only, and at the head's virtual due time on its
+  own clock echoes a ``deliver`` frame back;
 * the coordinator decodes the returned payload (the delivered message is
   rebuilt from wire bytes, not the original object) and runs the handler
   atomically on its single-threaded loop.
 
-Per-channel FIFO (axiom P4) holds end to end by construction: frames on
-one socket arrive in write order, the worker drains each channel with one
-serial consumer, and deliver frames return on one ordered stream.  The
-``fifo=False`` ablation marks frames ``loose``; workers then sleep each
-message independently and reordering becomes possible, exactly as on the
-other two backends.
+Socket I/O runs on plain loop callbacks, as the live backend's deliveries
+do.  Each worker connection is one :class:`asyncio.Protocol`
+(:class:`_Connection`) that parses frames as bytes arrive and handles
+each one in place; ``send`` writes its frame straight to the destination
+worker's socket, whose transport buffer is the only queue.
+
+Per-channel FIFO (axiom P4) holds end to end by construction: every frame
+for one worker is written to its one socket in send order and arrives in
+write order, the worker arms a timer for each channel's head only, and
+deliver frames return on one ordered stream.  The ``fifo=False`` ablation
+marks frames ``loose``; workers then time each message independently and
+reordering becomes possible, exactly as on the other two backends.
 
 Robustness
 ----------
 Workers connect back with deterministic retry/backoff and announce
 themselves with a ``hello`` frame; the coordinator enforces a
 ``connect_timeout`` on bring-up.  Live workers heartbeat every
-``heartbeat_interval`` seconds; a dead process, a broken connection, or
-a stale heartbeat surfaces as a typed
+``heartbeat_interval`` seconds; a dead process, a broken connection, a
+malformed frame, or a stale heartbeat surfaces as a typed
 :class:`~repro.errors.ClusterError` carrying
 :class:`~repro.errors.WorkerFailure` records -- a partial-run report,
 never a hang.  ``close()`` shuts down gracefully: a ``shutdown`` frame
@@ -47,6 +54,7 @@ per worker, a bounded wait, then SIGKILL for stragglers.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import os
 import shutil
@@ -55,14 +63,13 @@ import sys
 import tempfile
 from collections.abc import Hashable
 from pathlib import Path
-from typing import Any
+from typing import Any, cast
 
 from repro.cluster.frames import (
+    FrameReader,
     decode_value,
     encode_frame,
     encode_value,
-    read_frame,
-    write_frame,
 )
 from repro.errors import ClusterError, SimulationError, WorkerFailure
 from repro.live.transport import AsyncioTransport, LiveNodeContext
@@ -82,35 +89,136 @@ class _WorkerLink:
     """Coordinator-side state for one worker process."""
 
     __slots__ = (
-        "connected",
         "failed",
         "index",
         "last_seen",
         "node",
-        "outbox",
         "pid",
         "process",
-        "reader",
-        "reader_task",
+        "socket",
         "stderr_path",
-        "writer",
-        "writer_task",
     )
 
     def __init__(self, index: int, node: Hashable) -> None:
         self.index = index
         self.node = node
         self.process: subprocess.Popen[bytes] | None = None
-        self.reader: asyncio.StreamReader | None = None
-        self.writer: asyncio.StreamWriter | None = None
-        self.outbox: asyncio.Queue[dict[str, Any]] = asyncio.Queue()
-        self.writer_task: asyncio.Task[None] | None = None
-        self.reader_task: asyncio.Task[None] | None = None
-        self.connected = asyncio.Event()
+        #: the worker's connection, set once its ``hello`` arrives.
+        self.socket: asyncio.Transport | None = None
         self.last_seen = 0.0
         self.failed = False
         self.pid: int | None = None
         self.stderr_path: str | None = None
+
+
+class _Connection(asyncio.Protocol):
+    """One worker connection: frames are handled as their bytes arrive.
+
+    The first frame must be a valid ``hello``; it binds the connection to
+    its worker's :class:`_WorkerLink`, and any other first frame closes
+    the connection.  After that a ``deliver`` frame runs its handler under
+    the transport's guard, a ``heartbeat`` stamps the link, and anything
+    else -- an unknown kind, a frame that does not parse or decode, the
+    connection closing -- loses the worker.
+    """
+
+    #: set by ``connection_made``, before any bytes arrive.
+    _socket: asyncio.Transport
+
+    def __init__(self, cluster: ClusterTransport) -> None:
+        self._cluster = cluster
+        self._frames = FrameReader()
+        self._link: _WorkerLink | None = None
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._socket = cast(asyncio.Transport, transport)
+
+    def data_received(self, data: bytes) -> None:
+        cluster = self._cluster
+        link = self._link
+        try:
+            frames = self._frames.feed(data)
+        except ClusterError as error:
+            if link is None:
+                self._socket.close()
+            else:
+                cluster._worker_lost(link, str(error))
+            return
+        for frame in frames:
+            if link is None:
+                link = self._bind(frame)
+                if link is None:
+                    self._socket.close()
+                    return
+                continue
+            kind = frame["kind"]
+            if kind == "deliver":
+                try:
+                    delivery = (
+                        float(frame["due"]),
+                        decode_value(frame["src"]),
+                        decode_value(frame["dst"]),
+                        decode_value(frame["payload"]),
+                    )
+                except (ClusterError, AttributeError, KeyError, TypeError, ValueError) as error:
+                    # A missing key, a non-numeric ``due``, or a payload the
+                    # codec cannot take apart or refuses.
+                    cluster._worker_lost(
+                        link,
+                        f"malformed deliver frame: {type(error).__name__}: {error}",
+                    )
+                    return
+                cluster._guarded(cluster._deliver, delivery)
+            elif kind == "heartbeat":
+                link.last_seen = cluster._loop.time()
+            else:
+                cluster._worker_lost(link, f"sent unknown frame kind {kind!r}")
+                return
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        link = self._link
+        if link is None:
+            return
+        try:
+            self._frames.eof()
+        except ClusterError as error:
+            reason = str(error)
+        else:
+            reason = (
+                "connection closed unexpectedly"
+                if exc is None
+                else f"connection error: {exc}"
+            )
+        self._cluster._worker_lost(link, reason)
+
+    def _bind(self, frame: dict[str, Any]) -> _WorkerLink | None:
+        """Bind this connection to the worker its ``hello`` names, if valid."""
+        cluster = self._cluster
+        if frame["kind"] != "hello":
+            return None
+        try:
+            index = int(frame["index"])
+            pid = int(frame.get("pid", 0)) or None
+        except (KeyError, TypeError, ValueError):
+            return None
+        if not 0 <= index < len(cluster._links):
+            return None
+        link = cluster._links[index]
+        if link.socket is not None:
+            return None
+        link.socket = self._socket
+        link.pid = pid
+        link.last_seen = cluster._loop.time()
+        self._link = link
+        if cluster.tracer.wants(categories.CLUSTER_WORKER_READY):
+            cluster.tracer.record(
+                cluster.now,
+                categories.CLUSTER_WORKER_READY,
+                worker=link.index,
+                node=link.node,
+                pid=link.pid,
+            )
+        return link
 
 
 class ClusterTransport(AsyncioTransport):
@@ -177,7 +285,6 @@ class ClusterTransport(AsyncioTransport):
         self._watcher: asyncio.Task[None] | None = None
         self._brought_up = False
         self._closing = False
-        self._seq = 0
 
     # ------------------------------------------------------------------
     # Nodes
@@ -221,20 +328,26 @@ class ClusterTransport(AsyncioTransport):
         return key
 
     def _dispatch(self, delivery: tuple[float, Hashable, Hashable, Any]) -> None:
+        """Write one ``msg`` frame to the destination worker's socket.
+
+        Every frame for a worker goes through its one socket, in send
+        order, so each channel's frames reach the worker in send order.
+        """
         due, sender, destination, message = delivery
-        link = self._links[self._node_index[destination]]
-        self._seq += 1
-        link.outbox.put_nowait(
-            {
-                "kind": "msg",
-                "channel": self._channel_key(sender),
-                "src": encode_value(sender),
-                "dst": encode_value(destination),
-                "due": due,
-                "seq": self._seq,
-                "loose": not self.fifo,
-                "payload": encode_value(message),
-            }
+        socket = self._links[self._node_index[destination]].socket
+        assert socket is not None, "dispatch before bring-up"
+        socket.write(
+            encode_frame(
+                {
+                    "kind": "msg",
+                    "channel": self._channel_key(sender),
+                    "src": encode_value(sender),
+                    "dst": encode_value(destination),
+                    "due": due,
+                    "loose": not self.fifo,
+                    "payload": encode_value(message),
+                }
+            )
         )
 
     # ------------------------------------------------------------------
@@ -254,29 +367,32 @@ class ClusterTransport(AsyncioTransport):
                 raise
             self._brought_up = True
             self._watcher = self._loop.create_task(self._watch())
-        super()._start()
         # The start frame anchors each worker's virtual-time origin just
-        # after the coordinator's.  It is written now, not queued for the
-        # loop's next spin: a run that is over before its first event never
-        # spins the loop.  It still precedes every message frame on the
-        # wire, since those wait in the outboxes until the write loops run.
+        # after the coordinator's, and must precede every message frame on
+        # the wire: the sends made before this first run are held back
+        # until each worker has its start frame.  It is written now, not
+        # on the loop's next spin: a run that is over before its first
+        # event never spins the loop.
+        held, self._pending_sends = self._pending_sends, []
+        super()._start()
         start = encode_frame({"kind": "start", "time_scale": self.time_scale})
         for link in self._links:
-            assert link.writer is not None
-            link.writer.write(start)
+            assert link.socket is not None, "start before bring-up"
+            link.socket.write(start)
+        for delivery in held:
+            self._dispatch(delivery)
 
     async def _bring_up(self) -> None:
         self._tempdir = tempfile.mkdtemp(prefix="repro-cluster-")
+        connection = functools.partial(_Connection, self)
         if self.channel == "unix":
             socket_path = os.path.join(self._tempdir, "coordinator.sock")
-            self._server = await asyncio.start_unix_server(
-                self._on_connection, path=socket_path
+            self._server = await self._loop.create_unix_server(
+                connection, path=socket_path
             )
             spec = f"unix:{socket_path}"
         else:
-            self._server = await asyncio.start_server(
-                self._on_connection, "127.0.0.1", 0
-            )
+            self._server = await self._loop.create_server(connection, "127.0.0.1", 0)
             port = self._server.sockets[0].getsockname()[1]
             spec = f"tcp:127.0.0.1:{port}"
         env = {**os.environ, **self.worker_env}
@@ -301,10 +417,10 @@ class ClusterTransport(AsyncioTransport):
                     env=env,
                 )
         deadline = self._loop.time() + self.connect_timeout
-        while not all(link.connected.is_set() for link in self._links):
+        while not all(link.socket is not None for link in self._links):
             for link in self._links:
                 process = link.process
-                if process is None or link.connected.is_set():
+                if process is None or link.socket is not None:
                     continue
                 returncode = process.poll()
                 if returncode is not None:
@@ -319,9 +435,7 @@ class ClusterTransport(AsyncioTransport):
                         ),
                     )
             if self._loop.time() > deadline:
-                missing = [
-                    link for link in self._links if not link.connected.is_set()
-                ]
+                missing = [link for link in self._links if link.socket is None]
                 raise ClusterError(
                     f"{len(missing)} worker(s) did not connect within "
                     f"connect_timeout={self.connect_timeout}s",
@@ -331,79 +445,6 @@ class ClusterTransport(AsyncioTransport):
                     ),
                 )
             await asyncio.sleep(0.02)
-
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            frame = await read_frame(reader)
-        except ClusterError:
-            writer.close()
-            return
-        if frame is None or frame.get("kind") != "hello":
-            writer.close()
-            return
-        index = int(frame["index"])
-        if not 0 <= index < len(self._links):
-            writer.close()
-            return
-        link = self._links[index]
-        link.reader = reader
-        link.writer = writer
-        link.pid = int(frame.get("pid", 0)) or None
-        link.last_seen = self._loop.time()
-        link.writer_task = self._loop.create_task(self._write_loop(link))
-        link.reader_task = asyncio.current_task()
-        link.connected.set()
-        if self.tracer.wants(categories.CLUSTER_WORKER_READY):
-            self.tracer.record(
-                self.now,
-                categories.CLUSTER_WORKER_READY,
-                worker=link.index,
-                node=link.node,
-                pid=link.pid,
-            )
-        await self._read_loop(link)
-
-    # ------------------------------------------------------------------
-    # Per-worker I/O loops
-    # ------------------------------------------------------------------
-
-    async def _write_loop(self, link: _WorkerLink) -> None:
-        assert link.writer is not None
-        try:
-            while True:
-                frame = await link.outbox.get()
-                await write_frame(link.writer, frame)
-        except (OSError, ConnectionError) as error:
-            self._worker_lost(link, f"write to worker failed: {error}")
-
-    async def _read_loop(self, link: _WorkerLink) -> None:
-        assert link.reader is not None
-        try:
-            while True:
-                frame = await read_frame(link.reader)
-                if frame is None:
-                    self._worker_lost(link, "connection closed unexpectedly")
-                    return
-                kind = frame.get("kind")
-                if kind == "heartbeat":
-                    link.last_seen = self._loop.time()
-                elif kind == "deliver":
-                    delivery = (
-                        float(frame["due"]),
-                        decode_value(frame["src"]),
-                        decode_value(frame["dst"]),
-                        decode_value(frame["payload"]),
-                    )
-                    self._guarded(self._deliver, delivery)
-                else:
-                    self._worker_lost(link, f"sent unknown frame kind {kind!r}")
-                    return
-        except ClusterError as error:
-            self._worker_lost(link, str(error))
-        except (OSError, ConnectionError) as error:
-            self._worker_lost(link, f"connection error: {error}")
 
     async def _watch(self) -> None:
         """Process-exit and heartbeat watchdog.
@@ -480,6 +521,9 @@ class ClusterTransport(AsyncioTransport):
             self._failure = ClusterError(
                 "cluster run failed", failures=tuple(self._failures)
             )
+        if link.socket is not None:
+            # Nothing more is read from a lost worker.
+            link.socket.close()
         self._settle()
 
     # ------------------------------------------------------------------
@@ -488,21 +532,15 @@ class ClusterTransport(AsyncioTransport):
 
     async def _teardown(self) -> None:
         self._closing = True
-        tasks: list[asyncio.Task[None]] = []
         if self._watcher is not None:
-            tasks.append(self._watcher)
+            self._watcher.cancel()
+            await asyncio.gather(self._watcher, return_exceptions=True)
             self._watcher = None
+        shutdown = encode_frame({"kind": "shutdown"})
         for link in self._links:
             process = link.process
-            if (
-                link.writer is not None
-                and process is not None
-                and process.poll() is None
-            ):
-                try:
-                    await write_frame(link.writer, {"kind": "shutdown"})
-                except (OSError, ConnectionError, ClusterError):
-                    pass
+            if process is not None and process.poll() is None and link.socket is not None:
+                link.socket.write(shutdown)
         deadline = self._loop.time() + _SHUTDOWN_GRACE
         while any(
             link.process is not None and link.process.poll() is None
@@ -516,17 +554,8 @@ class ClusterTransport(AsyncioTransport):
                 if link.process.poll() is None:
                     link.process.kill()
                 link.process.wait()
-            for task in (link.writer_task, link.reader_task):
-                if task is not None:
-                    tasks.append(task)
-            link.writer_task = None
-            link.reader_task = None
-            if link.writer is not None:
-                link.writer.close()
-        for task in tasks:
-            task.cancel()
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
+            if link.socket is not None:
+                link.socket.close()
         if self._server is not None:
             self._server.close()
             try:

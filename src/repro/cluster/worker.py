@@ -5,18 +5,24 @@ registered node and routes every message for that node through it, so
 each delivery genuinely crosses two process boundaries as length-prefixed
 JSON frames.  The worker's job is the delivery half of axiom P4:
 
-* one FIFO queue per inbound channel, drained by a serial consumer, so
-  delivery order on a channel equals frame order regardless of the
-  injected delays (``loose`` frames -- the ``fifo=False`` ablation --
-  instead sleep independently and may overtake);
-* each message sleeps until its virtual due time (``origin + due *
+* one deque per inbound channel, with a loop timer armed for its head
+  only: when the head's timer fires it arms the next head's, then echoes
+  the head back as a ``deliver`` frame, so delivery order on a channel
+  equals frame order regardless of the injected delays (``loose``
+  frames -- the ``fifo=False`` ablation -- get a timer each instead and
+  may overtake);
+* a frame's timer fires at its virtual due time, ``origin + due *
   time_scale`` on the worker's own clock, anchored by the coordinator's
-  ``start`` frame), then is echoed back as a ``deliver`` frame;
+  ``start`` frame;
 * a heartbeat frame every ``--heartbeat`` seconds, so the coordinator
   can tell a stalled worker from a quiet one;
 * connects back to the coordinator with deterministic exponential
   backoff (:func:`backoff_delays`; no jitter -- cluster runs must stay
   reproducible per seed, and the schedule has nothing to desynchronize).
+
+The worker is one :class:`asyncio.Protocol` on plain loop callbacks:
+frames are parsed as their bytes arrive, and no task runs per channel or
+per message.
 
 This file is a **self-contained stdlib program**: the coordinator spawns
 it by file path (``python .../worker.py``), so worker start-up never
@@ -43,10 +49,12 @@ import os
 import struct
 import sys
 import time
-from typing import Any
+from collections import deque
+from typing import Any, cast
 
 _HEADER = struct.Struct(">I")
 _MAX_FRAME_BYTES = 8 * 1024 * 1024
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
 #: exit status of an injected mid-run crash (REPRO_CLUSTER_TEST_EXIT_AFTER).
 CRASH_EXIT_CODE = 17
 
@@ -81,32 +89,14 @@ def _env_int(name: str) -> int:
     return int(raw) if raw else 0
 
 
-async def _read_frame(reader: asyncio.StreamReader) -> dict[str, Any] | None:
-    try:
-        header = await reader.readexactly(_HEADER.size)
-    except asyncio.IncompleteReadError as error:
-        if not error.partial:
-            return None
-        raise ConnectionError("coordinator died inside a frame header") from error
-    (length,) = _HEADER.unpack(header)
-    if length > _MAX_FRAME_BYTES:
-        raise ConnectionError(f"frame announces {length} bytes; stream corrupt")
-    try:
-        body = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as error:
-        raise ConnectionError("coordinator died inside a frame body") from error
-    frame = json.loads(body.decode("utf-8"))
-    if not isinstance(frame, dict):
-        raise ConnectionError("frame body is not a JSON object")
-    return frame
-
-
 def _encode_frame(frame: dict[str, Any]) -> bytes:
-    body = json.dumps(frame, separators=(",", ":")).encode("utf-8")
+    body = _ENCODER.encode(frame).encode("utf-8")
     return _HEADER.pack(len(body)) + body
 
 
-async def _connect(spec: str) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
+async def _connect(
+    loop: asyncio.AbstractEventLoop, spec: str, protocol: asyncio.Protocol
+) -> None:
     """Dial the coordinator, retrying with deterministic backoff."""
     forced_failures = _env_int("REPRO_CLUSTER_TEST_CONNECT_FAILS")
     delays = backoff_delays()
@@ -116,10 +106,12 @@ async def _connect(spec: str) -> tuple[asyncio.StreamReader, asyncio.StreamWrite
             if attempt < forced_failures:
                 raise ConnectionError("injected connect failure (test hook)")
             if spec.startswith("unix:"):
-                return await asyncio.open_unix_connection(spec[len("unix:") :])
+                await loop.create_unix_connection(lambda: protocol, spec[len("unix:") :])
+                return
             if spec.startswith("tcp:"):
                 host, _, port = spec[len("tcp:") :].rpartition(":")
-                return await asyncio.open_connection(host, int(port))
+                await loop.create_connection(lambda: protocol, host, int(port))
+                return
             raise ValueError(f"unknown connect spec {spec!r}")
         except (OSError, ConnectionError) as error:
             last_error = error
@@ -128,8 +120,16 @@ async def _connect(spec: str) -> tuple[asyncio.StreamReader, asyncio.StreamWrite
     raise last_error
 
 
-class Worker:
-    """Channel owner for one node; see the module docstring."""
+class Worker(asyncio.Protocol):
+    """Channel owner for one node; see the module docstring.
+
+    Create it inside the running loop; :meth:`run` dials the coordinator
+    and returns the exit status once the connection ends.
+    """
+
+    #: set by ``connection_made``, which runs before ``_connect`` returns.
+    _socket: asyncio.Transport
+    _beat: asyncio.TimerHandle
 
     def __init__(self, index: int, heartbeat: float) -> None:
         self.index = index
@@ -138,99 +138,126 @@ class Worker:
         self.time_scale = 1.0
         self.delivered = 0
         self.exit_after = _env_int("REPRO_CLUSTER_TEST_EXIT_AFTER")
-        self._queues: dict[str, asyncio.Queue[dict[str, Any]]] = {}
-        self._consumers: list[asyncio.Task[None]] = []
-        self._loose: set[asyncio.Task[None]] = set()
-        self._writer_lock = asyncio.Lock()
-        self._writer: asyncio.StreamWriter | None = None
+        self._loop = asyncio.get_running_loop()
+        #: resolved with the exit status, or the error that ends the run.
+        self._exit: asyncio.Future[int] = self._loop.create_future()
+        self._buffer = bytearray()
+        #: frames in flight per FIFO channel; the head's timer is armed.
+        self._channels: dict[str, deque[dict[str, Any]]] = {}
+        self._heartbeats = 0
 
-    async def _write(self, frame: dict[str, Any]) -> None:
-        writer = self._writer
-        if writer is None:
+    async def run(self, spec: str) -> int:
+        await _connect(self._loop, spec, self)
+        try:
+            return await self._exit
+        finally:
+            self._beat.cancel()
+            self._socket.close()
+
+    def _finish(self, outcome: int | Exception) -> None:
+        if self._exit.done():
             return
-        async with self._writer_lock:
-            writer.write(_encode_frame(frame))
-            await writer.drain()
+        if isinstance(outcome, Exception):
+            self._exit.set_exception(outcome)
+        else:
+            self._exit.set_result(outcome)
 
-    async def _heartbeat_loop(self) -> None:
-        sequence = 0
-        while True:
-            await asyncio.sleep(self.heartbeat)
-            sequence += 1
-            await self._write(
-                {"kind": "heartbeat", "index": self.index, "seq": sequence}
-            )
+    # ------------------------------------------------------------------
+    # The connection
 
-    async def _sleep_until_due(self, due: float) -> None:
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._socket = cast(asyncio.Transport, transport)
+        self._write({"kind": "hello", "index": self.index, "pid": os.getpid()})
+        self._beat = self._loop.call_later(self.heartbeat, self._heartbeat)
+
+    def data_received(self, data: bytes) -> None:
+        buffer = self._buffer
+        buffer += data
+        offset = 0
+        end = len(buffer)
+        try:
+            while end - offset >= _HEADER.size and not self._exit.done():
+                (length,) = _HEADER.unpack_from(buffer, offset)
+                if length > _MAX_FRAME_BYTES:
+                    raise ConnectionError(f"frame announces {length} bytes; stream corrupt")
+                start = offset + _HEADER.size
+                if end - start < length:
+                    break
+                offset = start + length
+                frame = json.loads(buffer[start:offset].decode("utf-8"))
+                if not isinstance(frame, dict):
+                    raise ConnectionError("frame body is not a JSON object")
+                self._handle(frame)
+        except Exception as error:  # noqa: BLE001 - ends the run with this error
+            self._finish(error)
+            return
+        del buffer[:offset]
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        if len(self._buffer) >= _HEADER.size:
+            self._finish(ConnectionError("coordinator died inside a frame body"))
+        elif self._buffer:
+            self._finish(ConnectionError("coordinator died inside a frame header"))
+        # Coordinator went away without a shutdown frame: exit rather than
+        # linger as an orphan.
+        self._finish(1)
+
+    def _handle(self, frame: dict[str, Any]) -> None:
+        kind = frame.get("kind")
+        if kind == "msg":
+            self._enqueue(frame)
+        elif kind == "start":
+            self.origin = self._loop.time()
+            self.time_scale = float(frame["time_scale"])
+        elif kind == "shutdown":
+            self._finish(0)
+        else:
+            raise ConnectionError(f"unknown frame kind {kind!r}")
+
+    def _write(self, frame: dict[str, Any]) -> None:
+        self._socket.write(_encode_frame(frame))
+
+    def _heartbeat(self) -> None:
+        self._heartbeats += 1
+        self._write({"kind": "heartbeat", "index": self.index, "seq": self._heartbeats})
+        self._beat = self._loop.call_later(self.heartbeat, self._heartbeat)
+
+    # ------------------------------------------------------------------
+    # Delivery
+
+    def _due(self, frame: dict[str, Any]) -> float:
+        """Loop time of ``frame``'s virtual due time (now, before ``start``)."""
         if self.origin is None:
-            return
-        remaining = self.origin + due * self.time_scale - time.monotonic()
-        if remaining > 0:
-            await asyncio.sleep(remaining)
+            return self._loop.time()
+        return self.origin + float(frame["due"]) * self.time_scale
 
-    async def _deliver(self, frame: dict[str, Any]) -> None:
-        await self._sleep_until_due(float(frame["due"]))
-        frame = dict(frame)
+    def _enqueue(self, frame: dict[str, Any]) -> None:
+        if frame.get("loose"):
+            self._loop.call_at(self._due(frame), self._deliver, frame)
+            return
+        key = frame["channel"]
+        channel = self._channels.get(key)
+        if channel is None:
+            channel = self._channels[key] = deque()
+        channel.append(frame)
+        if len(channel) == 1:
+            self._loop.call_at(self._due(frame), self._deliver_head, channel)
+
+    def _deliver_head(self, channel: deque[dict[str, Any]]) -> None:
+        """Deliver a channel's head, arming the next head's timer first."""
+        frame = channel.popleft()
+        if channel:
+            self._loop.call_at(self._due(channel[0]), self._deliver_head, channel)
+        self._deliver(frame)
+
+    def _deliver(self, frame: dict[str, Any]) -> None:
         frame["kind"] = "deliver"
-        await self._write(frame)
+        self._write(frame)
         self.delivered += 1
         if self.exit_after and self.delivered >= self.exit_after:
             # Simulated hard crash: no shutdown frame, no flushing -- the
             # coordinator must notice via EOF/exit status, not courtesy.
             os._exit(CRASH_EXIT_CODE)
-
-    async def _consume(self, queue: asyncio.Queue[dict[str, Any]]) -> None:
-        while True:
-            frame = await queue.get()
-            await self._deliver(frame)
-
-    def _enqueue(self, frame: dict[str, Any]) -> None:
-        if frame.get("loose"):
-            task = asyncio.ensure_future(self._deliver(frame))
-            self._loose.add(task)
-            task.add_done_callback(self._loose.discard)
-            return
-        channel = str(frame["channel"])
-        queue = self._queues.get(channel)
-        if queue is None:
-            queue = asyncio.Queue()
-            self._queues[channel] = queue
-            self._consumers.append(asyncio.ensure_future(self._consume(queue)))
-        queue.put_nowait(frame)
-
-    async def run(self, spec: str) -> int:
-        reader, writer = await _connect(spec)
-        self._writer = writer
-        await self._write(
-            {"kind": "hello", "index": self.index, "pid": os.getpid()}
-        )
-        beats = asyncio.ensure_future(self._heartbeat_loop())
-        try:
-            while True:
-                frame = await _read_frame(reader)
-                if frame is None:
-                    # Coordinator went away without a shutdown frame: exit
-                    # rather than linger as an orphan.
-                    return 1
-                kind = frame.get("kind")
-                if kind == "start":
-                    self.origin = time.monotonic()
-                    self.time_scale = float(frame["time_scale"])
-                elif kind == "msg":
-                    self._enqueue(frame)
-                elif kind == "shutdown":
-                    return 0
-                else:
-                    raise ConnectionError(f"unknown frame kind {kind!r}")
-        finally:
-            beats.cancel()
-            for task in [*self._consumers, *self._loose]:
-                task.cancel()
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (OSError, ConnectionError):
-                pass
 
 
 async def _amain(args: argparse.Namespace) -> int:

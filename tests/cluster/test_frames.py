@@ -4,12 +4,13 @@ The cluster backend rebuilds each delivered message from wire bytes
 (:mod:`repro.cluster.frames`), so the codec must round-trip every message
 type a registered variant sends -- frozen dataclasses, enums, tuples,
 frozensets -- and must refuse to import code named by the wire (a frame
-is data, never an instruction to load a module).
+is data, never an instruction to load a module).  Frames are read
+incrementally (:class:`~repro.cluster.frames.FrameReader`), so a frame
+must parse the same however the socket splits its bytes.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 
 import pytest
@@ -17,11 +18,11 @@ import pytest
 from repro.cluster.frames import (
     HEADER,
     MAX_FRAME_BYTES,
+    FrameReader,
     decode_frame,
     decode_value,
     encode_frame,
     encode_value,
-    read_frame,
 )
 from repro.errors import ClusterError
 
@@ -135,30 +136,57 @@ class TestRefusals:
         with pytest.raises(ClusterError, match="kind"):
             decode_frame(json.dumps({"payload": 1}).encode())
 
+    def test_refusals_hold_once_the_codec_caches_are_warm(self) -> None:
+        from repro._ids import ProbeTag
+        from repro.basic.messages import Probe
+
+        # Caches each type's shape and each resolved reference.
+        roundtrip(Probe(tag=ProbeTag(initiator=0, sequence=1)))
+        refused = (
+            ("evil_module:Payload", "refusing to import"),
+            ("repro.basic.messages:NoSuchThing", "unknown type"),
+            ("repro.cluster.frames:FrameReader", "non-dataclass"),
+        )
+        for ref, match in refused:
+            payload = {"__repro__": "dataclass", "type": ref, "fields": {}}
+            for _ in range(2):  # refused on every call, never cached
+                with pytest.raises(ClusterError, match=match):
+                    decode_value(payload)
+
 
 class TestStreamFraming:
     @staticmethod
-    def _read_all(data: bytes, count: int = 1) -> list:
-        """Feed ``data`` to a fresh reader inside a loop, read N frames."""
+    def _read_all(data: bytes) -> list:
+        """Feed ``data`` to a fresh reader, then end the stream."""
+        reader = FrameReader()
+        frames = reader.feed(data)
+        reader.eof()
+        return frames
 
-        async def go() -> list:
-            reader = asyncio.StreamReader()
-            reader.feed_data(data)
-            reader.feed_eof()
-            return [await read_frame(reader) for _ in range(count)]
+    @staticmethod
+    def _two_frames() -> tuple[bytes, list]:
+        from repro._ids import ProbeTag
+        from repro.basic.messages import Probe
 
-        return asyncio.run(go())
+        probe = Probe(tag=ProbeTag(initiator=3, sequence=2))
+        frames = [
+            {"kind": "deliver", "due": 1.5, "payload": encode_value(probe)},
+            {"kind": "heartbeat"},
+        ]
+        return b"".join(encode_frame(frame) for frame in frames), frames
 
     def test_clean_eof_returns_none(self) -> None:
-        assert self._read_all(b"") == [None]
+        reader = FrameReader()
+        assert reader.feed(b"") == []
+        assert reader.eof() is None
 
     def test_torn_header_raises(self) -> None:
-        with pytest.raises(ClusterError, match="inside a frame"):
+        with pytest.raises(ClusterError, match="inside a frame header"):
             self._read_all(b"\x00\x00")
 
     def test_torn_body_raises(self) -> None:
         frame = encode_frame({"kind": "msg"})
-        with pytest.raises(ClusterError, match="inside a frame"):
+        with pytest.raises(ClusterError, match="inside a frame body"):
             self._read_all(frame[:-1])
 
     def test_oversize_frame_raises(self) -> None:
@@ -166,6 +194,30 @@ class TestStreamFraming:
         with pytest.raises(ClusterError, match="bytes"):
             self._read_all(header)
 
+    def test_oversize_header_is_refused_before_any_body_byte(self) -> None:
+        reader = FrameReader()
+        header = HEADER.pack(MAX_FRAME_BYTES + 1)
+        assert reader.feed(header[:-1]) == []
+        with pytest.raises(ClusterError, match="MAX_FRAME_BYTES"):
+            reader.feed(header[-1:])
+
     def test_two_frames_read_back_to_back(self) -> None:
         data = encode_frame({"kind": "a"}) + encode_frame({"kind": "b"})
-        assert self._read_all(data, count=2) == [{"kind": "a"}, {"kind": "b"}]
+        assert self._read_all(data) == [{"kind": "a"}, {"kind": "b"}]
+
+    def test_split_at_every_offset_parses_the_same(self) -> None:
+        data, expected = self._two_frames()
+        for cut in range(len(data) + 1):
+            reader = FrameReader()
+            frames = reader.feed(data[:cut]) + reader.feed(data[cut:])
+            reader.eof()
+            assert frames == expected, f"split at byte {cut}"
+
+    def test_one_byte_at_a_time_parses_the_same(self) -> None:
+        data, expected = self._two_frames()
+        reader = FrameReader()
+        frames: list = []
+        for offset in range(len(data)):
+            frames += reader.feed(data[offset : offset + 1])
+        reader.eof()
+        assert frames == expected
