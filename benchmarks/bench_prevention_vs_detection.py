@@ -54,7 +54,7 @@ def run_scheme(seeds, *, prevention=None, resolution=None, initiation=None) -> d
         system.assert_no_deadlock_remains()
         commits += workload.stats.commits
         aborts += workload.stats.aborts
-        probes += system.metrics.counter_value("ddb.probes.sent")
+        probes += system.probes_sent
     return {"commits": commits, "aborts": aborts, "probes": probes}
 
 

@@ -52,7 +52,7 @@ def run(label: str, **system_kwargs) -> tuple[str, int, int, int]:
         system.assert_no_deadlock_remains()
         commits += workload.stats.commits
         aborts += workload.stats.aborts
-        probes += system.metrics.counter_value("ddb.probes.sent")
+        probes += system.probes_sent
     return label, commits, aborts, probes
 
 

@@ -43,7 +43,7 @@ def main() -> None:
     system.assert_completeness()   # QRP1: the deadlock was detected
     print("\nsoundness + completeness hold (checked against the global oracle)")
 
-    probes = system.metrics.counter_value("basic.probes.sent")
+    probes = system.probes_sent
     print(f"probe messages used: {probes} (bound: one per edge per computation)")
 
 

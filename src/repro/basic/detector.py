@@ -169,5 +169,7 @@ class ProbeEngine:
             return
 
         record.propagated = True
+        # Messages are frozen and the tag is unchanged, so the received
+        # probe is forwarded as is, like A0's one probe on every edge.
         for target in sorted(outgoing):
-            self._send_probe(target, Probe(tag=tag))
+            self._send_probe(target, probe)

@@ -3,8 +3,10 @@
 Three message kinds exist in the underlying computation and the detection
 computation (section 2.4): *requests*, *replies*, and *probes*.  Section 5
 adds WFGD messages, which carry sets of edges.  All are immutable
-dataclasses; the network counts them by type name, which is how benchmarks
-separate probe traffic from base traffic.
+dataclasses, so one object can travel on several edges (A0 and A2 send the
+same probe on every outgoing edge).  Readers tell probe traffic from base
+traffic by message type on the tracer's message channel: the system's
+probe accounting counts ``Probe`` sends, telemetry counts every message.
 """
 
 from __future__ import annotations

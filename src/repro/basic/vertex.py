@@ -237,7 +237,6 @@ class VertexProcess(Process):
                 self.unblocked_callback(self)
 
     def _on_probe(self, sender: VertexId, probe: Probe) -> None:
-        self.ctx.counter("basic.probes.received").increment()
         self.ctx.trace(
             categories.BASIC_PROBE_RECEIVED,
             source=sender,
@@ -286,7 +285,6 @@ class VertexProcess(Process):
     # ------------------------------------------------------------------
 
     def _send_probe(self, target: VertexId, probe: Probe) -> None:
-        self.ctx.counter("basic.probes.sent").increment()
         self.ctx.trace(
             categories.BASIC_PROBE_SENT, source=self.vertex_id, target=target, tag=probe.tag
         )

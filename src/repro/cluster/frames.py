@@ -128,8 +128,16 @@ def decode_value(payload: Any) -> Any:
     if kind == "dict":
         return {decode_value(k): decode_value(v) for k, v in payload["items"]}
     if kind == "enum":
-        cls = _resolve_type(payload["type"])
-        return cls[payload["name"]]
+        ref = payload["type"]
+        cls = _resolve_type(ref)
+        if not (isinstance(cls, type) and issubclass(cls, enum.Enum)):
+            raise ClusterError(f"frame names non-enum type {ref!r}")
+        try:
+            return cls[payload["name"]]
+        except KeyError:
+            raise ClusterError(
+                f"frame names unknown member {payload['name']!r} of {ref!r}"
+            ) from None
     raise ClusterError(f"frame payload has unknown encoding kind {kind!r}")
 
 

@@ -133,11 +133,14 @@ class DeclarationLog(Generic[DeclarationT]):
 
 
 class ProbeAccounting:
-    """Probes sent per computation tag ``(i, n)`` (experiment E3).
+    """Probes sent per computation tag ``(i, n)``: the one probe count.
 
-    Section 4 bounds the probes of one computation by the number of
-    wait-for edges; the sweeps report the per-computation maximum, so the
-    counter is keyed by the full tag rather than the initiator.
+    Each system feeds it from the tracer's message channel, one
+    :meth:`count` per probe send; no handler or transport counts probes
+    besides.  Section 4 bounds the probes of one computation by the
+    number of wait-for edges; the sweeps report the per-computation
+    maximum (experiment E3), so the counter is keyed by the full tag
+    rather than the initiator, and :meth:`sent` is the run's total.
     """
 
     def __init__(self) -> None:
@@ -148,6 +151,10 @@ class ProbeAccounting:
 
     def max_per_computation(self) -> int:
         return max(self.per_computation.values(), default=0)
+
+    def sent(self) -> int:
+        """Probes sent over every computation."""
+        return sum(self.per_computation.values())
 
     def __repr__(self) -> str:
         return f"ProbeAccounting(computations={len(self.per_computation)})"

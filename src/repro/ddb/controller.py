@@ -424,7 +424,6 @@ class Controller(Process):
         elif isinstance(message, AbortDemand):
             self._on_abort_demand(message)
         elif isinstance(message, DdbProbe):
-            self.ctx.counter("ddb.probes.received").increment()
             self.detector.on_probe(message)
         elif isinstance(message, DdbWfgdMessage):
             if message.destination.site != self.site:
@@ -732,7 +731,6 @@ class Controller(Process):
         return self.detector.initiate(process)
 
     def send_probe(self, site: SiteId, probe: DdbProbe) -> None:
-        self.ctx.counter("ddb.probes.sent").increment()
         self.ctx.trace(
             categories.DDB_PROBE_SENT, site=self.site, destination=site, tag=probe.tag,
             edge=probe.edge,

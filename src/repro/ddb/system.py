@@ -187,6 +187,11 @@ class DdbSystem:
         return self.transport.metrics
 
     @property
+    def probes_sent(self) -> int:
+        """Probes sent over the run, from :attr:`probes_per_computation`."""
+        return self._probes.sent()
+
+    @property
     def strict(self) -> bool:
         return self._log.strict
 

@@ -122,10 +122,10 @@ def run_policy(
         extra = run.extra()
         latencies.append(outcome.first_declaration_at - extra["cycle_closed_at"])
         avoided.append(extra["avoided"])
-        metrics = run.system.metrics
-        probes.append(metrics.counter_value("basic.probes.sent"))
-        computations.append(metrics.counter_value("basic.computations.initiated"))
-        for span in build_spans(run.system.simulator.tracer):
+        system = run.system
+        probes.append(system.probes_sent)
+        computations.append(system.metrics.counter_value("basic.computations.initiated"))
+        for span in build_spans(system.simulator.tracer):
             try:
                 span.check_bounds(n_vertices=n)
             except BoundViolation:

@@ -83,7 +83,7 @@ def run_config(
         system.assert_soundness()
         computations += system.metrics.counter_value("basic.computations.initiated")
         avoided += system.metrics.counter_value("basic.computations.avoided")
-        probes += system.metrics.counter_value("basic.probes.sent")
+        probes += system.probes_sent
         report = system.completeness_report()
         total = len(system._dark_sccs())
         formed += total

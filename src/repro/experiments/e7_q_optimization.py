@@ -108,7 +108,7 @@ def run_config(n_sites: int, extra_local: int, optimized: bool, seed: int = 0) -
         label=f"{n_sites}-site ring + {extra_local} local blockers/site",
         mode="6.7 optimised" if optimized else "naive",
         computations=system.metrics.counter_value("ddb.computations.initiated"),
-        probes=system.metrics.counter_value("ddb.probes.sent"),
+        probes=system.probes_sent,
         scans=system.metrics.counter_value("ddb.scans"),
         detected=bool(system.declarations) and complete,
     )

@@ -107,7 +107,7 @@ def _run_cmh(workload: str, factory: SystemFactory, seeds: tuple[int, ...]) -> E
         system.run_to_quiescence(max_events=500_000)
         true += len(system.declarations) - len(system.soundness_violations)
         false += len(system.soundness_violations)
-        messages += system.metrics.counter_value("basic.probes.sent")
+        messages += system.probes_sent
         histogram = system.metrics.histograms.get("basic.detection.latency")
         if histogram is not None and histogram.count:
             latencies.extend(histogram.values)

@@ -208,9 +208,6 @@ class AsyncioTransport:
         self._event_limit: float = math.inf
         self._deadlines: list[asyncio.TimerHandle] = []
         self._rngs: dict[str, random.Random] = {}
-        self._sent_counter = self.metrics.counter("net.messages.sent")
-        self._delivered_counter = self.metrics.counter("net.messages.delivered")
-        self._type_counters: dict[str, Counter] = {}
 
     # ------------------------------------------------------------------
     # Clock
@@ -261,10 +258,10 @@ class AsyncioTransport:
     def send(self, sender: Hashable, destination: Hashable, message: Any) -> None:
         """Queue ``message`` on the ``sender -> destination`` channel.
 
-        Accounting matches the sim network: ``net.messages.sent`` plus a
-        per-type counter, and the tracer's message observers see the send
-        -- so observers (e.g. the OR model's in-flight grant tracker) work
-        unchanged on live runs.
+        As on the sim network, the transport keeps no message counters:
+        the tracer's message observers see the send here and the delivery
+        in :meth:`_deliver`, so observers (telemetry, the probe accounting,
+        the OR model's in-flight grant tracker) work unchanged on live runs.
         """
         if destination not in self._processes:
             raise SimulationError(
@@ -284,12 +281,6 @@ class AsyncioTransport:
         if nominal < 0:
             raise SimulationError(f"delay model produced negative delay {nominal}")
 
-        self._sent_counter.increment()
-        type_counter = self._type_counters.get(type_key)
-        if type_counter is None:
-            type_counter = self.metrics.counter(f"net.messages.sent.{type_key}")
-            self._type_counters[type_key] = type_counter
-        type_counter.increment()
         self._in_flight += 1
         for observer in self.tracer.sent_observers:
             observer(now, sender, destination, message)
@@ -334,7 +325,6 @@ class AsyncioTransport:
             now = self.now
             for observer in observers:
                 observer(now, sender, destination, message)
-        self._delivered_counter.increment()
         self._in_flight -= 1
         self._executed += 1
         self._processes[destination].on_message(sender, message)

@@ -756,6 +756,13 @@ class TransportTelemetry:
     def bound_violations(self) -> int:
         return sum(len(engine.violations) for engine in self.engines.values())
 
+    @property
+    def messages_delivered(self) -> int:
+        """Deliveries whose send this bridge saw: one latency observation
+        each, so every delivery once the bridge attached before the first
+        send (as :func:`repro.runner.run` attaches it)."""
+        return sum(series.count for series in self._latency_by_type.values())
+
     def in_flight_by_destination(self) -> dict[str, float]:
         """Queue depth per receiving node: sum of in-flight on its inbound
         channels (the monitor console's per-vertex column)."""

@@ -73,6 +73,8 @@ class RunReport:
     spans_emitted: int
     #: observer ticks (one per drive slice).
     ticks: int
+    #: deliveries the telemetry bridge observed (it attaches before the
+    #: first send, so every delivery of the run).
     messages_delivered: int
     wall_seconds: float
     #: the detection-latency SLO in virtual units (``None`` = off).
@@ -339,7 +341,7 @@ def run(
             outcome = provisioned.summarize()
         telemetry.finish()
         export()
-        delivered = int(backend.metrics.counter("net.messages.delivered").value)
+        delivered = telemetry.messages_delivered
         workers = (
             len(backend.worker_processes())
             if isinstance(backend, ClusterTransport)

@@ -24,7 +24,6 @@ from collections.abc import Callable, Hashable
 from typing import Any, Protocol
 
 from repro.errors import SimulationError
-from repro.sim.metrics import Counter
 from repro.sim.process import Process
 from repro.sim.simulator import Simulator
 
@@ -130,13 +129,7 @@ class Network:
         # detection policy see byte-identical workload evolution --
         # essential for the cross-policy comparisons in E5/E7/E8.
         self._rngs: dict[str, random.Random] = {}
-        # Hot-path caches: metric objects are stable for the registry's
-        # lifetime, so bind them once instead of re-resolving per message;
-        # per-type counters and delivery-event names are memoised lazily.
-        metrics = simulator.metrics
-        self._sent_counter = metrics.counter("net.messages.sent")
-        self._delivered_counter = metrics.counter("net.messages.delivered")
-        self._type_counters: dict[str, Counter] = {}
+        # Delivery-event names, memoised per (type, channel) on first use.
         self._deliver_names: dict[tuple[str, Hashable, Hashable], str] = {}
 
     def register(self, process: Process) -> None:
@@ -169,16 +162,17 @@ class Network:
     def send(self, sender: Hashable, destination: Hashable, message: Any) -> None:
         """Queue ``message`` for delivery from ``sender`` to ``destination``.
 
-        Accounting: increments ``net.messages.sent`` and a per-message-type
-        counter ``net.messages.sent.<TypeName>`` -- the benchmarks read the
-        probe counters from here.  The tracer's message observers see the
-        send now and the delivery when it happens.
+        The network keeps no message counters of its own: the tracer's
+        message observers see the send now and the delivery when it
+        happens, and whoever counts messages (telemetry, a system's probe
+        accounting) counts them there, once.
         """
         if destination not in self._processes:
             raise SimulationError(
                 f"{sender!r} sent a message to unknown process {destination!r}"
             )
-        now = self.simulator.now
+        simulator = self.simulator
+        now = simulator.now
         type_key = type(message).__name__
         nominal: float | None = None
         if self.delay_override is not None:
@@ -186,7 +180,7 @@ class Network:
         if nominal is None:
             rng = self._rngs.get(type_key)
             if rng is None:
-                rng = self.simulator.rng.stream(f"network.delays.{type_key}")
+                rng = simulator.rng.stream(f"network.delays.{type_key}")
                 self._rngs[type_key] = rng
             nominal = self.delay_model.sample(rng)
         if nominal < 0:
@@ -199,22 +193,17 @@ class Network:
                 delivery_time = floor + self._FIFO_EPSILON
             self._last_delivery[channel] = delivery_time
 
-        self._sent_counter.increment()
-        type_counter = self._type_counters.get(type_key)
-        if type_counter is None:
-            type_counter = self.simulator.metrics.counter(f"net.messages.sent.{type_key}")
-            self._type_counters[type_key] = type_counter
-        type_counter.increment()
-        tracer = self.simulator.tracer
+        tracer = simulator.tracer
         for observer in tracer.sent_observers:
             observer(now, sender, destination, message)
 
-        delivered_counter = self._delivered_counter
-
         def deliver() -> None:
-            for observer in tracer.delivered_observers:
-                observer(self.simulator.now, sender, destination, message)
-            delivered_counter.increment()
+            observers = tracer.delivered_observers
+            if observers:
+                # One clock read, so every observer sees the same instant.
+                at = simulator.now
+                for observer in observers:
+                    observer(at, sender, destination, message)
             self._processes[destination].on_message(sender, message)
 
         name_key = (type_key, sender, destination)
@@ -222,7 +211,7 @@ class Network:
         if name is None:
             name = f"deliver {type_key} {sender!r}->{destination!r}"
             self._deliver_names[name_key] = name
-        self.simulator.schedule_at(delivery_time, deliver, name=name)
+        simulator.schedule_at(delivery_time, deliver, name=name)
 
     def __repr__(self) -> str:
         return (

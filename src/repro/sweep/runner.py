@@ -79,7 +79,7 @@ def _collect_basic(cell: SweepCell, system: BasicSystem) -> CellResult:
         "quiesced_at": system.simulator.now,
         "declarations": len(system.declarations),
         "unsound": len(system.soundness_violations),
-        "probes": system.metrics.counter_value("basic.probes.sent"),
+        "probes": system.probes_sent,
         "computations": system.metrics.counter_value("basic.computations.initiated"),
         "max_probes_per_computation": max(
             system.probes_per_computation.values(), default=0
@@ -174,7 +174,7 @@ def _run_ddb_family(cell: SweepCell, family: WorkloadFamily) -> CellResult:
         "quiesced_at": system.simulator.now,
         "declarations": len(system.declarations),
         "unsound": len(system.soundness_violations),
-        "probes": system.metrics.counter_value("ddb.probes.sent"),
+        "probes": system.probes_sent,
         "computations": system.metrics.counter_value("ddb.computations.initiated"),
         "max_probes_per_computation": 0,
         "detection_latency_mean": None,
@@ -201,7 +201,7 @@ def _run_ddb_ring(cell: SweepCell) -> CellResult:
         "quiesced_at": system.simulator.now,
         "declarations": len(system.declarations),
         "unsound": 0,
-        "probes": system.metrics.counter_value("ddb.probes.sent"),
+        "probes": system.probes_sent,
         "computations": system.metrics.counter_value("ddb.computations.initiated"),
         "max_probes_per_computation": 0,
         "detection_latency_mean": None,

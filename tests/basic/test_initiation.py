@@ -45,7 +45,7 @@ class TestDelayedInitiation:
         system.run_to_quiescence()
         assert system.metrics.counter_value("basic.computations.initiated") == 0
         assert system.metrics.counter_value("basic.computations.avoided") == 1
-        assert system.metrics.counter_value("basic.probes.sent") == 0
+        assert system.probes_sent == 0
 
     def test_persistent_edge_triggers_computation_after_t(self) -> None:
         timeout = 5.0

@@ -128,6 +128,21 @@ class TestRefusals:
         with pytest.raises(ClusterError):
             decode_value(payload)
 
+    def test_non_enum_reference_is_refused(self) -> None:
+        # A subscriptable module attribute is not an enum: indexing it by
+        # the wire's member name would hand its item to a handler.
+        payload = {"__repro__": "enum", "type": "os:environ", "name": "HOME"}
+        with pytest.raises(ClusterError, match="non-enum"):
+            decode_value(payload)
+
+    def test_unknown_enum_member_is_refused(self) -> None:
+        from repro.ddb.locks import LockMode
+
+        payload = encode_value(LockMode.EXCLUSIVE)
+        assert decode_value(payload) is LockMode.EXCLUSIVE
+        with pytest.raises(ClusterError, match="unknown member 'NO_SUCH_MODE'"):
+            decode_value(dict(payload, name="NO_SUCH_MODE"))
+
     def test_non_object_frame_is_refused(self) -> None:
         with pytest.raises(ClusterError, match="JSON object"):
             decode_frame(json.dumps([1, 2, 3]).encode())

@@ -26,7 +26,7 @@ class TestDdbDelayedInitiation:
         assert all(r.commits == 1 for r in system.transactions.values())
         assert system.metrics.counter_value("ddb.computations.initiated") == 0
         assert system.metrics.counter_value("ddb.computations.avoided") >= 1
-        assert system.metrics.counter_value("ddb.probes.sent") == 0
+        assert system.probes_sent == 0
 
     def test_persistent_deadlock_detected_after_t(self) -> None:
         timeout = 6.0

@@ -62,7 +62,7 @@ class TestLocalCycleDetection:
         system.run_to_quiescence()
         assert system.declarations
         system.assert_soundness()
-        assert system.metrics.counter_value("ddb.probes.sent") == 0
+        assert system.probes_sent == 0
 
     def test_local_two_resource_cycle(self) -> None:
         resources = {ResourceId("a"): SiteId(0), ResourceId("b"): SiteId(0)}

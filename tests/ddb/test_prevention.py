@@ -91,7 +91,7 @@ class TestPreventionOnTheCanonicalDeadlock:
         system.run_to_quiescence(max_events=300_000)
         assert all(r.commits == 1 for r in system.transactions.values())
         # Prevention needed no probes at all.
-        assert system.metrics.counter_value("ddb.probes.sent") == 0
+        assert system.probes_sent == 0
         assert system.declarations == []
 
     def test_prevention_aborts_are_counted(self, policy_factory) -> None:
@@ -164,7 +164,7 @@ class TestPreventionUnderRandomWorkloads:
         system.run_to_quiescence(max_events=2_000_000)
         system.assert_no_deadlock_remains()
         assert workload.stats.commits == 10
-        assert system.metrics.counter_value("ddb.probes.sent") == 0
+        assert system.probes_sent == 0
         assert system.declarations == []
 
     def test_local_conflicts_never_even_transiently_cycle(self, policy_factory) -> None:

@@ -59,13 +59,16 @@ class TestDelivery:
 
     def test_message_counters(self) -> None:
         simulator, _, processes = make_world()
+        sent: list[object] = []
+        delivered: list[object] = []
+        simulator.tracer.observe_messages(
+            lambda *call: sent.append(call[3]), lambda *call: delivered.append(call[3])
+        )
         processes[0].send(1, Ping(1))
         processes[0].send(2, Ping(2))
         simulator.run()
-        metrics = simulator.metrics
-        assert metrics.counter_value("net.messages.sent") == 2
-        assert metrics.counter_value("net.messages.delivered") == 2
-        assert metrics.counter_value("net.messages.sent.Ping") == 2
+        assert sent == [Ping(1), Ping(2)]
+        assert delivered == [Ping(1), Ping(2)]
 
     def test_trace_records_send_and_delivery(self) -> None:
         simulator, _, processes = make_world()

@@ -56,8 +56,8 @@ class TestTraceDisabledModes:
         assert system.declarations
         system.assert_soundness()
         system.assert_completeness()
-        # Metrics still collected; trace log empty.
-        assert system.metrics.counter_value("basic.probes.sent") > 0
+        # Probe accounting still collected; trace log empty.
+        assert system.probes_sent > 0
         assert len(system.simulator.tracer) == 0
         # Formation tracking (via subscribers) still works when disabled.
         assert system.deadlock_formed_at

@@ -222,3 +222,11 @@ class TestMonitorReport:
         assert checker.problems(dict(document, transport="cluster"), detected=True) == [
             "cluster run reports no worker processes"
         ]
+        assert document["messages_delivered"] > 0
+        assert checker.problems(dict(document, messages_delivered=0), detected=True) == [
+            "detected with messages_delivered 0, want > 0"
+        ]
+        missing = {k: v for k, v in document.items() if k != "messages_delivered"}
+        assert checker.problems(missing, detected=True) == [
+            "detected with messages_delivered None, want > 0"
+        ]

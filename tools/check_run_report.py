@@ -4,9 +4,11 @@
 Used by the CI ``run-smoke`` matrix: every cell writes its report, and
 this script checks the schema tag, the gate verdict (``ok``, which the
 report derives from its soundness, bound and detection counts), and
-that a declaration happened exactly when one was expected; a cluster
-report must also count at least one worker process.  ``--nonempty``
-also requires the named export files to have content.
+that a declaration happened exactly when one was expected.  A report
+that detected must count at least one delivered message (a declaration
+needs a delivered probe), so a delivery count that silently reads 0
+fails; a cluster report must also count at least one worker process.
+``--nonempty`` also requires the named export files to have content.
 
 Usage: python tools/check_run_report.py REPORT.json --detected true|false
            [--nonempty FILE ...]
@@ -33,6 +35,9 @@ def problems(report: dict[str, Any], *, detected: bool) -> list[str]:
         found.append(f"gate failed: {report.get('failures')}")
     if report.get("detected") is not detected:
         found.append(f"detected is {report.get('detected')}, want {detected}")
+    delivered = report.get("messages_delivered")
+    if report.get("detected") is True and not (type(delivered) is int and delivered > 0):
+        found.append(f"detected with messages_delivered {delivered!r}, want > 0")
     if report.get("transport") == "cluster" and not report.get("workers"):
         found.append("cluster run reports no worker processes")
     return found
