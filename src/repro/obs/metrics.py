@@ -9,7 +9,10 @@ layer, plus :class:`TransportTelemetry` -- the bridge that populates it
 from any :class:`~repro.core.transport.Transport` backend through the
 tracer's message observers and category-scoped subscriptions, so the
 same wiring observes the deterministic simulator and the live asyncio
-runtime.
+runtime.  The bridge keeps its per-channel and per-edge families as
+plain counts and turns them into labelled series only when the registry
+is read (the Prometheus "custom collector" pattern), so a message costs
+no label formatting and no series allocation.
 
 Everything here is stamped with **virtual** time (the transport's clock);
 per lint rule RPX002 this module never reads the wall clock, which keeps
@@ -62,6 +65,10 @@ DEFAULT_BUCKETS: tuple[float, ...] = (
 )
 
 
+def _collect_nothing() -> None:
+    """The read hook of a family outside any registry."""
+
+
 def _escape_label(value: str) -> str:
     return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
@@ -97,7 +104,10 @@ class GaugeMetric:
 
     ``max`` and ``observations`` exist for samplers (the simulator
     profiler reuses this as its queue-depth primitive): every ``set``
-    counts as one observation and ratchets the high-water mark.
+    counts as one observation and ratchets the high-water mark.  The
+    bridge's in-flight series are written at each registry read instead
+    (value and high-water mark of the channel's send FIFO), so their
+    ``observations`` stay 0; nothing exports or reads that count.
     """
 
     __slots__ = ("_max", "_observations", "_value")
@@ -189,6 +199,11 @@ class MetricFamily:
     ``labels(**values)`` addresses one child series; families declared
     with no label names expose the single unlabelled child through the
     convenience proxies (``inc``/``set``/``observe``/...).
+
+    Every read -- ``labels``, ``series``, ``render``, ``snapshot_series``
+    and the unlabelled proxies' ``value``/``max``/``count``/... -- first
+    runs the owning registry's collectors (see
+    :meth:`TelemetryRegistry.add_collector`); the write proxies do not.
     """
 
     kind = "untyped"
@@ -204,6 +219,8 @@ class MetricFamily:
         self.labelnames = labelnames
         self._names = frozenset(labelnames)
         self._children: dict[tuple[str, ...], Any] = {}
+        #: the owning registry's read hook (installed by the registry).
+        self._collect: Callable[[], None] = _collect_nothing
 
     def _new_child(self) -> Any:
         raise NotImplementedError
@@ -216,11 +233,15 @@ class MetricFamily:
                 f"metric {self.name!r} takes labels {self.labelnames}, "
                 f"got {tuple(sorted(values))}"
             )
-        key = tuple([str(values[name]) for name in self.labelnames])
+        self._collect()
+        return self._child(tuple([str(values[name]) for name in self.labelnames]))
+
+    def _child(self, key: tuple[str, ...]) -> Any:
+        """The series at ``key`` (label values already strings), created if
+        new.  The write path: unlike :meth:`labels` it collects nothing."""
         child = self._children.get(key)
         if child is None:
-            child = self._new_child()
-            self._children[key] = child
+            child = self._children[key] = self._new_child()
         return child
 
     def _default(self) -> Any:
@@ -229,12 +250,36 @@ class MetricFamily:
                 f"metric {self.name!r} is labelled {self.labelnames}; "
                 "address a series with .labels(...)"
             )
-        return self.labels()
+        return self._child(())
+
+    def _read_default(self) -> Any:
+        self._collect()
+        return self._default()
 
     @property
     def series(self) -> dict[tuple[str, ...], Any]:
         """All children, keyed by label-value tuple (exposition order)."""
+        self._collect()
+        return self._sorted()
+
+    def _sorted(self) -> dict[tuple[str, ...], Any]:
         return dict(sorted(self._children.items()))
+
+    def render(self) -> list[str]:
+        """The family's Prometheus sample lines."""
+        self._collect()
+        return self._render()
+
+    def snapshot_series(self) -> list[dict[str, Any]]:
+        """JSON-able view of every series."""
+        self._collect()
+        return self._snapshot()
+
+    def _render(self) -> list[str]:
+        raise NotImplementedError
+
+    def _snapshot(self) -> list[dict[str, Any]]:
+        raise NotImplementedError
 
     def _labelset(self, key: tuple[str, ...], extra: str = "") -> str:
         parts = [
@@ -257,18 +302,18 @@ class CounterFamily(MetricFamily):
 
     @property
     def value(self) -> float:
-        return float(self._default().value)
+        return float(self._read_default().value)
 
-    def render(self) -> list[str]:
+    def _render(self) -> list[str]:
         return [
             f"{self.name}{self._labelset(key)} {_format_value(child.value)}"
-            for key, child in self.series.items()
+            for key, child in self._sorted().items()
         ]
 
-    def snapshot_series(self) -> list[dict[str, Any]]:
+    def _snapshot(self) -> list[dict[str, Any]]:
         return [
             {"labels": dict(zip(self.labelnames, key)), "value": child.value}
-            for key, child in self.series.items()
+            for key, child in self._sorted().items()
         ]
 
 
@@ -289,30 +334,30 @@ class GaugeFamily(MetricFamily):
 
     @property
     def value(self) -> float:
-        return float(self._default().value)
+        return float(self._read_default().value)
 
     @property
     def max(self) -> float:
-        return float(self._default().max)
+        return float(self._read_default().max)
 
     @property
     def observations(self) -> int:
-        return int(self._default().observations)
+        return int(self._read_default().observations)
 
-    def render(self) -> list[str]:
+    def _render(self) -> list[str]:
         return [
             f"{self.name}{self._labelset(key)} {_format_value(child.value)}"
-            for key, child in self.series.items()
+            for key, child in self._sorted().items()
         ]
 
-    def snapshot_series(self) -> list[dict[str, Any]]:
+    def _snapshot(self) -> list[dict[str, Any]]:
         return [
             {
                 "labels": dict(zip(self.labelnames, key)),
                 "value": child.value,
                 "max": child.max,
             }
-            for key, child in self.series.items()
+            for key, child in self._sorted().items()
         ]
 
 
@@ -342,15 +387,15 @@ class HistogramFamily(MetricFamily):
 
     @property
     def count(self) -> int:
-        return int(self._default().count)
+        return int(self._read_default().count)
 
     @property
     def sum(self) -> float:
-        return float(self._default().sum)
+        return float(self._read_default().sum)
 
-    def render(self) -> list[str]:
+    def _render(self) -> list[str]:
         lines: list[str] = []
-        for key, child in self.series.items():
+        for key, child in self._sorted().items():
             for le, cumulative in child.cumulative_buckets():
                 extra = f'le="{_format_value(le)}"'
                 lines.append(
@@ -362,7 +407,7 @@ class HistogramFamily(MetricFamily):
             lines.append(f"{self.name}_count{self._labelset(key)} {child.count}")
         return lines
 
-    def snapshot_series(self) -> list[dict[str, Any]]:
+    def _snapshot(self) -> list[dict[str, Any]]:
         return [
             {
                 "labels": dict(zip(self.labelnames, key)),
@@ -373,7 +418,7 @@ class HistogramFamily(MetricFamily):
                     for le, count in child.cumulative_buckets()
                 ],
             }
-            for key, child in self.series.items()
+            for key, child in self._sorted().items()
         ]
 
 
@@ -381,12 +426,34 @@ class TelemetryRegistry:
     """Owner of labelled metric families, with Prometheus exposition.
 
     ``counter``/``gauge``/``histogram`` create on first use and memoise;
-    re-declaring a name with a different kind or label set is an error
-    (silent divergence would corrupt the exposition).
+    re-declaring a name with a different kind, label set or histogram
+    buckets is an error (silent divergence would corrupt the exposition).
+
+    An owner that keeps raw counts instead of writing series as events
+    happen registers a collector (:meth:`add_collector`) that turns them
+    into series.  Every read runs the collectors first: ``families`` (so
+    :meth:`render_prometheus` and :meth:`snapshot`), the lookup of a
+    declared family, and each family's reads, including those of a family
+    looked up once and read after more events.  A child series that a
+    read returned holds the values of that read.
     """
 
     def __init__(self) -> None:
         self._families: dict[str, MetricFamily] = {}
+        self._collectors: list[Callable[[], None]] = []
+
+    def add_collector(self, collect: Callable[[], None]) -> None:
+        """Run ``collect`` before every read of this registry.
+
+        A collector writes through the families' write path
+        (``MetricFamily._child`` and the series' own fields), never
+        through a read, which would run it again.
+        """
+        self._collectors.append(collect)
+
+    def _collect(self) -> None:
+        for collect in self._collectors:
+            collect()
 
     def _family(
         self,
@@ -403,8 +470,10 @@ class TelemetryRegistry:
                     f"metric {name!r} already declared as {existing.kind} "
                     f"with labels {existing.labelnames}"
                 )
+            self._collect()
             return existing
         family = cls(name, help, labelnames, **kwargs)
+        family._collect = self._collect
         self._families[name] = family
         return family
 
@@ -430,12 +499,21 @@ class TelemetryRegistry:
         family: HistogramFamily = self._family(
             HistogramFamily, name, help, labelnames, buckets=buckets
         )
+        if family.buckets != tuple(buckets):
+            raise ConfigurationError(
+                f"histogram {name!r} already declared with buckets "
+                f"{family.buckets}, not {tuple(buckets)}"
+            )
         return family
 
     @property
     def families(self) -> tuple[MetricFamily, ...]:
         """Every declared family, sorted by name (exposition order)."""
+        self._collect()
         return tuple(self._families[name] for name in sorted(self._families))
+
+    # The whole-registry reads collect once, through ``families``, and
+    # then read each family without collecting again.
 
     def render_prometheus(self) -> str:
         """The registry in Prometheus text exposition format 0.0.4."""
@@ -444,7 +522,7 @@ class TelemetryRegistry:
             if family.help:
                 lines.append(f"# HELP {family.name} {family.help}")
             lines.append(f"# TYPE {family.name} {family.kind}")
-            lines.extend(family.render())
+            lines.extend(family._render())
         return "\n".join(lines) + "\n" if lines else ""
 
     def snapshot(self) -> dict[str, Any]:
@@ -453,30 +531,58 @@ class TelemetryRegistry:
             family.name: {
                 "kind": family.kind,
                 "help": family.help,
-                "series": family.snapshot_series(),
+                "series": family._snapshot(),
             }
             for family in self.families
         }
 
 
-#: one channel with messages in flight: its in-flight series, its
-#: message-count series by message type, and its FIFO of (send time,
-#: message type).
-_Transit = tuple[GaugeMetric, dict[str, CounterMetric], deque[tuple[float, str]]]
+class _Channel:
+    """One channel the bridge has seen a send on: its raw counts, and the
+    series a registry read made of them."""
+
+    __slots__ = ("counters", "fifo", "gauge", "high", "labels", "sent")
+
+    def __init__(self) -> None:
+        #: ``(send time, message type)`` of each of the bridge's messages in
+        #: flight, oldest first (P4 FIFO delivery makes the popleft
+        #: correct); ``None`` once drained, so an idle channel keeps no deque.
+        self.fifo: deque[tuple[float, str]] | None = None
+        #: the FIFO's high-water mark.
+        self.high = 0
+        #: sends per message type.
+        self.sent: dict[str, int] = {}
+        #: ``(src, dst)`` label values and the series, made by the first
+        #: read after the channel's first send.
+        self.labels: tuple[str, str] = ("", "")
+        self.gauge: GaugeMetric | None = None
+        self.counters: dict[str, CounterMetric] = {}
 
 
 class TransportTelemetry:
     """Populate a :class:`TelemetryRegistry` from a running transport.
 
     The tracer's message observers cover the network layer (per-channel
-    in-flight gauges, per-handler latency histograms); category-scoped
-    subscriptions, one handler per category, count probes per edge and
-    declarations; and, per span schema, a
+    in-flight gauges and message counts, per-handler latency
+    histograms); category-scoped subscriptions, one handler per category,
+    count probes per edge and declarations; and, per span schema, a
     :class:`~repro.obs.stream.StreamingSpanEngine` turns settled
-    computations into outcome counters and detection-latency histograms.  Works identically on
-    :class:`~repro.sim.transport.SimTransport` and
+    computations into outcome counters and detection-latency histograms.
+    Works identically on :class:`~repro.sim.transport.SimTransport` and
     :class:`~repro.live.transport.AsyncioTransport` -- the subscription
     rides the same :class:`~repro.sim.trace.Tracer` either backend owns.
+
+    The three high-cardinality families -- ``repro_channel_in_flight``,
+    ``repro_messages_total`` and ``repro_edge_probes_total`` -- are kept
+    as plain per-channel and per-edge counts while events flow.  The
+    bridge's collector, which the registry runs before every read, makes
+    each series the first time a read needs it and writes the current
+    counts into it, so a run pays for these families per read, not per
+    message.  The open-computations gauges are sampled by the same
+    collector while the bridge is attached.  The other series are
+    written as events happen, created on first use.  Each bridge owns
+    its registry, since its collector writes these series rather than
+    adding to them.
 
     Parameters
     ----------
@@ -498,14 +604,13 @@ class TransportTelemetry:
         transport: "Transport",
         *,
         schemas: Iterable[SpanSchema] | None = None,
-        registry: TelemetryRegistry | None = None,
         n_vertices: int | None = None,
         strict_bounds: bool = False,
         span_sink: SpanSink | None = None,
         attach: bool = True,
     ) -> None:
         self.transport = transport
-        self.registry = registry if registry is not None else TelemetryRegistry()
+        self.registry = TelemetryRegistry()
         if schemas is None:
             schemas = SCHEMAS_BY_MODEL.values()
         self.schemas = tuple(schemas)
@@ -516,10 +621,11 @@ class TransportTelemetry:
         #: snapshots taken so far (see :meth:`snapshot_line`).
         self.snapshots = 0
         self._attached = False
-        #: per channel with messages in flight (P4 FIFO delivery makes the
-        #: popleft of its send times correct).  A channel's entry is
-        #: dropped when it drains, so memory follows the messages in flight.
-        self._in_transit: dict[tuple[Hashable, Hashable], _Transit] = {}
+        #: every channel a send was seen on, by ``(sender, destination)``.
+        self._channels: dict[tuple[Hashable, Hashable], _Channel] = {}
+        #: per model: probes per raw edge, and the series a read made of them.
+        self._edge_probe_counts: dict[str, dict[Hashable, int]] = {}
+        self._edge_probe_series: dict[str, dict[Hashable, CounterMetric]] = {}
         #: latency series per message type, found without re-labelling.
         self._latency_by_type: dict[str, HistogramMetric] = {}
 
@@ -593,6 +699,7 @@ class TransportTelemetry:
             self.engines[schema.model] = engine
             self._handlers[schema.probe_sent] = self._make_edge_probe_handler(schema)
             self._handlers[schema.declared] = self._make_declaration_handler(schema)
+        registry_.add_collector(self._collect)
         if attach:
             self.attach()
 
@@ -612,17 +719,17 @@ class TransportTelemetry:
             outcome = span.outcome
             counter = outcomes.get(outcome)
             if counter is None:
-                counter = outcomes[outcome] = self._computations.labels(
-                    model=model, outcome=outcome.value
+                counter = outcomes[outcome] = self._computations._child(
+                    (model, outcome.value)
                 )
             counter.inc()
             if probes is None:
-                probes = self._probes_per_computation.labels(model=model)
+                probes = self._probes_per_computation._child((model,))
             probes.observe(float(span.probes_sent))
             latency = span.detection_latency
             if latency is not None:
                 if latencies is None:
-                    latencies = self._detection_latency.labels(model=model)
+                    latencies = self._detection_latency._child((model,))
                 latencies.observe(latency)
                 self.detection_latencies.append(latency)
             if self.span_sink is not None:
@@ -632,31 +739,29 @@ class TransportTelemetry:
 
     def _make_violation_handler(self, model: str) -> Callable[[BoundViolation], None]:
         def on_violation(violation: BoundViolation) -> None:
-            self._violations.labels(model=model, bound=violation.bound).inc()
+            self._violations._child((model, str(violation.bound))).inc()
 
         return on_violation
 
     def _make_edge_probe_handler(self, schema: SpanSchema) -> Callable[[TraceEvent], None]:
-        model = schema.model
         edge_of = schema.edge_of
-        family = self._edge_probes
-        # each edge's series, so an edge label is stringified only once
-        by_edge: dict[Hashable, CounterMetric] = {}
+        counts = self._edge_probe_counts[schema.model] = {}
+        self._edge_probe_series[schema.model] = {}
 
         def on_probe_sent(event: TraceEvent) -> None:
             edge = edge_of(event.details)
-            series = by_edge.get(edge)
-            if series is None:
-                series = by_edge[edge] = family.labels(model=model, edge=edge)
-            series.inc()
+            counts[edge] = counts.get(edge, 0) + 1
 
         return on_probe_sent
 
     def _make_declaration_handler(self, schema: SpanSchema) -> Callable[[TraceEvent], None]:
-        model = schema.model
+        declared: CounterMetric | None = None
 
         def on_declared(event: TraceEvent) -> None:
-            self._declarations.labels(model=model).inc()
+            nonlocal declared
+            if declared is None:
+                declared = self._declarations._child((schema.model,))
+            declared.inc()
 
         return on_declared
 
@@ -668,51 +773,82 @@ class TransportTelemetry:
         self, time: float, sender: Hashable, destination: Hashable, message: Any
     ) -> None:
         type_name = type(message).__name__
-        channel = (sender, destination)
-        transit = self._in_transit.get(channel)
-        if transit is None:
-            transit = self._in_transit[channel] = (
-                self._in_flight.labels(src=sender, dst=destination),
-                {},
-                deque(),
-            )
-        in_flight, sent_by_type, pending = transit
-        in_flight.inc()
-        sent = sent_by_type.get(type_name)
-        if sent is None:
-            sent = sent_by_type[type_name] = self._messages.labels(
-                src=sender, dst=destination, type=type_name
-            )
-        sent.inc()
+        channel = self._channels.get((sender, destination))
+        if channel is None:
+            channel = self._channels[sender, destination] = _Channel()
+        pending = channel.fifo
+        if pending is None:
+            pending = channel.fifo = deque()
         pending.append((time, type_name))
+        if len(pending) > channel.high:
+            channel.high = len(pending)
+        sent = channel.sent
+        sent[type_name] = sent.get(type_name, 0) + 1
 
     def _on_net_delivered(
         self, time: float, sender: Hashable, destination: Hashable, message: Any
     ) -> None:
-        channel = (sender, destination)
-        transit = self._in_transit.get(channel)
-        if transit is None:
-            # Sent before the telemetry attached: no send time to match.
-            self._in_flight.labels(src=sender, dst=destination).dec()
+        channel = self._channels.get((sender, destination))
+        if channel is None or not channel.fifo:
+            # Sent before the bridge attached: no send of its own to match,
+            # so the delivery counts nowhere.
             return
-        in_flight, _, pending = transit
-        in_flight.dec()
+        pending = channel.fifo
         sent_at, type_name = pending.popleft()
         if not pending:
-            del self._in_transit[channel]
+            channel.fifo = None
         latency = self._latency_by_type.get(type_name)
         if latency is None:
-            latency = self._latency_by_type[type_name] = self._handler_latency.labels(
-                handler=f"deliver {type_name}"
+            latency = self._latency_by_type[type_name] = self._handler_latency._child(
+                (f"deliver {type_name}",)
             )
         latency.observe(time - sent_at)
+
+    def _collect(self) -> None:
+        """Write the raw counts into their series (the registry's read hook)."""
+        for (sender, destination), channel in self._channels.items():
+            gauge = channel.gauge
+            if gauge is None:
+                channel.labels = (str(sender), str(destination))
+                gauge = channel.gauge = self._in_flight._child(channel.labels)
+            fifo = channel.fifo
+            gauge._value = float(len(fifo)) if fifo else 0.0
+            gauge._max = float(channel.high)
+            counters = channel.counters
+            for type_name, count in channel.sent.items():
+                counter = counters.get(type_name)
+                if counter is None:
+                    counter = counters[type_name] = self._messages._child(
+                        (*channel.labels, type_name)
+                    )
+                counter._value = float(count)
+        for model, counts in self._edge_probe_counts.items():
+            by_edge = self._edge_probe_series[model]
+            for edge, count in counts.items():
+                counter = by_edge.get(edge)
+                if counter is None:
+                    counter = by_edge[edge] = self._edge_probes._child((model, str(edge)))
+                counter._value = float(count)
+        if self._attached:
+            for model, engine in self.engines.items():
+                self._open_computations._child((model,)).set(
+                    float(engine.open_computations)
+                )
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
 
     def attach(self) -> None:
-        """Subscribe everything to the transport's tracer (idempotent)."""
+        """Subscribe everything to the transport's tracer (idempotent).
+
+        Attach before the first send, as :func:`repro.runner.run` does.  A
+        message sent earlier is counted nowhere: its delivery finds no send
+        of the bridge's own in flight on its channel.  On a channel that
+        carries messages from both sides of a late attach, FIFO matching
+        charges an early message's delivery latency to a later send; the
+        counts stay right.
+        """
         if self._attached:
             return
         tracer = self.transport.tracer
@@ -739,14 +875,7 @@ class TransportTelemetry:
         flushed: list[ProbeComputationSpan] = []
         for engine in self.engines.values():
             flushed.extend(engine.finish())
-        self._update_open_gauges()
         return flushed
-
-    def _update_open_gauges(self) -> None:
-        for model, engine in self.engines.items():
-            self._open_computations.labels(model=model).set(
-                float(engine.open_computations)
-            )
 
     # ------------------------------------------------------------------
     # Derived views & export
@@ -758,22 +887,23 @@ class TransportTelemetry:
 
     @property
     def messages_delivered(self) -> int:
-        """Deliveries whose send this bridge saw: one latency observation
-        each, so every delivery once the bridge attached before the first
-        send (as :func:`repro.runner.run` attaches it)."""
+        """Deliveries matched to a send this bridge saw: one latency
+        observation each, so every delivery once the bridge attached before
+        the first send (as :func:`repro.runner.run` attaches it).  A
+        delivery of a message sent before :meth:`attach` is not counted."""
         return sum(series.count for series in self._latency_by_type.values())
 
     def in_flight_by_destination(self) -> dict[str, float]:
         """Queue depth per receiving node: sum of in-flight on its inbound
-        channels (the monitor console's per-vertex column)."""
+        channels (the monitor console's per-vertex column).  Read from the
+        channels' FIFOs directly; it builds no series."""
         depths: dict[str, float] = {}
-        for key, child in self._in_flight.series.items():
-            dst = key[1]
-            depths[dst] = depths.get(dst, 0.0) + child.value
+        for (_, destination), channel in self._channels.items():
+            node = str(destination)
+            depths[node] = depths.get(node, 0.0) + (len(channel.fifo) if channel.fifo else 0)
         return depths
 
     def render_prometheus(self) -> str:
-        self._update_open_gauges()
         return self.registry.render_prometheus()
 
     def snapshot(self, now: float) -> dict[str, Any]:
@@ -782,7 +912,6 @@ class TransportTelemetry:
         ``now`` is the transport's virtual clock; this module never reads
         a clock itself (RPX002).
         """
-        self._update_open_gauges()
         self.snapshots += 1
         families = self.registry.snapshot()
         document: dict[str, Any] = {
@@ -813,7 +942,6 @@ def telemetry_for_variant(
     *,
     n_vertices: int | None = None,
     span_sink: SpanSink | None = None,
-    registry: TelemetryRegistry | None = None,
     strict_bounds: bool = False,
 ) -> TransportTelemetry:
     """Attach the standard telemetry bridge for one registered variant.
@@ -834,7 +962,6 @@ def telemetry_for_variant(
     return TransportTelemetry(
         transport,
         schemas=schemas,
-        registry=registry,
         n_vertices=n_vertices,
         strict_bounds=strict_bounds,
         span_sink=span_sink,

@@ -1,30 +1,43 @@
 """Live metrics layer: primitives, families, registry, transport bridge.
 
 The unit half pins the primitive semantics (monotone counters, gauge
-high-water marks, bucketed histograms) and the Prometheus text exposition
-(label escaping, cumulative ``_bucket`` series, ``+Inf``).  The
-integration half runs a real deadlock through a sim-backed
-:class:`~repro.obs.metrics.TransportTelemetry` and checks that what the
-families report agrees with what the run actually did.
+high-water marks, bucketed histograms), the Prometheus text exposition
+(label escaping, cumulative ``_bucket`` series, ``+Inf``) and the
+registry's read hook.  The integration half runs a real deadlock through
+a sim-backed :class:`~repro.obs.metrics.TransportTelemetry` and checks
+that what the families report agrees with what the run actually did,
+including reads taken mid-run, between ticks.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from typing import Any
 
 import pytest
 
 from repro.basic.system import BasicSystem
+from repro.core.assembly import build_runtime
+from repro.core.registry import get_variant
 from repro.errors import ConfigurationError
 from repro.obs.metrics import (
+    CounterFamily,
     CounterMetric,
+    GaugeFamily,
     GaugeMetric,
     HistogramMetric,
     TelemetryRegistry,
     TransportTelemetry,
+    telemetry_for_variant,
 )
 from repro.obs.spans import BASIC_SPAN_SCHEMA, SpanOutcome
+from repro.sim.process import Process
+from repro.workloads.provision import provision_workload
+from repro.workloads.spec import WorkloadSpec
+
+#: the families the bridge keeps as raw counts and builds when read.
+COLLECTED = ("repro_channel_in_flight", "repro_messages_total", "repro_edge_probes_total")
 
 
 class TestPrimitives:
@@ -92,6 +105,43 @@ class TestRegistry:
             registry.gauge("repro_x_total", labelnames=("k",))
         with pytest.raises(ConfigurationError, match="already declared"):
             registry.counter("repro_x_total", labelnames=("other",))
+
+    def test_histogram_redeclared_with_other_buckets_is_rejected(self) -> None:
+        registry = TelemetryRegistry()
+        first = registry.histogram("x_units", "h", ("m",), buckets=(1.0, 2.0))
+        assert registry.histogram("x_units", "h", ("m",), buckets=(1.0, 2.0)) is first
+        with pytest.raises(
+            ConfigurationError, match=r"\(1\.0, 2\.0\), not \(5\.0, 50\.0\)"
+        ):
+            registry.histogram("x_units", "h", ("m",), buckets=(5.0, 50.0))
+        assert first.buckets == (1.0, 2.0)
+
+    def test_collectors_run_before_every_read_and_no_write(self) -> None:
+        registry = TelemetryRegistry()
+        counter = registry.counter("repro_a_total", labelnames=("k",))
+        gauge = registry.gauge("repro_b")
+        runs: list[None] = []
+        registry.add_collector(lambda: runs.append(None))
+        reads = {
+            "lookup": lambda: registry.gauge("repro_b"),
+            "families": lambda: registry.families,
+            "render_prometheus": registry.render_prometheus,
+            "snapshot": registry.snapshot,
+            "labels": lambda: counter.labels(k="v"),
+            "series": lambda: counter.series,
+            "render": counter.render,
+            "snapshot_series": counter.snapshot_series,
+            "value": lambda: gauge.value,
+            "max": lambda: gauge.max,
+        }
+        for name, read in reads.items():
+            before = len(runs)
+            read()
+            assert len(runs) == before + 1, f"{name} ran {len(runs) - before} collects"
+        before = len(runs)
+        gauge.set(2.0)
+        gauge.inc()
+        assert len(runs) == before
 
     def test_invalid_names_are_rejected(self) -> None:
         registry = TelemetryRegistry()
@@ -236,3 +286,107 @@ class TestTransportTelemetry:
     def test_trace_false_run_still_buffers_nothing(self) -> None:
         system, _ = self.run_deadlock()
         assert len(system.transport.tracer) == 0
+
+    def test_message_observers_build_no_series(self, monkeypatch) -> None:
+        built: list[str] = []
+        for cls in (CounterFamily, GaugeFamily):
+            new_child = cls._new_child
+
+            def counting(family: Any, new_child: Any = new_child) -> Any:
+                built.append(family.name)
+                return new_child(family)
+
+            monkeypatch.setattr(cls, "_new_child", counting)
+        _, telemetry = self.run_deadlock()
+        assert not set(COLLECTED) & set(built)
+        text = telemetry.render_prometheus()
+        assert set(COLLECTED) <= set(built)
+        # each series is built once: a second read only rewrites values
+        before = len(built)
+        assert telemetry.render_prometheus() == text
+        assert len(built) == before
+
+    def test_late_attach_counts_earlier_sends_nowhere(self) -> None:
+        transport = build_runtime(seed=0, trace=False).transport
+        sender = transport.register(_Sink("a"))
+        transport.register(_Sink("b"))
+        sender.send("b", "early")
+        telemetry = TransportTelemetry(transport, schemas=())
+        transport.run_to_quiescence()
+        assert telemetry.in_flight_by_destination() == {}
+        assert telemetry.messages_delivered == 0
+        assert not telemetry.registry.gauge(
+            "repro_channel_in_flight", labelnames=("src", "dst")
+        ).series
+        # one message from each side of the attach on one channel: the
+        # counts stay right (the latency is charged to the later send)
+        telemetry.detach()
+        sender.send("b", "before")
+        telemetry.attach()
+        sender.send("b", "after")
+        transport.run_to_quiescence()
+        assert telemetry.in_flight_by_destination() == {"b": 0.0}
+        assert telemetry.messages_delivered == 1
+        text = telemetry.render_prometheus()
+        assert 'repro_channel_in_flight{src="a",dst="b"} 0' in text
+        assert 'repro_messages_total{src="a",dst="b",type="str"} 1' in text
+
+
+class _Sink(Process):
+    def on_message(self, sender: Any, message: Any) -> None:
+        pass
+
+
+class TestReadsBetweenTicks:
+    """Registry reads mid-run see every message observed so far."""
+
+    def test_reads_between_ticks_are_current(self) -> None:
+        variant = get_variant("basic")
+        spec = WorkloadSpec(family="bursty", n=41).with_seed(0)
+        transport = build_runtime(seed=0, trace=False).transport
+        system = provision_workload(variant, spec, transport=transport).system
+        telemetry = telemetry_for_variant(
+            transport, variant.capabilities, n_vertices=spec.n
+        )
+        # an independent tally of the same sends and deliveries
+        in_flight: dict[tuple[str, str], int] = {}
+        high: dict[tuple[str, str], int] = {}
+        sent: dict[tuple[str, str, str], int] = {}
+
+        def on_sent(time: float, src: Any, dst: Any, message: Any) -> None:
+            channel = (str(src), str(dst))
+            in_flight[channel] = in_flight.get(channel, 0) + 1
+            high[channel] = max(high.get(channel, 0), in_flight[channel])
+            key = (*channel, type(message).__name__)
+            sent[key] = sent.get(key, 0) + 1
+
+        def on_delivered(time: float, src: Any, dst: Any, message: Any) -> None:
+            in_flight[str(src), str(dst)] -= 1
+
+        transport.tracer.observe_messages(on_sent, on_delivered)
+        registry = telemetry.registry
+        held = registry.gauge("repro_channel_in_flight", labelnames=("src", "dst"))
+        busy_reads = 0
+        while True:
+            transport.run(until=transport.now + 10.0)
+            assert {key: (child.value, child.max) for key, child in held.series.items()} == {
+                channel: (float(depth), float(high[channel]))
+                for channel, depth in in_flight.items()
+            }
+            busy_reads += any(in_flight.values())
+            families = registry.snapshot()
+            messages = {
+                (labels["src"], labels["dst"], labels["type"]): series["value"]
+                for series in families["repro_messages_total"]["series"]
+                for labels in (series["labels"],)
+            }
+            assert messages == {key: float(count) for key, count in sent.items()}
+            probes = families["repro_edge_probes_total"]["series"]
+            assert sum(series["value"] for series in probes) == system.probes_sent
+            # no event between two reads: the same bytes
+            assert registry.render_prometheus() == registry.render_prometheus()
+            assert registry.snapshot() == families
+            if transport.quiescent:
+                break
+        assert busy_reads, "no read found a message in flight"
+        assert system.probes_sent > 0

@@ -10,9 +10,12 @@ compared byte for byte.
 
 from __future__ import annotations
 
+import importlib.util
 import io
 import json
 from dataclasses import replace
+from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -23,6 +26,16 @@ from repro.runner import RunReport, run
 #: compressed clock, one tick per 2 virtual units: the standard
 #: scenarios quiesce within ~10 units, so a run spans several ticks.
 FAST = {"transport": "live", "time_scale": 0.002, "interval": 2.0}
+
+
+def _ci_checker() -> ModuleType:
+    """``tools/check_run_report.py``, the CI run-smoke validator."""
+    path = Path(__file__).parents[2] / "tools" / "check_run_report.py"
+    spec = importlib.util.spec_from_file_location("check_run_report", path)
+    assert spec is not None and spec.loader is not None
+    checker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checker)
+    return checker
 
 
 class TestRunMonitor:
@@ -200,15 +213,7 @@ class TestMonitorReport:
             assert key in document
 
     def test_ci_schema_check_accepts_real_reports_only(self) -> None:
-        import importlib.util
-        from pathlib import Path
-
-        path = Path(__file__).parents[2] / "tools" / "check_run_report.py"
-        spec = importlib.util.spec_from_file_location("check_run_report", path)
-        assert spec is not None and spec.loader is not None
-        checker = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(checker)
-
+        checker = _ci_checker()
         document = json.loads(json.dumps(run("ddb", "deadlock").to_json()))
         assert checker.problems(document, detected=True) == []
         assert checker.problems(document, detected=False) == [
@@ -230,3 +235,46 @@ class TestMonitorReport:
         assert checker.problems(missing, detected=True) == [
             "detected with messages_delivered None, want > 0"
         ]
+
+    def test_ci_family_check_accepts_current_exports_only(self, tmp_path) -> None:
+        checker = _ci_checker()
+        metrics = tmp_path / "metrics.prom"
+        snapshots = tmp_path / "snapshots.jsonl"
+        report = tmp_path / "run-report.json"
+        document = run("basic", "deadlock", metrics_out=metrics, snapshots_out=snapshots).to_json()
+        report.write_text(json.dumps(document))
+        text = metrics.read_text()
+        assert checker.family_problems(document, text) == []
+        argv = [str(report), "--detected", "true", "--families", str(metrics)]
+        assert checker.main([*argv, "--nonempty", str(snapshots)]) == 0
+
+        delivered = document["messages_delivered"]
+        lines = text.splitlines()
+        no_in_flight = "\n".join(
+            line for line in lines if not line.startswith("repro_channel_in_flight{")
+        )
+        assert checker.family_problems(document, no_in_flight) == [
+            f"no repro_channel_in_flight series, but {delivered} messages delivered"
+        ]
+        no_messages = "\n".join(
+            line for line in lines if not line.startswith("repro_messages_total{")
+        )
+        assert checker.family_problems(document, no_messages) == [
+            f"no repro_messages_total series, but {delivered} messages delivered",
+            f"repro_messages_total sums to 0, want {delivered} (delivered)",
+        ]
+        stale = dict(document, messages_delivered=delivered + 1)
+        assert checker.family_problems(stale, text) == [
+            f"repro_messages_total sums to {delivered}, want {delivered + 1} (delivered)"
+        ]
+        drained = 'repro_channel_in_flight{src="0",dst="1"} 0'
+        assert drained in text
+        busy = text.replace(drained, drained[:-1] + "2")
+        assert checker.family_problems(document, busy) == [
+            "repro_channel_in_flight is nonzero on 1 channel(s) at quiescence"
+        ]
+        # a run that delivered nothing exports no channel series, and passes
+        silent = dict(document, messages_delivered=0)
+        assert checker.family_problems(silent, "") == []
+        snapshots.write_text("")
+        assert checker.main([*argv, "--nonempty", str(snapshots)]) == 1

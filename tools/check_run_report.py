@@ -9,9 +9,16 @@ that detected must count at least one delivered message (a declaration
 needs a delivered probe), so a delivery count that silently reads 0
 fails; a cluster report must also count at least one worker process.
 ``--nonempty`` also requires the named export files to have content.
+``--families`` checks the run's last Prometheus export against the
+report: a run that delivered messages exports at least one
+``repro_channel_in_flight`` and one ``repro_messages_total`` series, the
+sends sum to the messages delivered (the run quiesced, so every send was
+delivered), and no channel is left in flight.  The telemetry builds
+those per-channel families when an export reads it, so a stale or empty
+export fails here.
 
 Usage: python tools/check_run_report.py REPORT.json --detected true|false
-           [--nonempty FILE ...]
+           [--nonempty FILE ...] [--families METRICS.prom]
 
 Exit 0 when every check holds; exit 1 with one line per problem.
 """
@@ -24,6 +31,8 @@ from pathlib import Path
 from typing import Any
 
 SCHEMA = "repro.run-report/1"
+#: the per-channel families every run that delivered a message exports.
+CHANNEL_FAMILIES = ("repro_channel_in_flight", "repro_messages_total")
 
 
 def problems(report: dict[str, Any], *, detected: bool) -> list[str]:
@@ -43,15 +52,45 @@ def problems(report: dict[str, Any], *, detected: bool) -> list[str]:
     return found
 
 
+def family_problems(report: dict[str, Any], prometheus: str) -> list[str]:
+    """Everything wrong with a run's last Prometheus export, given its report."""
+    samples: dict[str, list[float]] = {name: [] for name in CHANNEL_FAMILIES}
+    for line in prometheus.splitlines():
+        name, _, rest = line.partition("{")
+        if name in samples:
+            samples[name].append(float(rest.rpartition(" ")[2]))
+    delivered = report.get("messages_delivered")
+    found: list[str] = []
+    if delivered:
+        found += [
+            f"no {name} series, but {delivered} messages delivered"
+            for name, values in samples.items()
+            if not values
+        ]
+    sent = sum(samples["repro_messages_total"])
+    if sent != delivered:
+        found.append(f"repro_messages_total sums to {sent:g}, want {delivered!r} (delivered)")
+    busy = sum(1 for value in samples["repro_channel_in_flight"] if value)
+    if busy:
+        found.append(f"repro_channel_in_flight is nonzero on {busy} channel(s) at quiescence")
+    return found
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="Validate a `repro run` report.")
     parser.add_argument("report", type=Path)
     parser.add_argument("--detected", choices=("true", "false"), required=True)
     parser.add_argument("--nonempty", type=Path, nargs="*", default=[])
+    parser.add_argument("--families", type=Path, metavar="METRICS.prom")
     args = parser.parse_args(argv)
     report = json.loads(args.report.read_text(encoding="utf-8"))
     found = problems(report, detected=args.detected == "true")
     found += [f"{path} is empty" for path in args.nonempty if not path.read_text().strip()]
+    if args.families is not None:
+        found += [
+            f"{args.families}: {problem}"
+            for problem in family_problems(report, args.families.read_text())
+        ]
     for problem in found:
         print(f"{args.report}: {problem}")
     if not found:
