@@ -295,6 +295,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     try:
         lines = baseline.check(path, threshold=args.threshold, repeats=args.repeats)
     except baseline.BenchRegression as regression:
+        for line in regression.lines:
+            print(f"  {line}")
         print(f"BENCH CHECK FAILED: {regression}")
         return 1
     for line in lines:

@@ -262,6 +262,8 @@ class AsyncioTransport:
         the tracer's message observers see the send here and the delivery
         in :meth:`_deliver`, so observers (telemetry, the probe accounting,
         the OR model's in-flight grant tracker) work unchanged on live runs.
+        A negative, NaN or infinite delay raises :class:`SimulationError`
+        here, before any observer sees the send.
         """
         if destination not in self._processes:
             raise SimulationError(
@@ -278,8 +280,10 @@ class AsyncioTransport:
                 rng = self.rng.stream(f"network.delays.{type_key}")
                 self._rngs[type_key] = rng
             nominal = self.delay_model.sample(rng)
-        if nominal < 0:
-            raise SimulationError(f"delay model produced negative delay {nominal}")
+        if not 0.0 <= nominal < math.inf:
+            raise SimulationError(
+                f"message delay must be finite and non-negative, got {nominal}"
+            )
 
         self._in_flight += 1
         for observer in self.tracer.sent_observers:

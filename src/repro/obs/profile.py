@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from repro.errors import SimulationError
 from repro.obs.metrics import GaugeMetric
 from repro.sim import categories
-from repro.sim.events import Event
+from repro.sim.events import HeapPayload
 from repro.sim.simulator import Simulator
 
 
@@ -136,10 +136,10 @@ class SimulatorProfiler:
 
     # -- ProfileHook interface ------------------------------------------
 
-    def before_event(self, event: Event) -> None:
+    def before_event(self, event: HeapPayload) -> None:
         self._event_started = time.perf_counter()
 
-    def after_event(self, event: Event, queue_depth: int) -> None:
+    def after_event(self, event: HeapPayload, queue_depth: int) -> None:
         elapsed = time.perf_counter() - self._event_started
         self._events += 1
         self._handler_seconds += elapsed

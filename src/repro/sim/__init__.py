@@ -6,7 +6,9 @@ P4 and the channel assumption in section 2.4).  This package provides
 exactly that environment as a deterministic discrete-event simulation:
 
 * :class:`~repro.sim.clock.Clock` -- virtual time.
-* :class:`~repro.sim.events.EventQueue` -- a stable priority queue of events.
+* :class:`~repro.sim.events.EventQueue` -- a stable priority queue of heap
+  payloads: timer :class:`~repro.sim.events.Event` objects, each its own
+  cancellation handle, and the network's message deliveries.
 * :class:`~repro.sim.simulator.Simulator` -- the engine: schedule callbacks,
   step or run until quiescence / a deadline.
 * :class:`~repro.sim.process.Process` -- actor base class with a message
@@ -23,7 +25,7 @@ EXPERIMENTS.md is exactly reproducible.
 """
 
 from repro.sim.clock import Clock
-from repro.sim.events import Event, EventHandle, EventQueue
+from repro.sim.events import Event, EventQueue
 from repro.sim.metrics import (
     Counter,
     Gauge,
@@ -49,7 +51,6 @@ __all__ = [
     "Counter",
     "DelayModel",
     "Event",
-    "EventHandle",
     "EventQueue",
     "ExponentialDelay",
     "FixedDelay",

@@ -15,10 +15,15 @@ of the drawn delays.
 The FIFO clamp can be disabled (``fifo=False``) *only* to demonstrate, in
 the ablation tests, that axioms P1/P2 -- and with them the algorithm's
 soundness argument -- genuinely depend on ordered delivery.
+
+Each message in flight is one :class:`_Delivery` record on the simulator's
+event heap (a :class:`~repro.sim.events.HeapPayload`): no closure, no
+:class:`~repro.sim.events.Event` and no name string per message.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections.abc import Callable, Hashable
 from typing import Any, Protocol
@@ -87,6 +92,51 @@ class ExponentialDelay:
         return f"ExponentialDelay(mean={self.mean})"
 
 
+class _Delivery:
+    """One message in flight: the heap payload of a simulator delivery.
+
+    Five slots and no ``__dict__``, since every message allocates one.  A
+    delivery is never cancelled, so ``cancelled`` is a class attribute,
+    and its profiler name is built only when read.
+    """
+
+    __slots__ = ("destination", "message", "network", "sender", "time")
+
+    cancelled = False
+
+    def __init__(
+        self,
+        time: float,
+        network: Network,
+        sender: Hashable,
+        destination: Hashable,
+        message: Any,
+    ) -> None:
+        self.time = time
+        self.network = network
+        self.sender = sender
+        self.destination = destination
+        self.message = message
+
+    def action(self) -> None:
+        """Show the delivery to the message observers, then hand it over."""
+        network = self.network
+        sender = self.sender
+        destination = self.destination
+        message = self.message
+        observers = network.simulator.tracer.delivered_observers
+        if observers:
+            # One clock read, so every observer sees the same instant.
+            at = network.simulator.clock.now
+            for observer in observers:
+                observer(at, sender, destination, message)
+        network._processes[destination].on_message(sender, message)
+
+    @property
+    def name(self) -> str:
+        return f"deliver {type(self.message).__name__} {self.sender!r}->{self.destination!r}"
+
+
 class Network:
     """Message transport between registered processes.
 
@@ -129,8 +179,6 @@ class Network:
         # detection policy see byte-identical workload evolution --
         # essential for the cross-policy comparisons in E5/E7/E8.
         self._rngs: dict[str, random.Random] = {}
-        # Delivery-event names, memoised per (type, channel) on first use.
-        self._deliver_names: dict[tuple[str, Hashable, Hashable], str] = {}
 
     def register(self, process: Process) -> None:
         """Add ``process`` to the network; its pid must be unique.
@@ -166,13 +214,17 @@ class Network:
         message observers see the send now and the delivery when it
         happens, and whoever counts messages (telemetry, a system's probe
         accounting) counts them there, once.
+
+        Raises :class:`SimulationError` for an unknown destination, and
+        for a drawn or overridden delay that is negative, NaN or infinite
+        (P4 promises every message a finite delay).
         """
         if destination not in self._processes:
             raise SimulationError(
                 f"{sender!r} sent a message to unknown process {destination!r}"
             )
         simulator = self.simulator
-        now = simulator.now
+        now = simulator.clock.now
         type_key = type(message).__name__
         nominal: float | None = None
         if self.delay_override is not None:
@@ -183,8 +235,10 @@ class Network:
                 rng = simulator.rng.stream(f"network.delays.{type_key}")
                 self._rngs[type_key] = rng
             nominal = self.delay_model.sample(rng)
-        if nominal < 0:
-            raise SimulationError(f"delay model produced negative delay {nominal}")
+        if not 0.0 <= nominal < math.inf:
+            raise SimulationError(
+                f"message delay must be finite and non-negative, got {nominal}"
+            )
         delivery_time = now + nominal
         channel = (sender, destination)
         if self.fifo:
@@ -193,25 +247,14 @@ class Network:
                 delivery_time = floor + self._FIFO_EPSILON
             self._last_delivery[channel] = delivery_time
 
-        tracer = simulator.tracer
-        for observer in tracer.sent_observers:
+        for observer in simulator.tracer.sent_observers:
             observer(now, sender, destination, message)
-
-        def deliver() -> None:
-            observers = tracer.delivered_observers
-            if observers:
-                # One clock read, so every observer sees the same instant.
-                at = simulator.now
-                for observer in observers:
-                    observer(at, sender, destination, message)
-            self._processes[destination].on_message(sender, message)
-
-        name_key = (type_key, sender, destination)
-        name = self._deliver_names.get(name_key)
-        if name is None:
-            name = f"deliver {type_key} {sender!r}->{destination!r}"
-            self._deliver_names[name_key] = name
-        simulator.schedule_at(delivery_time, deliver, name=name)
+        # No past-time guard needed: now >= 0, the delay is finite and
+        # non-negative, and the FIFO clamp only moves a delivery later, so
+        # delivery_time >= now -- the invariant Simulator.schedule_at checks.
+        simulator.queue.push_payload(
+            delivery_time, _Delivery(delivery_time, self, sender, destination, message)
+        )
 
     def __repr__(self) -> str:
         return (

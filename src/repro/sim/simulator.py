@@ -4,7 +4,11 @@ A :class:`Simulator` owns the clock, the event queue, a tracer, a metrics
 registry, and an RNG registry, and exposes the scheduling API used by model
 code.  Running is pull-based: :meth:`run` pops events in ``(time, sequence)``
 order, advances the clock, and executes their actions until quiescence, a
-time deadline, or an event-count limit.
+time deadline, or an event-count limit.  It reads each popped payload only
+through :class:`~repro.sim.events.HeapPayload` (``time``, ``cancelled``,
+``action()``), so a timer's :class:`~repro.sim.events.Event` and the
+network's delivery record run through the same loop; the opt-in
+:class:`ProfileHook` sees the same payloads and reads their ``name``.
 
 The engine is the hot path of every experiment sweep, so the execution core
 is written for speed without changing observable behaviour:
@@ -28,7 +32,7 @@ from typing import Protocol
 
 from repro.errors import SimulationError
 from repro.sim.clock import Clock
-from repro.sim.events import Event, EventHandle, EventQueue
+from repro.sim.events import Event, EventQueue, HeapPayload
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import Tracer
@@ -43,13 +47,16 @@ class ProfileHook(Protocol):
     allowed to measure wall time.  When no hook is attached the per-event
     overhead is zero: assigning :attr:`Simulator.profile_hook` swaps the
     precomputed execute dispatch rather than testing ``is None`` per event.
+    Both calls receive the popped heap payload: a timer's
+    :class:`~repro.sim.events.Event` or a message delivery, told apart by
+    its ``name``.
     """
 
-    def before_event(self, event: Event) -> None:
+    def before_event(self, event: HeapPayload) -> None:
         """Called after the clock advanced, before the action runs."""
         ...
 
-    def after_event(self, event: Event, queue_depth: int) -> None:
+    def after_event(self, event: HeapPayload, queue_depth: int) -> None:
         """Called after the action ran; ``queue_depth`` is the raw heap size."""
         ...
 
@@ -74,7 +81,7 @@ class Simulator:
         self.rng = RngRegistry(seed)
         self._events_executed = 0
         self._profile_hook: ProfileHook | None = None
-        self._execute: Callable[[Event], None] = self._execute_plain
+        self._execute: Callable[[HeapPayload], None] = self._execute_plain
 
     @property
     def profile_hook(self) -> ProfileHook | None:
@@ -91,10 +98,10 @@ class Simulator:
         self._profile_hook = hook
         self._execute = self._execute_plain if hook is None else self._execute_profiled
 
-    def _execute_plain(self, event: Event) -> None:
+    def _execute_plain(self, event: HeapPayload) -> None:
         event.action()
 
-    def _execute_profiled(self, event: Event) -> None:
+    def _execute_profiled(self, event: HeapPayload) -> None:
         hook = self._profile_hook
         assert hook is not None
         hook.before_event(event)
@@ -111,13 +118,17 @@ class Simulator:
         """Total number of events executed so far."""
         return self._events_executed
 
-    def schedule(self, delay: float, action: Callable[[], None], name: str = "") -> EventHandle:
-        """Schedule ``action`` to run ``delay`` time units from now."""
+    def schedule(self, delay: float, action: Callable[[], None], name: str = "") -> Event:
+        """Schedule ``action`` to run ``delay`` time units from now.
+
+        Returns the scheduled :class:`Event`, which is its own cancellation
+        handle.
+        """
         if delay < 0:
             raise SimulationError(f"delay must be non-negative, got {delay}")
         return self.queue.push(self.clock.now + delay, action, name)
 
-    def schedule_at(self, time: float, action: Callable[[], None], name: str = "") -> EventHandle:
+    def schedule_at(self, time: float, action: Callable[[], None], name: str = "") -> Event:
         """Schedule ``action`` at absolute virtual ``time`` (>= now)."""
         if time < self.clock.now:
             raise SimulationError(
@@ -145,11 +156,12 @@ class Simulator:
         guards against runaway model bugs in tests.
 
         This is the engine's inner loop: it works on the raw heap of
-        ``(time, sequence, event)`` entries with bound locals and is
+        ``(time, sequence, payload)`` entries with bound locals and is
         semantically identical to ``while self.step()`` (same event order,
         same clock movement, bit-identical traces).  The direct clock write
-        is safe by construction: scheduling validates ``time >= now`` and
-        the heap pops in non-decreasing time order, so monotonicity holds
+        is safe by construction: scheduling validates ``time >= now`` (and
+        ``Network.send`` only ever pushes ``now`` plus a finite,
+        non-negative delay) and the heap pops in non-decreasing time order, so monotonicity holds
         without re-checking ``advance_to``'s backwards guard per event.
         """
         heap = self.queue._heap

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections.abc import Callable, Hashable
 from typing import TYPE_CHECKING, Any
 
-from repro.sim.events import EventHandle
+from repro.sim.events import Event
 from repro.sim.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.sim.network import Network
 from repro.sim.rng import RngRegistry
@@ -52,7 +52,7 @@ class SimNodeContext:
 
     def set_timer(
         self, delay: float, callback: Callable[[], None], name: str = ""
-    ) -> EventHandle:
+    ) -> Event:
         return self._simulator.schedule(delay, callback, name)
 
     def trace(self, category: str, **details: object) -> None:
@@ -122,12 +122,12 @@ class SimTransport:
 
     def schedule(
         self, delay: float, action: Callable[[], None], name: str = ""
-    ) -> EventHandle:
+    ) -> Event:
         return self.simulator.schedule(delay, action, name)
 
     def schedule_at(
         self, time: float, action: Callable[[], None], name: str = ""
-    ) -> EventHandle:
+    ) -> Event:
         return self.simulator.schedule_at(time, action, name)
 
     # -- running -------------------------------------------------------

@@ -30,7 +30,7 @@ import hashlib
 import json
 import math
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from pathlib import Path
 from typing import Any
 
@@ -189,7 +189,16 @@ def record(path: Path, repeats: int = REPEATS) -> dict[str, Any]:
 
 
 class BenchRegression(Exception):
-    """Raised by :func:`check` when the quick tier fails."""
+    """Raised by :func:`check` when the quick tier fails.
+
+    The message joins the failures; :attr:`lines` keeps the full report
+    (every throughput ratio and shape line), so a failing check can still
+    print what it measured.
+    """
+
+    def __init__(self, message: str, lines: Sequence[str] = ()) -> None:
+        super().__init__(message)
+        self.lines = list(lines)
 
 
 def check(
@@ -198,8 +207,9 @@ def check(
     """Compare a fresh measurement against the committed baseline.
 
     Returns human-readable report lines; raises :class:`BenchRegression`
-    (after measuring everything) if any throughput ratio drops below
-    ``1 - threshold`` or any shape hash changed.
+    (after measuring everything, carrying the same lines) if any
+    throughput ratio drops below ``1 - threshold`` or any shape hash
+    changed.
     """
     baseline = json.loads(path.read_text(encoding="utf-8"))
     if baseline.get("schema") != SCHEMA:
@@ -240,5 +250,5 @@ def check(
             )
 
     if failures:
-        raise BenchRegression("; ".join(failures))
+        raise BenchRegression("; ".join(failures), lines)
     return lines

@@ -5,7 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.events import EventQueue
+from repro.sim.events import Event, EventQueue
+from repro.sim.network import Network
+from repro.sim.process import Process
+from repro.sim.simulator import Simulator
 
 
 class TestEventQueueOrdering:
@@ -76,6 +79,28 @@ class TestEventCancellation:
         handles[0].cancel()
         handles[3].cancel()
         assert len(queue) == 3
+
+    def test_push_returns_the_event_pop_yields(self) -> None:
+        # The event is its own handle: no wrapper object per schedule.
+        queue = EventQueue()
+        event = queue.push(1.0, lambda: None, name="timer")
+        assert isinstance(event, Event)
+        assert queue.pop() is event
+
+    def test_cancelled_node_timer_never_fires(self) -> None:
+        simulator = Simulator(seed=0)
+        network = Network(simulator)
+        node = Process("n")
+        network.register(node)
+        fired: list[str] = []
+        timer = node.ctx.set_timer(2.0, lambda: fired.append("cancelled"))
+        node.ctx.set_timer(3.0, lambda: fired.append("kept"))
+        timer.cancel()
+        assert isinstance(timer, Event)
+        assert timer.cancelled
+        simulator.run()
+        assert fired == ["kept"]
+        assert simulator.events_executed == 1
 
     def test_empty_queue_is_falsy(self) -> None:
         queue = EventQueue()

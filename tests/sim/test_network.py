@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import random
+import re
 from dataclasses import dataclass
 
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
+from repro.sim.events import Event
 from repro.sim.network import ExponentialDelay, FixedDelay, Network, UniformDelay
 from repro.sim.process import Process
 from repro.sim.simulator import Simulator
@@ -76,6 +79,61 @@ class TestDelivery:
         simulator.run()
         assert len(simulator.tracer.events("net.sent")) == 1
         assert len(simulator.tracer.events("net.delivered")) == 1
+
+
+class _PayloadLog:
+    """A profile hook that keeps every heap payload the engine runs."""
+
+    def __init__(self) -> None:
+        self.payloads: list[object] = []
+
+    def before_event(self, event) -> None:
+        self.payloads.append(event)
+
+    def after_event(self, event, queue_depth: int) -> None:
+        pass
+
+
+class TestDeliveryRecord:
+    """A send is one slotted record on the event heap, not a timer Event."""
+
+    @staticmethod
+    def _pair(delay_override=None):
+        simulator = Simulator(seed=0)
+        network = Network(simulator)
+        network.delay_override = delay_override
+        receiver = Recorder("b")
+        network.register(Recorder("a"))
+        network.register(receiver)
+        return simulator, network, receiver
+
+    def test_one_send_is_one_heap_entry_that_step_delivers(self) -> None:
+        simulator, network, receiver = self._pair()
+        log = _PayloadLog()
+        simulator.profile_hook = log
+        network.send("a", "b", Ping(1))
+        assert simulator.queue.heap_size == 1
+        assert simulator.step()
+        assert receiver.received == [(1.0, "a", Ping(1))]
+        assert simulator.queue.heap_size == 0
+        [payload] = log.payloads
+        assert not isinstance(payload, Event)
+        assert not hasattr(payload, "__dict__")
+        assert payload.cancelled is False
+        assert payload.time == 1.0
+        assert payload.name == "deliver Ping 'a'->'b'"
+
+    @pytest.mark.parametrize("delay", [-1.0, math.nan, math.inf, -math.inf])
+    def test_negative_or_non_finite_delay_raises_and_queues_nothing(
+        self, delay: float
+    ) -> None:
+        simulator, network, _ = self._pair(lambda *_: delay)
+        sent: list[object] = []
+        simulator.tracer.observe_messages(lambda *call: sent.append(call), lambda *_: None)
+        with pytest.raises(SimulationError, match=re.escape(f"got {delay}")):
+            network.send("a", "b", Ping(1))
+        assert simulator.queue.heap_size == 0
+        assert sent == []
 
 
 class TestFifoOrdering:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.sweep import baseline, canonical_json, merge_results
 
 
@@ -82,12 +83,27 @@ class TestBaselineRoundTrip:
         lines = baseline.check(path, threshold=0.25, repeats=1)
         assert any("fake.engine" in line and "ok" in line for line in lines)
 
-    def test_throughput_regression_fails(self, tmp_path: Path, fast_bench) -> None:
+    def test_throughput_regression_fails(
+        self, tmp_path: Path, fast_bench, capsys: pytest.CaptureFixture[str]
+    ) -> None:
         path = tmp_path / "BENCH_baseline.json"
         baseline.record(path, repeats=1)
         fast_bench["value"] = 500.0  # 2x slower than recorded: beyond 25%
-        with pytest.raises(baseline.BenchRegression, match="regressed"):
+        with pytest.raises(baseline.BenchRegression, match="regressed") as failed:
             baseline.check(path, threshold=0.25, repeats=1)
+        # The failure still carries the whole report, and the CLI prints
+        # every line of it before the verdict.
+        lines = failed.value.lines
+        assert len(lines) == 2
+        assert "fake.engine" in lines[0] and "x0.50" in lines[0]
+        assert "REGRESSION" in lines[0]
+        assert "shape g1" in lines[1] and lines[1].endswith("ok")
+        argv = ["bench", "check", "--baseline", str(path), "--repeats", "1"]
+        assert main(argv) == 1
+        printed = capsys.readouterr().out.splitlines()
+        assert printed == [f"  {line}" for line in lines] + [
+            f"BENCH CHECK FAILED: {failed.value}"
+        ]
 
     def test_same_code_on_a_twice_slower_host_passes(
         self, tmp_path: Path, fast_bench

@@ -11,6 +11,8 @@ them.
 
 from __future__ import annotations
 
+import math
+import re
 import time
 
 import pytest
@@ -384,6 +386,27 @@ class TestRegistrationAndDriving:
             transport.register(node)
             with pytest.raises(SimulationError, match="unknown process"):
                 node.send("ghost", "hello")
+        finally:
+            transport.close()
+
+    @pytest.mark.parametrize("delay", [-1.0, math.nan, math.inf])
+    def test_negative_or_non_finite_delay_rejected_at_send(self, backend, delay) -> None:
+        # P4 promises every message a finite delay.  A NaN or infinite one
+        # fails the send; it is not delivered at once, at time nan, or
+        # after the run's wall-clock budget.
+        transport = _build(backend)
+        try:
+            sender, receiver = Recorder("a"), Recorder("b")
+            transport.register(sender)
+            transport.register(receiver)
+            scripted = transport.network if backend == "sim" else transport
+            scripted.delay_override = lambda src, dst, message: delay
+            sent, delivered = _count_messages(transport)
+            with pytest.raises(SimulationError, match=re.escape(f"got {delay}")):
+                sender.send("b", "hello")
+            assert transport.quiescent
+            transport.run_to_quiescence()
+            assert sent == [] and delivered == [] and receiver.seen == []
         finally:
             transport.close()
 
