@@ -27,9 +27,9 @@ def run_or_cycle(k: int) -> dict:
     system.assert_completeness()
     return {
         "declared": len(system.declarations),
-        "queries": system.metrics.counter_value("or.queries.sent"),
-        "replies": system.metrics.counter_value("or.replies.sent"),
-        "computations": system.metrics.counter_value("or.computations.initiated"),
+        "queries": system.counts["or.queries.sent"],
+        "replies": system.counts["or.replies.sent"],
+        "computations": system.counts["or.computations.initiated"],
     }
 
 

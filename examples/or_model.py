@@ -67,8 +67,8 @@ def or_model_knot() -> None:
     declared = sorted({int(d.vertex) for d in system.declarations})
     print("\nOR model:   a knot -- p0 waits any{p1,p2}, both wait any{p0}")
     print(f"  deadlock declared by vertices {declared}")
-    queries = system.metrics.counter_value("or.queries.sent")
-    replies = system.metrics.counter_value("or.replies.sent")
+    queries = system.counts["or.queries.sent"]
+    replies = system.counts["or.replies.sent"]
     print(f"  query/reply traffic: {queries} queries, {replies} replies")
 
 

@@ -74,7 +74,6 @@ class BaselineDetector:
         if count < 0:
             raise ConfigurationError("message count cannot be negative")
         self.report.messages += count
-        self.system.metrics.counter(f"baseline.{self.name}.messages").increment(count)
 
     def _declare(self, vertex: VertexId) -> None:
         """Record a detection (once per vertex) with the oracle's verdict."""
@@ -85,7 +84,3 @@ class BaselineDetector:
         self.report.detections.append(
             BaselineDetection(time=self.system.now, vertex=vertex, genuine=genuine)
         )
-        counter = "true" if genuine else "false"
-        self.system.metrics.counter(
-            f"baseline.{self.name}.detections.{counter}"
-        ).increment()

@@ -82,7 +82,7 @@ class _VertexSite:
         return f"T-timer {(self.vertex.vertex_id, subject)}"
 
     def note_avoided(self) -> None:
-        self.vertex.ctx.counter("basic.computations.avoided").increment()
+        self.vertex.ctx.count("basic.computations.avoided")
 
     def scan(self, optimized: bool) -> None:
         raise ConfigurationError(

@@ -24,6 +24,7 @@ experiment E3 reads.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -159,8 +160,21 @@ class BasicSystem:
         return self.transport.now
 
     @property
-    def metrics(self):
-        return self.transport.metrics
+    def counts(self) -> Counter[str]:
+        """The run's event counts (``transport.counts``)."""
+        return self.transport.counts
+
+    @property
+    def detection_latencies(self) -> list[float]:
+        """Each declaration's time minus the time its vertex first joined a
+        dark cycle, in declaration order (E5's dependent variable).  A
+        declaration made before its vertex's deadlock formed has none."""
+        formed_at = self.deadlock_formed_at
+        return [
+            d.time - formed
+            for d in self.declarations
+            if (formed := formed_at.get(d.vertex)) is not None and formed <= d.time
+        ]
 
     @property
     def probes_sent(self) -> int:
@@ -219,11 +233,6 @@ class BasicSystem:
                 f"t={self.transport.now} but is not on a black cycle"
             ),
         )
-        formed = self.deadlock_formed_at.get(vertex.vertex_id)
-        if formed is not None:
-            self.transport.metrics.histogram("basic.detection.latency").record(
-                self.transport.now - formed
-            )
         if self.wfgd_on_declare:
             vertex.wfgd.start_as_initiator()
 

@@ -168,7 +168,7 @@ class VertexProcess(Process):
 
     def initiate_probe_computation(self) -> ProbeTag:
         """Step A0: begin a new probe computation from this vertex."""
-        self.ctx.counter("basic.computations.initiated").increment()
+        self.ctx.count("basic.computations.initiated")
         self.ctx.trace(
             categories.BASIC_COMPUTATION_INITIATED,
             vertex=self.vertex_id,
@@ -188,7 +188,6 @@ class VertexProcess(Process):
         elif isinstance(message, Probe):
             self._on_probe(VertexId(int(sender)), message)  # type: ignore[arg-type]
         elif isinstance(message, WfgdMessage):
-            self.ctx.counter("basic.wfgd.received").increment()
             self.wfgd.on_message(message)
         else:
             if self.foreign_handler is not None and self.foreign_handler(
@@ -291,11 +290,10 @@ class VertexProcess(Process):
         self.send(target, probe)
 
     def _send_wfgd(self, target: VertexId, message: WfgdMessage) -> None:
-        self.ctx.counter("basic.wfgd.sent").increment()
+        self.ctx.count("basic.wfgd.sent")
         self.send(target, message)
 
     def _declare_deadlock(self, tag: ProbeTag) -> None:
-        self.ctx.counter("basic.deadlocks.declared").increment()
         self.ctx.trace(
             categories.BASIC_DEADLOCK_DECLARED, vertex=self.vertex_id, tag=tag
         )

@@ -10,13 +10,13 @@ against instead of touching :class:`~repro.sim.simulator.Simulator` or
 
 * :class:`NodeContext` is the per-node capability set handed to a
   :class:`~repro.sim.process.Process` at registration: send a message,
-  read the clock, set a timer, record a trace event, bump a counter.
+  read the clock, set a timer, record a trace event, count an event.
   Everything a node of the paper's model is allowed to do -- and nothing
   more (no peeking at other nodes, no global state; axiom P3 by
   construction).
 * :class:`Transport` is the runtime contract a backend implements: node
-  registration, clock, scheduling, a run loop, and the observation
-  registries.  Every implementation must guarantee **P4**: reliable
+  registration, clock, scheduling, a run loop, the tracer, and the
+  run's counts.  Every implementation must guarantee **P4**: reliable
   delivery (no loss, no duplication) and per-channel FIFO ordering, and
   the **atomicity note** of section 3: a message handler, once started,
   runs to completion before any other handler or timer fires on any node.
@@ -34,11 +34,11 @@ packages may import.  The layering rule special-cases it as a seam.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable, Hashable
 from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.metrics import Counter, Gauge, Histogram, MetricsRegistry
     from repro.sim.rng import RngRegistry
     from repro.sim.trace import Tracer
 
@@ -97,16 +97,8 @@ class NodeContext(Protocol):
         """Record a trace event stamped with the current time."""
         ...
 
-    def counter(self, name: str) -> "Counter":
-        """The shared metrics counter registered under ``name``."""
-        ...
-
-    def gauge(self, name: str) -> "Gauge":
-        """The shared metrics gauge registered under ``name``."""
-        ...
-
-    def histogram(self, name: str) -> "Histogram":
-        """The shared metrics histogram registered under ``name``."""
+    def count(self, name: str) -> None:
+        """Add one to the transport's count ``name``."""
         ...
 
 
@@ -117,15 +109,16 @@ class Transport(Protocol):
     Implementations must deliver every sent message exactly once, keep
     per-channel (sender, destination) FIFO ordering, run each handler to
     completion before starting another, and drive timers in local-clock
-    order.  ``tracer``/``metrics``/``rng`` are the shared observation
-    registries; harness code reads them, protocol code reaches them only
-    through its :class:`NodeContext`.
+    order.  ``tracer``, ``counts`` and ``rng`` are shared by every node;
+    harness code reads them, protocol code reaches them only through its
+    :class:`NodeContext`.  ``counts`` is a plain :class:`collections.Counter`
+    of event names, so a name never counted reads 0 and is not added.
     """
 
     #: backend name, for reports ("sim", "asyncio", ...).
     name: str
     tracer: "Tracer"
-    metrics: "MetricsRegistry"
+    counts: Counter[str]
     rng: "RngRegistry"
 
     @property

@@ -230,7 +230,6 @@ class Controller(Process):
                 ),
             )
         self.detector.prune(home_pid)
-        self.ctx.counter("ddb.txn.committed").increment()
         self.ctx.trace(
             categories.DDB_TXN_COMMITTED, tid=execution.spec.tid, site=self.site
         )
@@ -244,9 +243,6 @@ class Controller(Process):
         lock = self._lock(resource)
         granted = lock.request(pid, mode)
         self._sync_resource_edges(resource)
-        self.ctx.counter("ddb.lock.requests").increment()
-        if not granted:
-            self.ctx.counter("ddb.lock.waits").increment()
         return granted
 
     def _local_release(self, pid: ProcessId, resource: ResourceId) -> None:
@@ -286,10 +282,10 @@ class Controller(Process):
             if blockers:
                 decision, wounded = prevention.on_conflict(pid, timestamp, blockers)
                 for victim in wounded:
-                    self.ctx.counter("ddb.prevention.wounds").increment()
+                    self.ctx.count("ddb.prevention.wounds")
                     self._demand_forced_abort(victim)
                 if decision is Decision.DIE:
-                    self.ctx.counter("ddb.prevention.deaths").increment()
+                    self.ctx.count("ddb.prevention.deaths")
                     return "died"
         if self._local_request(pid, resource, mode):
             # A new holder appeared: re-consult for the waiters it now
@@ -325,10 +321,10 @@ class Controller(Process):
                 waiter.process, self._local_timestamp(waiter.process), blockers
             )
             for victim in wounded:
-                self.ctx.counter("ddb.prevention.wounds").increment()
+                self.ctx.count("ddb.prevention.wounds")
                 self._demand_forced_abort(victim)
             if decision is Decision.DIE:
-                self.ctx.counter("ddb.prevention.deaths").increment()
+                self.ctx.count("ddb.prevention.deaths")
                 self._demand_forced_abort(waiter.process.transaction)
 
     def _demand_forced_abort(self, tid: TransactionId) -> None:
@@ -430,7 +426,6 @@ class Controller(Process):
                 raise ProtocolError(
                     f"WFGD message for {message.destination} delivered to C{self.site}"
                 )
-            self.ctx.counter("ddb.wfgd.received").increment()
             self.wfgd.absorb(message.destination, message.edges)
         else:
             raise ProtocolError(f"controller C{self.site} got unknown {message!r}")
@@ -438,7 +433,6 @@ class Controller(Process):
     def _stale(self, tid: TransactionId, incarnation: int) -> bool:
         latest = self._latest_incarnation.get(tid)
         if latest is not None and incarnation < latest:
-            self.ctx.counter("ddb.messages.stale").increment()
             return True
         self._latest_incarnation[tid] = incarnation
         return False
@@ -514,7 +508,6 @@ class Controller(Process):
             return
         wait = execution.waiting_remote.get(edge.target.site)
         if wait is None or wait.edge.serial != edge.serial:
-            self.ctx.counter("ddb.messages.stale").increment()
             return
         self.oracle.delete_inter_edge(edge.origin, edge.target, edge.serial)
         del execution.waiting_remote[edge.target.site]
@@ -553,7 +546,6 @@ class Controller(Process):
             # transaction has resumed; aborting it now would be wasted work.
             # (Prevention wounds set ``force``: they must preempt running
             # transactions.)
-            self.ctx.counter("ddb.aborts.skipped").increment()
             return
         self.abort_transaction(message.transaction)
 
@@ -587,7 +579,6 @@ class Controller(Process):
             )
         self.detector.prune(home_pid)
         self.system.initiation.on_process_unblocked(self, home_pid)
-        self.ctx.counter("ddb.txn.aborted").increment()
         self.ctx.trace(categories.DDB_TXN_ABORTED, tid=tid, site=self.site)
         self.system.on_transaction_finished(execution, aborted=True)
 
@@ -738,7 +729,6 @@ class Controller(Process):
         self.send(site, probe)
 
     def declare_deadlock(self, process: ProcessId, tag: ProbeTag) -> None:
-        self.ctx.counter("ddb.deadlocks.declared").increment()
         self.ctx.trace(
             categories.DDB_DEADLOCK_DECLARED, site=self.site, process=process, tag=tag
         )

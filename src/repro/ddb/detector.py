@@ -100,7 +100,7 @@ class DdbDetector:
         self._next_sequence += 1
         computation = DdbComputation(tag=tag, about=about)
         self._computations[tag] = computation
-        controller.ctx.counter("ddb.computations.initiated").increment()
+        controller.ctx.count("ddb.computations.initiated")
         controller.ctx.trace(
             categories.DDB_COMPUTATION_INITIATED, site=controller.site, about=about, tag=tag
         )

@@ -90,18 +90,17 @@ class _ControllerSite:
         return f"ddb T-timer {subject}"
 
     def note_avoided(self) -> None:
-        self.controller.ctx.counter("ddb.computations.avoided").increment()
+        self.controller.ctx.count("ddb.computations.avoided")
 
     def scan(self, optimized: bool) -> None:
         controller = self.controller
-        controller.ctx.counter("ddb.scans").increment()
+        controller.ctx.count("ddb.scans")
         blocked = controller.blocked_processes()
         if optimized:
             # Section 6.7: any constituent process on a local cycle is
             # found by one local check; otherwise every dark cycle through
             # this site enters through an incoming black inter-controller
             # edge, so Q computations (one per such process) suffice.
-            controller.ctx.counter("ddb.scan.naive_candidates").increment(len(blocked))
             local_cycle_member = controller.find_local_cycle_member()
             if local_cycle_member is not None:
                 controller.initiate_for(local_cycle_member)

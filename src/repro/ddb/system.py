@@ -23,6 +23,7 @@ through the ``finished_callback``.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 
@@ -183,8 +184,21 @@ class DdbSystem:
         return self.transport.now
 
     @property
-    def metrics(self):
-        return self.transport.metrics
+    def counts(self) -> Counter[str]:
+        """The run's event counts (``transport.counts``)."""
+        return self.transport.counts
+
+    @property
+    def detection_latencies(self) -> list[float]:
+        """Each declaration's time minus the time its process first joined
+        a dark cycle, in declaration order.  A declaration made before its
+        process's deadlock formed has none."""
+        formed_at = self.deadlock_formed_at
+        return [
+            d.time - formed
+            for d in self.declarations
+            if (formed := formed_at.get(d.process)) is not None and formed <= d.time
+        ]
 
     @property
     def probes_sent(self) -> int:
@@ -252,10 +266,6 @@ class DdbSystem:
         else:
             record.commits += 1
             record.committed_at = self.now
-            if record.first_begin is not None:
-                self.metrics.histogram("ddb.txn.response_time").record(
-                    self.now - record.first_begin
-                )
         if self.finished_callback is not None:
             self.finished_callback(execution, aborted)
 
@@ -299,7 +309,7 @@ class DdbSystem:
             and self._last_abort >= formed
         )
         if stale:
-            self.metrics.counter("ddb.declarations.stale").increment()
+            self.transport.counts["ddb.declarations.stale"] += 1
         self._log.record(
             declaration,
             sound=on_black or stale,
@@ -308,8 +318,6 @@ class DdbSystem:
                 f"t={self.now} but is not on a black cycle"
             ),
         )
-        if formed is not None:
-            self.metrics.histogram("ddb.detection.latency").record(self.now - formed)
         self.resolution.on_declaration(controller, process, tag)
 
     def _on_edge_added(self, event: TraceEvent) -> None:

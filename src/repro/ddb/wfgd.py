@@ -106,7 +106,7 @@ class DdbWfgdState:
             return
         history.add(edges)
         controller = self._controller
-        controller.ctx.counter("ddb.wfgd.sent").increment()
+        controller.ctx.count("ddb.wfgd.sent")
         if predecessor.site == controller.site:
             # Intra edge: deliver locally (memory-area communication).
             self.absorb(predecessor, edges)

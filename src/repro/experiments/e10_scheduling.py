@@ -124,7 +124,7 @@ def run_policy(
         avoided.append(extra["avoided"])
         system = run.system
         probes.append(system.probes_sent)
-        computations.append(system.metrics.counter_value("basic.computations.initiated"))
+        computations.append(system.counts["basic.computations.initiated"])
         for span in build_spans(system.simulator.tracer):
             try:
                 span.check_bounds(n_vertices=n)

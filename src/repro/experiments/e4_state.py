@@ -53,9 +53,7 @@ def run_config(n: int, rounds: int, seed: int = 0) -> E4Result:
     )
     return E4Result(
         n_vertices=n,
-        computations_initiated=system.metrics.counter_value(
-            "basic.computations.initiated"
-        ),
+        computations_initiated=system.counts["basic.computations.initiated"],
         max_tracked_records=max_tracked,
     )
 

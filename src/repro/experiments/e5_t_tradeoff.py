@@ -81,16 +81,14 @@ def run_config(
         workload.start()
         system.run_to_quiescence(max_events=500_000)
         system.assert_soundness()
-        computations += system.metrics.counter_value("basic.computations.initiated")
-        avoided += system.metrics.counter_value("basic.computations.avoided")
+        computations += system.counts["basic.computations.initiated"]
+        avoided += system.counts["basic.computations.avoided"]
         probes += system.probes_sent
         report = system.completeness_report()
         total = len(system._dark_sccs())
         formed += total
         detected += total - len(report.undetected_components)
-        histogram = system.metrics.histograms.get("basic.detection.latency")
-        if histogram is not None and histogram.count:
-            latencies.extend(histogram.values)
+        latencies.extend(system.detection_latencies)
     return E5Result(
         timeout=timeout,
         computations=computations,

@@ -84,7 +84,7 @@ def run_config(cycle_size: int, tails: tuple[int, ...], seed: int = 0) -> E6Resu
         deadlocked_vertices=len(permanently_blocked),
         informed_vertices=informed,
         exact_path_sets=exact,
-        wfgd_messages=system.metrics.counter_value("basic.wfgd.sent"),
+        wfgd_messages=system.counts["basic.wfgd.sent"],
     )
 
 

@@ -107,9 +107,9 @@ def run_config(n_sites: int, extra_local: int, optimized: bool, seed: int = 0) -
     return E7Result(
         label=f"{n_sites}-site ring + {extra_local} local blockers/site",
         mode="6.7 optimised" if optimized else "naive",
-        computations=system.metrics.counter_value("ddb.computations.initiated"),
+        computations=system.counts["ddb.computations.initiated"],
         probes=system.probes_sent,
-        scans=system.metrics.counter_value("ddb.scans"),
+        scans=system.counts["ddb.scans"],
         detected=bool(system.declarations) and complete,
     )
 

@@ -108,9 +108,7 @@ def _run_cmh(workload: str, factory: SystemFactory, seeds: tuple[int, ...]) -> E
         true += len(system.declarations) - len(system.soundness_violations)
         false += len(system.soundness_violations)
         messages += system.probes_sent
-        histogram = system.metrics.histograms.get("basic.detection.latency")
-        if histogram is not None and histogram.count:
-            latencies.extend(histogram.values)
+        latencies.extend(system.detection_latencies)
     return E8Result(
         workload=workload,
         detector="probe computation (this paper)",

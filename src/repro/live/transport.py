@@ -33,12 +33,11 @@ from __future__ import annotations
 import asyncio
 import math
 import random
-from collections import deque
+from collections import Counter, deque
 from collections.abc import Callable, Hashable
 from typing import Any
 
 from repro.errors import SimulationError
-from repro.sim.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.sim.network import DelayModel, FixedDelay
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import Tracer
@@ -124,14 +123,8 @@ class LiveNodeContext:
         if category in tracer.routes:
             tracer.record(transport.now, category, **details)
 
-    def counter(self, name: str) -> Counter:
-        return self._transport.metrics.counter(name)
-
-    def gauge(self, name: str) -> Gauge:
-        return self._transport.metrics.gauge(name)
-
-    def histogram(self, name: str) -> Histogram:
-        return self._transport.metrics.histogram(name)
+    def count(self, name: str) -> None:
+        self._transport.counts[name] += 1
 
     def __repr__(self) -> str:
         return f"LiveNodeContext({self._node_id!r})"
@@ -172,7 +165,8 @@ class AsyncioTransport:
                 f"max_wall_seconds must be positive, got {max_wall_seconds}"
             )
         self.tracer = Tracer(enabled=trace)
-        self.metrics = MetricsRegistry()
+        #: events counted by name through ``NodeContext.count``.
+        self.counts: Counter[str] = Counter()
         self.rng = RngRegistry(seed)
         self.delay_model = delay_model if delay_model is not None else FixedDelay(1.0)
         self.fifo = fifo

@@ -1,10 +1,10 @@
 """Transport-neutral live metrics: labelled families + Prometheus text.
 
-The simulator's :class:`~repro.sim.metrics.MetricsRegistry` is built for
-post-run accounting -- exact quantiles, unbounded value lists, no labels.
-A *live* monitor needs the opposite trade: bounded-memory aggregates
-(bucketed histograms, high-water gauges) addressable by label sets and
-exportable in the Prometheus text format.  This module provides that
+This is the one metrics registry.  A monitor needs bounded-memory
+aggregates (bucketed histograms, high-water gauges) addressable by label
+sets and exportable in the Prometheus text format; post-run accounting
+reads the systems' own records (declarations, probe accounting) and the
+transport's plain event counts instead.  This module provides that
 layer, plus :class:`TransportTelemetry` -- the bridge that populates it
 from any :class:`~repro.core.transport.Transport` backend through the
 tracer's message observers and category-scoped subscriptions, so the
@@ -907,7 +907,7 @@ class TransportTelemetry:
         return self.registry.render_prometheus()
 
     def snapshot(self, now: float) -> dict[str, Any]:
-        """One JSON-able snapshot of the registry plus transport counters.
+        """One JSON-able snapshot of the registry plus the transport's counts.
 
         ``now`` is the transport's virtual clock; this module never reads
         a clock itself (RPX002).
@@ -919,7 +919,7 @@ class TransportTelemetry:
             "now": now,
             "sequence": self.snapshots,
             "families": families,
-            "transport_counters": self.transport.metrics.snapshot(),
+            "transport_counters": dict(sorted(self.transport.counts.items())),
         }
         tracer = self.transport.tracer
         if tracer.wants(categories.OBS_METRICS_SNAPSHOT):

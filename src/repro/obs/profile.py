@@ -15,9 +15,9 @@ exactly this file.  The discipline that keeps the allowlist sound:
 * wall-clock readings never flow back into the simulation -- no schedule
   delay, message delay, or protocol decision may depend on them;
 * everything the profiler feeds *into* shared state (the
-  ``sim.queue.depth`` time series, the ``profile.queue.sampled`` trace
-  events) is stamped with **virtual** time and derived from deterministic
-  quantities (event counts, queue depth), so traces stay replayable;
+  ``profile.queue.sampled`` trace events, one per queue-depth sample) is
+  stamped with **virtual** time and derived from deterministic quantities
+  (event counts, queue depth), so traces stay replayable;
 * wall-clock numbers leave the process only through :class:`ProfileReport`.
 """
 
@@ -83,8 +83,9 @@ class ProfileReport:
             f"({self.handler_seconds / self.wall_seconds:.0%} of wall)"
             if self.wall_seconds > 0
             else "  handler time: 0 s",
-            f"  event-queue depth: max {self.queue_depth_max} "
-            f"({self.queue_depth_samples} samples in series 'sim.queue.depth')",
+            f"  event-queue depth (sim.queue.depth): max {self.queue_depth_max} "
+            f"({self.queue_depth_samples} samples traced as "
+            f"'{categories.PROFILE_QUEUE_SAMPLED}')",
             "  by handler category:",
         ]
         width = max((len(c.category) for c in self.by_category), default=8)
@@ -109,8 +110,8 @@ class SimulatorProfiler:
     simulator:
         The simulator to observe.
     sample_every:
-        Record one queue-depth sample (time series ``sim.queue.depth`` +
-        trace category ``profile.queue.sampled``) every this many events.
+        Record one queue-depth sample (trace category
+        ``profile.queue.sampled``) every this many events.
         Sampling is driven by the deterministic event counter, so the
         virtual-time artifacts are identical across runs of one seed.
     """
@@ -168,10 +169,6 @@ class SimulatorProfiler:
         self._attached = False
 
     def _sample(self, queue_depth: int) -> None:
-        now = self.simulator.now
-        metrics = self.simulator.metrics
-        metrics.gauge("sim.queue.depth").set(queue_depth)
-        metrics.timeseries("sim.queue.depth").record(now, queue_depth)
         self._sampled_gauge.set(queue_depth)
         self.simulator.trace_now(
             categories.PROFILE_QUEUE_SAMPLED,

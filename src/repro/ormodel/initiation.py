@@ -70,7 +70,7 @@ class _OrVertexSite:
         return f"or T-timer v{self.vertex.vertex_id}"
 
     def note_avoided(self) -> None:
-        self.vertex.ctx.counter("or.computations.avoided").increment()
+        self.vertex.ctx.count("or.computations.avoided")
 
     def scan(self, optimized: bool) -> None:
         raise ConfigurationError(

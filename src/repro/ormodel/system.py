@@ -23,6 +23,7 @@ its machinery (:mod:`repro.core.engine`):
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -161,8 +162,9 @@ class OrSystem:
         return self.transport.now
 
     @property
-    def metrics(self):
-        return self.transport.metrics
+    def counts(self) -> Counter[str]:
+        """The run's event counts (``transport.counts``)."""
+        return self.transport.counts
 
     @property
     def strict(self) -> bool:

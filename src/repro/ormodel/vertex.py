@@ -141,7 +141,7 @@ class OrVertexProcess(Process):
         self._computations[tag.initiator] = _OrComputation(
             tag=tag, engaging_sender=None, outstanding=len(self.dependent_set)
         )
-        self.ctx.counter("or.computations.initiated").increment()
+        self.ctx.count("or.computations.initiated")
         for target in sorted(self.dependent_set):
             self._send_query(target, OrQuery(tag=tag, sender=self.vertex_id))
         return tag
@@ -172,7 +172,7 @@ class OrVertexProcess(Process):
     def _on_grant(self, message: Grant) -> None:
         if message.granter not in self.dependent_set:
             # A stale grant from a dependent set already satisfied.
-            self.ctx.counter("or.grants.stale").increment()
+            self.ctx.count("or.grants.stale")
             return
         self.ctx.trace(
             categories.OR_UNBLOCKED, vertex=self.vertex_id, granter=message.granter
@@ -192,7 +192,6 @@ class OrVertexProcess(Process):
     # -- detector ---------------------------------------------------------
 
     def _on_query(self, query: OrQuery) -> None:
-        self.ctx.counter("or.queries.received").increment()
         if not self.blocked:
             return  # active processes discard detector traffic
         tag = query.tag
@@ -216,7 +215,6 @@ class OrVertexProcess(Process):
         self._send_reply(query.sender, OrReply(tag=tag, sender=self.vertex_id))
 
     def _on_reply(self, reply: OrReply) -> None:
-        self.ctx.counter("or.replies.received").increment()
         if not self.blocked:
             return
         tag = reply.tag
@@ -231,7 +229,6 @@ class OrVertexProcess(Process):
             # dependent closure -- everyone out there is blocked.
             if tag not in self.declared:
                 self.declared.append(tag)
-                self.ctx.counter("or.deadlocks.declared").increment()
                 self.ctx.trace(
                     categories.OR_DEADLOCK_DECLARED, vertex=self.vertex_id, tag=tag
                 )
@@ -248,11 +245,11 @@ class OrVertexProcess(Process):
     # ------------------------------------------------------------------
 
     def _send_query(self, target: VertexId, query: OrQuery) -> None:
-        self.ctx.counter("or.queries.sent").increment()
+        self.ctx.count("or.queries.sent")
         self.send(target, query)
 
     def _send_reply(self, target: VertexId, reply: OrReply) -> None:
-        self.ctx.counter("or.replies.sent").increment()
+        self.ctx.count("or.replies.sent")
         self.send(target, reply)
 
     def _schedule_grants(self) -> None:

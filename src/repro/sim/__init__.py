@@ -16,8 +16,9 @@ exactly that environment as a deterministic discrete-event simulation:
 * :class:`~repro.sim.network.Network` -- per-channel FIFO message delivery
   with pluggable delay models; the FIFO guarantee is what makes axioms
   P1/P2 hold.
-* :class:`~repro.sim.trace.Tracer` and
-  :class:`~repro.sim.metrics.MetricsRegistry` -- observation.
+* :class:`~repro.sim.trace.Tracer` -- observation: the structured trace
+  and the message observers.  The run's counts are a plain
+  :class:`collections.Counter` on the simulator (``Simulator.counts``).
 * :class:`~repro.sim.rng.RngRegistry` -- named, reproducible random streams.
 
 Everything is deterministic given a seed, so every experiment in
@@ -26,14 +27,6 @@ EXPERIMENTS.md is exactly reproducible.
 
 from repro.sim.clock import Clock
 from repro.sim.events import Event, EventQueue
-from repro.sim.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    Sample,
-    TimeSeries,
-)
 from repro.sim.network import (
     DelayModel,
     ExponentialDelay,
@@ -48,21 +41,15 @@ from repro.sim.trace import TraceEvent, Tracer
 
 __all__ = [
     "Clock",
-    "Counter",
     "DelayModel",
     "Event",
     "EventQueue",
     "ExponentialDelay",
     "FixedDelay",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "Network",
     "Process",
     "RngRegistry",
-    "Sample",
     "Simulator",
-    "TimeSeries",
     "TraceEvent",
     "Tracer",
     "UniformDelay",

@@ -45,8 +45,8 @@ class FixedDelay:
     """Every message takes exactly ``delay`` time units."""
 
     def __init__(self, delay: float = 1.0) -> None:
-        if delay < 0:
-            raise SimulationError(f"delay must be non-negative, got {delay}")
+        if not 0 <= delay < math.inf:
+            raise SimulationError(f"delay must be finite and non-negative, got {delay}")
         self.delay = delay
 
     def sample(self, rng: random.Random) -> float:
@@ -60,8 +60,8 @@ class UniformDelay:
     """Delay drawn uniformly from ``[low, high]``."""
 
     def __init__(self, low: float, high: float) -> None:
-        if not 0 <= low <= high:
-            raise SimulationError(f"need 0 <= low <= high, got [{low}, {high}]")
+        if not 0 <= low <= high < math.inf:
+            raise SimulationError(f"need 0 <= low <= high < inf, got [{low}, {high}]")
         self.low = low
         self.high = high
 
@@ -81,8 +81,8 @@ class ExponentialDelay:
     """
 
     def __init__(self, mean: float) -> None:
-        if mean <= 0:
-            raise SimulationError(f"mean must be positive, got {mean}")
+        if not 0 < mean < math.inf:
+            raise SimulationError(f"mean must be finite and positive, got {mean}")
         self.mean = mean
 
     def sample(self, rng: random.Random) -> float:
@@ -143,7 +143,7 @@ class Network:
     Parameters
     ----------
     simulator:
-        The owning simulator (provides scheduling, RNG, metrics, trace).
+        The owning simulator (provides scheduling, RNG, counts, trace).
     delay_model:
         Nominal per-message delay distribution (default ``FixedDelay(1)``).
     fifo:

@@ -1,10 +1,11 @@
 """The discrete-event simulation engine.
 
-A :class:`Simulator` owns the clock, the event queue, a tracer, a metrics
-registry, and an RNG registry, and exposes the scheduling API used by model
-code.  Running is pull-based: :meth:`run` pops events in ``(time, sequence)``
-order, advances the clock, and executes their actions until quiescence, a
-time deadline, or an event-count limit.  It reads each popped payload only
+A :class:`Simulator` owns the clock, the event queue, a tracer, the run's
+counts (a :class:`collections.Counter`), and an RNG registry, and exposes
+the scheduling API used by model code.  Running is pull-based:
+:meth:`run` pops events in ``(time, sequence)`` order, advances the clock,
+and executes their actions until quiescence, a time deadline, or an
+event-count limit.  It reads each popped payload only
 through :class:`~repro.sim.events.HeapPayload` (``time``, ``cancelled``,
 ``action()``), so a timer's :class:`~repro.sim.events.Event` and the
 network's delivery record run through the same loop; the opt-in
@@ -27,13 +28,13 @@ produce bit-identical traces -- ``tests/sim/test_hot_path.py`` proves it.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from collections.abc import Callable
 from typing import Protocol
 
 from repro.errors import SimulationError
 from repro.sim.clock import Clock
 from repro.sim.events import Event, EventQueue, HeapPayload
-from repro.sim.metrics import MetricsRegistry
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import Tracer
 
@@ -70,14 +71,16 @@ class Simulator:
         Root seed for all randomness (delays, workloads).
     trace:
         Whether to record a full structured trace.  Verification-heavy tests
-        keep it on; large benchmark sweeps turn it off and rely on metrics.
+        keep it on; large benchmark sweeps turn it off and read the systems'
+        records (declarations, probe accounting) and :attr:`counts`.
     """
 
     def __init__(self, seed: int = 0, trace: bool = True) -> None:
         self.clock = Clock()
         self.queue = EventQueue()
         self.tracer = Tracer(enabled=trace)
-        self.metrics = MetricsRegistry()
+        #: events counted by name through ``NodeContext.count``.
+        self.counts: Counter[str] = Counter()
         self.rng = RngRegistry(seed)
         self._events_executed = 0
         self._profile_hook: ProfileHook | None = None

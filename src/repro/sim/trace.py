@@ -95,7 +95,7 @@ class Tracer:
     """Append-only trace log with category-routed fan-out.
 
     Recording can be disabled (``enabled=False``) for large benchmark runs
-    where only metrics matter.  Subscribers registered with
+    where only counts and results matter.  Subscribers registered with
     :meth:`subscribe` are invoked synchronously on every matching recorded
     event and are how the on-line invariant checkers hook into a running
     simulation.

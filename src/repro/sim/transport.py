@@ -9,18 +9,18 @@
 registration.
 
 Both are pure 1:1 delegation -- same RNG streams, same event names, same
-metric/trace records, same scheduling order -- so a system assembled
+counts and trace records, same scheduling order -- so a system assembled
 through the seam is byte-identical to one wired against the simulator
 directly.  The sweep baseline's grid shape hashes enforce this.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable, Hashable
 from typing import TYPE_CHECKING, Any
 
 from repro.sim.events import Event
-from repro.sim.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.sim.network import Network
 from repro.sim.rng import RngRegistry
 from repro.sim.simulator import Simulator
@@ -61,14 +61,8 @@ class SimNodeContext:
         if category in tracer.routes:
             tracer.record(simulator.clock.now, category, **details)
 
-    def counter(self, name: str) -> Counter:
-        return self._simulator.metrics.counter(name)
-
-    def gauge(self, name: str) -> Gauge:
-        return self._simulator.metrics.gauge(name)
-
-    def histogram(self, name: str) -> Histogram:
-        return self._simulator.metrics.histogram(name)
+    def count(self, name: str) -> None:
+        self._simulator.counts[name] += 1
 
     def __repr__(self) -> str:
         return f"SimNodeContext({self._node_id!r})"
@@ -90,15 +84,15 @@ class SimTransport:
         self.simulator = simulator
         self.network = network
 
-    # -- observation registries ----------------------------------------
+    # -- observation -----------------------------------------------------
 
     @property
     def tracer(self) -> Tracer:
         return self.simulator.tracer
 
     @property
-    def metrics(self) -> MetricsRegistry:
-        return self.simulator.metrics
+    def counts(self) -> Counter[str]:
+        return self.simulator.counts
 
     @property
     def rng(self) -> RngRegistry:

@@ -69,8 +69,7 @@ def _basic_system(cell: SweepCell, **overrides: Any) -> BasicSystem:
 
 
 def _collect_basic(cell: SweepCell, system: BasicSystem) -> CellResult:
-    histogram = system.metrics.histograms.get("basic.detection.latency")
-    latencies = list(histogram.values) if histogram is not None else []
+    latencies = system.detection_latencies
     return {
         "cell_id": cell.cell_id,
         "status": "ok",
@@ -80,7 +79,7 @@ def _collect_basic(cell: SweepCell, system: BasicSystem) -> CellResult:
         "declarations": len(system.declarations),
         "unsound": len(system.soundness_violations),
         "probes": system.probes_sent,
-        "computations": system.metrics.counter_value("basic.computations.initiated"),
+        "computations": system.counts["basic.computations.initiated"],
         "max_probes_per_computation": max(
             system.probes_per_computation.values(), default=0
         ),
@@ -138,7 +137,7 @@ def _wfgd_extra(system: BasicSystem, n: int) -> dict[str, int]:
         "deadlocked_vertices": len(blocked),
         "informed_vertices": informed,
         "exact_path_sets": exact,
-        "wfgd_messages": system.metrics.counter_value("basic.wfgd.sent"),
+        "wfgd_messages": system.counts["basic.wfgd.sent"],
     }
 
 
@@ -175,7 +174,7 @@ def _run_ddb_family(cell: SweepCell, family: WorkloadFamily) -> CellResult:
         "declarations": len(system.declarations),
         "unsound": len(system.soundness_violations),
         "probes": system.probes_sent,
-        "computations": system.metrics.counter_value("ddb.computations.initiated"),
+        "computations": system.counts["ddb.computations.initiated"],
         "max_probes_per_computation": 0,
         "detection_latency_mean": None,
         "extra": extra,
@@ -202,11 +201,11 @@ def _run_ddb_ring(cell: SweepCell) -> CellResult:
         "declarations": len(system.declarations),
         "unsound": 0,
         "probes": system.probes_sent,
-        "computations": system.metrics.counter_value("ddb.computations.initiated"),
+        "computations": system.counts["ddb.computations.initiated"],
         "max_probes_per_computation": 0,
         "detection_latency_mean": None,
         "extra": {
-            "scans": system.metrics.counter_value("ddb.scans"),
+            "scans": system.counts["ddb.scans"],
             "complete": int(complete),
         },
     }

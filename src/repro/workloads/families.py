@@ -128,7 +128,7 @@ def _collect_random(
     spec: WorkloadSpec, system: BasicSystem, handle: Any
 ) -> dict[str, Any]:
     return {
-        "avoided": system.metrics.counter_value("basic.computations.avoided"),
+        "avoided": system.counts["basic.computations.avoided"],
     }
 
 
@@ -246,7 +246,7 @@ def _collect_bursty(
 ) -> dict[str, Any]:
     return {
         "cycle_closed_at": handle["cycle_closed_at"],
-        "avoided": system.metrics.counter_value("basic.computations.avoided"),
+        "avoided": system.counts["basic.computations.avoided"],
     }
 
 

@@ -21,14 +21,14 @@ class TestImmediateInitiation:
         system = BasicSystem(n_vertices=4, initiation=ImmediateInitiation())
         system.schedule_request(0.0, 0, [1, 2, 3])
         system.run_to_quiescence()
-        assert system.metrics.counter_value("basic.computations.initiated") == 1
+        assert system.counts["basic.computations.initiated"] == 1
 
     def test_each_separate_request_initiates(self) -> None:
         system = BasicSystem(n_vertices=4, service_delay=100.0)
         system.schedule_request(0.0, 0, [1])
         system.schedule_request(1.0, 0, [2])
         system.run(until=50.0)
-        assert system.metrics.counter_value("basic.computations.initiated") == 2
+        assert system.counts["basic.computations.initiated"] == 2
 
 
 class TestDelayedInitiation:
@@ -43,15 +43,15 @@ class TestDelayedInitiation:
         )
         system.schedule_request(0.0, 0, [1])
         system.run_to_quiescence()
-        assert system.metrics.counter_value("basic.computations.initiated") == 0
-        assert system.metrics.counter_value("basic.computations.avoided") == 1
+        assert system.counts["basic.computations.initiated"] == 0
+        assert system.counts["basic.computations.avoided"] == 1
         assert system.probes_sent == 0
 
     def test_persistent_edge_triggers_computation_after_t(self) -> None:
         timeout = 5.0
         system = make_cycle_system(3, initiation=DelayedInitiation(timeout=timeout))
         system.run_to_quiescence()
-        assert system.metrics.counter_value("basic.computations.initiated") >= 1
+        assert system.counts["basic.computations.initiated"] >= 1
         assert system.declarations
         system.assert_soundness()
 
@@ -60,9 +60,9 @@ class TestDelayedInitiation:
         timeout = 7.0
         system = make_cycle_system(4, initiation=DelayedInitiation(timeout=timeout))
         system.run_to_quiescence()
-        histogram = system.metrics.histogram("basic.detection.latency")
-        assert histogram.count >= 1
-        assert histogram.quantile(0.0) >= timeout
+        latencies = system.detection_latencies
+        assert len(latencies) >= 1
+        assert min(latencies) >= timeout
 
     def test_t_zero_behaves_like_immediate(self) -> None:
         immediate = make_cycle_system(3, initiation=ImmediateInitiation())
@@ -70,9 +70,8 @@ class TestDelayedInitiation:
         delayed = make_cycle_system(3, initiation=DelayedInitiation(timeout=0.0))
         delayed.run_to_quiescence()
         assert delayed.declarations
-        assert immediate.metrics.counter_value(
-            "basic.computations.initiated"
-        ) <= delayed.metrics.counter_value("basic.computations.initiated")
+        initiated = "basic.computations.initiated"
+        assert immediate.counts[initiated] <= delayed.counts[initiated]
 
     def test_larger_t_initiates_fewer_computations(self) -> None:
         # Churn workload: each chain wave fully resolves within ~7 time
@@ -88,7 +87,7 @@ class TestDelayedInitiation:
                 for i in range(5):
                     system.schedule_request(wave * 20.0 + i * 0.1, i, [i + 1])
             system.run_to_quiescence()
-            return system.metrics.counter_value("basic.computations.initiated")
+            return system.counts["basic.computations.initiated"]
 
         assert run(0.1) > run(10.0)
         assert run(10.0) == 0

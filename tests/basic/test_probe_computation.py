@@ -193,9 +193,9 @@ class TestProbeMechanics:
     def test_detection_latency_recorded(self) -> None:
         system = make_cycle_system(3)
         system.run_to_quiescence()
-        histogram = system.metrics.histogram("basic.detection.latency")
-        assert histogram.count >= 1
-        assert histogram.quantile(0.0) >= 0.0
+        latencies = system.detection_latencies
+        assert len(latencies) >= 1
+        assert min(latencies) >= 0.0
 
 
 class TestRepeatedComputations:

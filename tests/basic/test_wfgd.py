@@ -42,7 +42,7 @@ class TestWfgdOnCycle:
         # of WFGD messages (never the same set twice per channel).
         system = make_cycle_system(5, wfgd_on_declare=True)
         quiesce(system)
-        assert system.metrics.counter_value("basic.wfgd.sent") > 0
+        assert system.counts["basic.wfgd.sent"] > 0
 
 
 class TestWfgdTailVertices:

@@ -59,6 +59,11 @@ def ring_deadlock(n_sites: int, **kwargs) -> DdbSystem:
     return system
 
 
+def total_aborts(system: DdbSystem) -> int:
+    """Aborts over every transaction and incarnation of the run."""
+    return sum(record.aborts for record in system.transactions.values())
+
+
 def dark_edges_by_colour(graph: DdbWaitForGraph) -> list[tuple[ProcessId, ProcessId]]:
     """The grey and black edges, filtered by colour from ``edges()`` rather
     than read from the oracle's dark index."""

@@ -99,8 +99,8 @@ class TestPreventionOnTheCanonicalDeadlock:
         system.finished_callback = restart_callback(system)
         cross_deadlock(system)
         system.run_to_quiescence(max_events=300_000)
-        deaths = system.metrics.counter_value("ddb.prevention.deaths")
-        wounds = system.metrics.counter_value("ddb.prevention.wounds")
+        deaths = system.counts["ddb.prevention.deaths"]
+        wounds = system.counts["ddb.prevention.wounds"]
         assert deaths + wounds >= 1  # somebody paid the prevention tax
 
 

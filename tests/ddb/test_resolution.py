@@ -9,7 +9,14 @@ from repro.ddb.resolution import AbortAboutTransaction, NoResolution
 from repro.ddb.system import DdbSystem
 from repro.ddb.transaction import Think, TransactionExecution, acquire
 
-from tests.ddb.helpers import X, cross_deadlock, ring_deadlock, spec, two_site_system
+from tests.ddb.helpers import (
+    X,
+    cross_deadlock,
+    ring_deadlock,
+    spec,
+    total_aborts,
+    two_site_system,
+)
 
 
 def staggered_restart(system: DdbSystem, base: float = 3.0, step: float = 4.0):
@@ -32,7 +39,7 @@ class TestVictimAbort:
         system.assert_no_deadlock_remains()
         for record in system.transactions.values():
             assert record.commits == 1
-        assert system.metrics.counter_value("ddb.txn.aborted") >= 1
+        assert total_aborts(system) >= 1
         assert system.soundness_violations == []
 
     @pytest.mark.parametrize("n", [3, 5])
@@ -77,7 +84,7 @@ class TestVictimAbort:
         sound = [d for d in system.declarations if d.on_black_cycle]
         assert sound
         if len(system.declarations) > len(sound):
-            assert system.metrics.counter_value("ddb.declarations.stale") >= 1
+            assert system.counts["ddb.declarations.stale"] >= 1
 
 
 class TestRestartLifecycle:

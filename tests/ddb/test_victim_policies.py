@@ -13,7 +13,7 @@ from repro.ddb.resolution import (
 from repro.ddb.system import DdbSystem
 from repro.ddb.transaction import TransactionExecution
 
-from tests.ddb.helpers import cross_deadlock, ring_deadlock, two_site_system
+from tests.ddb.helpers import cross_deadlock, ring_deadlock, total_aborts, two_site_system
 
 
 def restart_callback(system: DdbSystem):
@@ -43,7 +43,7 @@ class TestAbortLowest:
         system.run_to_quiescence(max_events=200_000)
         aborted = {tid for tid, r in system.transactions.items() if r.aborts > 0}
         assert aborted == {TransactionId(1)}
-        assert system.metrics.counter_value("ddb.txn.aborted") == 1
+        assert total_aborts(system) == 1
 
     def test_about_policy_may_abort_both(self) -> None:
         # Baseline for contrast: with per-declarer victims, both
@@ -52,7 +52,7 @@ class TestAbortLowest:
         system.finished_callback = restart_callback(system)
         cross_deadlock(system)
         system.run_to_quiescence(max_events=200_000)
-        assert system.metrics.counter_value("ddb.txn.aborted") == 2
+        assert total_aborts(system) == 2
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_ring_resolves_with_fewer_aborts(self, n: int) -> None:
@@ -67,13 +67,11 @@ class TestAbortLowest:
         about.run_to_quiescence(max_events=400_000)
         about.assert_no_deadlock_remains()
 
-        assert lowest.metrics.counter_value(
-            "ddb.txn.aborted"
-        ) <= about.metrics.counter_value("ddb.txn.aborted")
+        assert total_aborts(lowest) <= total_aborts(about)
 
     def test_no_resolution_is_truly_inert(self) -> None:
         system = two_site_system(resolution=NoResolution())
         cross_deadlock(system)
         system.run_to_quiescence(max_events=100_000)
-        assert system.metrics.counter_value("ddb.txn.aborted") == 0
+        assert total_aborts(system) == 0
         assert system.oracle.processes_on_dark_cycles()

@@ -47,13 +47,13 @@ class TestDdbWfgdOnCycles:
             controller = system.controllers[process.site]
             expected = system.oracle.permanent_black_edges_from(process)
             assert controller.wfgd.paths_for(process) == expected, process
-        assert system.metrics.counter_value("ddb.wfgd.sent") > 0
+        assert system.counts["ddb.wfgd.sent"] > 0
 
     def test_wfgd_disabled_by_default(self) -> None:
         system = two_site_system()
         cross_deadlock(system)
         system.run_to_quiescence()
-        assert system.metrics.counter_value("ddb.wfgd.sent") == 0
+        assert system.counts["ddb.wfgd.sent"] == 0
         assert all_wfgd_paths(system) == {}
 
 

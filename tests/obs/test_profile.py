@@ -2,9 +2,9 @@
 
 Wall-clock numbers are asserted only for basic sanity (non-negative,
 consistent totals); everything stamped into shared simulator state --
-the ``sim.queue.depth`` time series and ``profile.queue.sampled`` trace
-events -- must be *identical* across same-seed runs, which is the
-property that keeps the RPX002 allowlist for this module sound.
+the ``profile.queue.sampled`` trace events, one per queue-depth sample --
+must be *identical* across same-seed runs, which is the property that
+keeps the RPX002 allowlist for this module sound.
 """
 
 from __future__ import annotations
@@ -103,9 +103,9 @@ class TestReport:
     def test_queue_depth_signal(self) -> None:
         system, report = self.run_profiled(sample_every=4)
         assert report.queue_depth_max >= 1
-        series = system.simulator.metrics.timeseries("sim.queue.depth")
-        assert len(series) == report.queue_depth_samples > 0
-        assert system.simulator.metrics.gauge("sim.queue.depth").value >= 0
+        sampled = system.simulator.tracer.events(categories.PROFILE_QUEUE_SAMPLED)
+        assert len(sampled) == report.queue_depth_samples > 0
+        assert all(event["depth"] >= 0 for event in sampled)
 
     def test_gauge_backed_counters_match_the_trace(self) -> None:
         # regression for the rewrite onto repro.obs.metrics.GaugeMetric:
@@ -128,18 +128,16 @@ class TestReport:
 
 
 class TestDeterminism:
-    def virtual_artifacts(self, seed: int) -> tuple:
+    def virtual_artifacts(self, seed: int) -> list[tuple[float, int, int]]:
         system = BasicSystem(n_vertices=5, seed=seed)
         for i in range(5):
             system.schedule_request(i * 0.5, i, [(i + 1) % 5])
         with profiling(system.simulator, sample_every=8):
             system.run_to_quiescence()
-        samples = system.simulator.metrics.timeseries("sim.queue.depth").samples
-        trace = [
+        return [
             (event.time, event["depth"], event["events_executed"])
             for event in system.simulator.tracer.events(categories.PROFILE_QUEUE_SAMPLED)
         ]
-        return samples, trace
 
     def test_virtual_time_artifacts_identical_across_runs(self) -> None:
         assert self.virtual_artifacts(7) == self.virtual_artifacts(7)

@@ -53,7 +53,7 @@ class TestUnderlyingComputation:
         system.schedule_request(0.0, 0, [1, 2])
         system.run_to_quiescence()
         assert system.vertex(0).active
-        assert system.metrics.counter_value("or.grants.stale") >= 1
+        assert system.counts["or.grants.stale"] >= 1
 
     def test_blocked_vertex_defers_grants(self) -> None:
         # 1 blocked on 2; 0 requests 1; 1 grants only after unblocking.
@@ -180,6 +180,6 @@ class TestDetection:
         system.run_to_quiescence()
         # Per computation: at most one engaging query per edge plus one
         # non-engaging echo per edge => <= 2 * E * computations.
-        queries = system.metrics.counter_value("or.queries.sent")
-        computations = system.metrics.counter_value("or.computations.initiated")
+        queries = system.counts["or.queries.sent"]
+        computations = system.counts["or.computations.initiated"]
         assert queries <= 2 * 4 * computations

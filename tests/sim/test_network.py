@@ -207,3 +207,19 @@ class TestDelayModels:
     def test_exponential_delay_validation(self) -> None:
         with pytest.raises(SimulationError):
             ExponentialDelay(mean=0.0)
+
+    @pytest.mark.parametrize(
+        "build, shown",
+        [
+            (lambda: FixedDelay(math.nan), "nan"),
+            (lambda: FixedDelay(math.inf), "inf"),
+            (lambda: UniformDelay(0.0, math.inf), "inf"),
+            (lambda: UniformDelay(0.0, math.nan), "nan"),
+            (lambda: ExponentialDelay(mean=math.nan), "nan"),
+            (lambda: ExponentialDelay(mean=math.inf), "inf"),
+        ],
+        ids=["fixed-nan", "fixed-inf", "uniform-inf", "uniform-nan", "exp-nan", "exp-inf"],
+    )
+    def test_non_finite_parameter_rejected_at_construction(self, build, shown) -> None:
+        with pytest.raises(SimulationError, match=shown):
+            build()

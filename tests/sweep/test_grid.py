@@ -6,7 +6,7 @@ import pickle
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.sweep import GRIDS, build_grid
 from repro.sweep.grid import (
     SweepCell,
@@ -71,6 +71,14 @@ class TestDelaySpecs:
     @pytest.mark.parametrize("spec", ["gauss:1.0", "exp:", "uniform:1.0", "exp:abc"])
     def test_malformed_specs_raise(self, spec: str) -> None:
         with pytest.raises(ConfigurationError):
+            delay_model_from_spec(spec)
+
+    @pytest.mark.parametrize(
+        "spec", ["fixed:nan", "fixed:inf", "uniform:0:inf", "exp:nan", "exp:inf"]
+    )
+    def test_non_finite_specs_raise_when_built(self, spec: str) -> None:
+        # rejected by the delay model's constructor, not at its first sample
+        with pytest.raises(SimulationError, match=spec.rpartition(":")[2]):
             delay_model_from_spec(spec)
 
 

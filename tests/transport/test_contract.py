@@ -21,6 +21,7 @@ from repro.cluster.transport import ClusterTransport
 from repro.core.transport import Transport
 from repro.errors import SimulationError
 from repro.live.transport import AsyncioTransport
+from repro.obs.metrics import telemetry_for_variant
 from repro.sim import categories
 from repro.sim.network import UniformDelay
 from repro.sim.process import Process
@@ -472,6 +473,52 @@ class TestRegistrationAndDriving:
         try:
             assert isinstance(transport, Transport)
             assert transport.name in {"sim", "asyncio", "cluster"}
+        finally:
+            transport.close()
+
+
+class Counting(Process):
+    """Counts every delivery under the message's own name."""
+
+    def on_message(self, sender, message) -> None:
+        self.ctx.count(message)
+
+
+class TestCounts:
+    """``NodeContext.count`` adds one to the transport's plain counts."""
+
+    def test_each_count_adds_one(self, backend) -> None:
+        transport = _build(backend)
+        try:
+            sender = Recorder("src")
+            transport.register(sender)
+            transport.register(Counting("dst"))
+            sender.send("dst", "x")
+            sender.send("dst", "x")
+            transport.run_to_quiescence()
+            assert transport.counts["x"] == 2
+        finally:
+            transport.close()
+
+    def test_reading_a_name_never_counted_gives_zero_and_adds_nothing(self, backend) -> None:
+        transport = _build(backend)
+        try:
+            ctx = transport.register(Counting("only"))
+            ctx.count("x")
+            telemetry = telemetry_for_variant(transport, None)
+            before = telemetry.snapshot(transport.now)["transport_counters"]
+            assert transport.counts["never"] == 0
+            assert before == telemetry.snapshot(transport.now)["transport_counters"]
+            assert before == {"x": 1} == dict(transport.counts)
+        finally:
+            transport.close()
+
+    def test_context_can_only_count(self, backend) -> None:
+        transport = _build(backend)
+        try:
+            ctx = transport.register(Recorder("only"))
+            for removed in ("counter", "gauge", "histogram"):
+                assert not hasattr(ctx, removed)
         finally:
             transport.close()
 

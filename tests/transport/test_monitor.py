@@ -278,3 +278,28 @@ class TestMonitorReport:
         assert checker.family_problems(silent, "") == []
         snapshots.write_text("")
         assert checker.main([*argv, "--nonempty", str(snapshots)]) == 1
+
+    def test_ci_count_check_accepts_real_counts_only(self, tmp_path) -> None:
+        checker = _ci_checker()
+        snapshots = tmp_path / "snapshots.jsonl"
+        report = tmp_path / "run-report.json"
+        document = run("ddb", "deadlock", snapshots_out=snapshots).to_json()
+        report.write_text(json.dumps(document))
+        text = snapshots.read_text()
+        counts = json.loads(text.splitlines()[-1])["transport_counters"]
+        spans = document["spans_emitted"]
+        assert counts["ddb.computations.initiated"] == spans > 0
+        assert checker.count_problems(document, text) == []
+        argv = [str(report), "--detected", "true", "--counts", str(snapshots)]
+        assert checker.main(argv) == 0
+
+        forged = dict(document, spans_emitted=spans + 1)
+        assert checker.count_problems(forged, text) == [
+            f"*.computations.initiated sum to {spans}, want {spans + 1} (spans emitted)"
+        ]
+        last = json.loads(text.splitlines()[-1])
+        zero = json.dumps(dict(last, transport_counters=dict(counts, x=0)))
+        assert checker.count_problems(document, zero) == ["count 'x' is 0, want a positive int"]
+        assert checker.count_problems(document, "") == ["no snapshot line"]
+        snapshots.write_text(text + zero + "\n")
+        assert checker.main(argv) == 1

@@ -15,10 +15,15 @@ report: a run that delivered messages exports at least one
 sends sum to the messages delivered (the run quiesced, so every send was
 delivered), and no channel is left in flight.  The telemetry builds
 those per-channel families when an export reads it, so a stale or empty
-export fails here.
+export fails here.  ``--counts`` checks the transport's event counts in
+the run's last snapshot line: ``transport_counters`` maps names to
+positive ints, and its ``*.computations.initiated`` counts sum to the
+spans the report emitted (each initiated computation settles into one
+span by quiescence), so counts that are lost or bumped twice fail here.
 
 Usage: python tools/check_run_report.py REPORT.json --detected true|false
            [--nonempty FILE ...] [--families METRICS.prom]
+           [--counts SNAPSHOTS.jsonl]
 
 Exit 0 when every check holds; exit 1 with one line per problem.
 """
@@ -76,12 +81,39 @@ def family_problems(report: dict[str, Any], prometheus: str) -> list[str]:
     return found
 
 
+def count_problems(report: dict[str, Any], snapshots: str) -> list[str]:
+    """Everything wrong with the counts in a run's last snapshot line."""
+    lines = snapshots.splitlines()
+    if not lines:
+        return ["no snapshot line"]
+    counts = json.loads(lines[-1]).get("transport_counters")
+    if not isinstance(counts, dict):
+        return [f"transport_counters is {counts!r}, want an object"]
+    found = [
+        f"count {name!r} is {value!r}, want a positive int"
+        for name, value in counts.items()
+        if not (type(value) is int and value > 0)
+    ]
+    initiated = sum(
+        value
+        for name, value in counts.items()
+        if name.endswith(".computations.initiated") and type(value) is int
+    )
+    spans = report.get("spans_emitted")
+    if initiated != spans:
+        found.append(
+            f"*.computations.initiated sum to {initiated}, want {spans!r} (spans emitted)"
+        )
+    return found
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="Validate a `repro run` report.")
     parser.add_argument("report", type=Path)
     parser.add_argument("--detected", choices=("true", "false"), required=True)
     parser.add_argument("--nonempty", type=Path, nargs="*", default=[])
     parser.add_argument("--families", type=Path, metavar="METRICS.prom")
+    parser.add_argument("--counts", type=Path, metavar="SNAPSHOTS.jsonl")
     args = parser.parse_args(argv)
     report = json.loads(args.report.read_text(encoding="utf-8"))
     found = problems(report, detected=args.detected == "true")
@@ -90,6 +122,11 @@ def main(argv: list[str] | None = None) -> int:
         found += [
             f"{args.families}: {problem}"
             for problem in family_problems(report, args.families.read_text())
+        ]
+    if args.counts is not None:
+        found += [
+            f"{args.counts}: {problem}"
+            for problem in count_problems(report, args.counts.read_text())
         ]
     for problem in found:
         print(f"{args.report}: {problem}")
