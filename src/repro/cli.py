@@ -10,11 +10,11 @@ Usage::
     repro experiment all --quick     # regenerate everything, fast settings
     repro verify                     # exhaustive small-scope model checking
     repro run basic --transport live # deadlock scenario on the asyncio runtime
+    repro run ddb --trace-out run.jsonl                # the run's full trace, JSONL
+    repro run basic --trace-out run.json               # ... or Chrome/Perfetto JSON
+    repro run basic --scenario cycle --n 64 --profile  # simulator hot-path profile
     repro lint src tests             # project-specific static analysis
     repro lint --explain RPX005      # what a rule enforces, and why
-    repro trace --format chrome --out trace.json   # Perfetto-loadable trace
-    repro spans                      # per-computation span table + bounds
-    repro profile --scenario cycle --n 64          # simulator hot-path profile
     repro sweep --grid e3 --workers 4 --out results/   # parallel sweep
     repro bench record               # (re)write benchmarks/BENCH_baseline.json
     repro bench check                # fail on throughput/shape regressions
@@ -86,127 +86,6 @@ def _cmd_policies(args: argparse.Namespace) -> int:
         print(f"  models: {', '.join(policy.models)}")
         print(f"  source: {policy.source}")
         print(f"  example: --policy {policy.example.policy_id}")
-    return 0
-
-
-def _cmd_timeline(_: argparse.Namespace) -> int:
-    from repro.analysis.timeline import render_timeline
-    from repro.core import get_variant
-    from repro.workloads.scenarios import schedule_cycle
-
-    system = get_variant("basic").build(n_vertices=3)
-    schedule_cycle(system, [0, 1, 2])
-    system.run_to_quiescence()
-    print(render_timeline(system.simulator.tracer))
-    return 0
-
-
-#: scenarios the observability commands can run; all deterministic per seed.
-OBS_SCENARIOS = ("quickstart", "cycle", "chain", "figure-eight", "ping-pong")
-
-
-def _build_obs_scenario(args: argparse.Namespace):
-    """Build a BasicSystem with the requested canned workload scheduled."""
-    from repro.core import get_variant
-    from repro.workloads import scenarios
-
-    build = get_variant("basic").build
-    name = args.scenario
-    seed = args.seed
-    if name == "quickstart":
-        system = build(n_vertices=3, seed=seed)
-        scenarios.schedule_cycle(system, [0, 1, 2])
-    elif name == "cycle":
-        n = args.n or 8
-        system = build(n_vertices=n, seed=seed)
-        scenarios.schedule_cycle(system, list(range(n)))
-    elif name == "chain":
-        n = args.n or 8
-        system = build(n_vertices=n, seed=seed)
-        scenarios.schedule_chain(system, list(range(n)))
-    elif name == "figure-eight":
-        n = max(args.n or 5, 5)
-        half = (n - 1) // 2
-        system = build(n_vertices=n, seed=seed)
-        scenarios.schedule_figure_eight(
-            system, shared=0, left=list(range(1, 1 + half)), right=list(range(1 + half, n))
-        )
-    elif name == "ping-pong":
-        n = max(args.n or 4, 2)
-        system = build(n_vertices=n, seed=seed)
-        pairs = [(i, i + 1) for i in range(0, n - 1, 2)]
-        scenarios.schedule_ping_pong(system, pairs, repetitions=4)
-    else:  # pragma: no cover - argparse choices guard this
-        raise ValueError(f"unknown scenario {name!r}")
-    return system
-
-
-def _add_obs_scenario_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--scenario",
-        choices=OBS_SCENARIOS,
-        default="quickstart",
-        help="workload to run (default: quickstart, the 3-cycle demo)",
-    )
-    parser.add_argument(
-        "--n", type=int, default=None, help="scenario size (vertices), where applicable"
-    )
-    parser.add_argument("--seed", type=int, default=0, help="root seed (default: 0)")
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
-    from repro.obs.export import events_to_chrome, events_to_jsonl
-
-    system = _build_obs_scenario(args)
-    system.run_to_quiescence()
-    tracer = system.simulator.tracer
-    if args.format == "chrome":
-        payload = json.dumps(events_to_chrome(tracer), indent=2, sort_keys=True)
-    else:
-        payload = events_to_jsonl(tracer)
-    if args.out is not None:
-        Path(args.out).write_text(payload, encoding="utf-8")
-        print(
-            f"[{args.format} trace of '{args.scenario}' "
-            f"({len(tracer)} events) written to {args.out}]"
-        )
-    else:
-        print(payload, end="" if payload.endswith("\n") else "\n")
-    return 0
-
-
-def _cmd_spans(args: argparse.Namespace) -> int:
-    from repro.analysis.timeline import render_spans
-    from repro.errors import BoundViolation
-    from repro.obs.spans import build_spans, check_probe_bounds
-
-    system = _build_obs_scenario(args)
-    system.run_to_quiescence()
-    spans = build_spans(system.simulator.tracer)
-    print(f"probe computations for scenario '{args.scenario}' (seed {args.seed}):")
-    print(render_spans(spans))
-    try:
-        check_probe_bounds(spans, n_vertices=len(system.vertices))
-    except BoundViolation as violation:
-        print(f"BOUND VIOLATED: {violation}")
-        return 1
-    print(
-        f"section 4 bounds OK: <= 1 probe per edge per computation "
-        f"across {len(spans)} computation(s)"
-    )
-    return 0
-
-
-def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.obs.profile import profiling
-
-    system = _build_obs_scenario(args)
-    with profiling(system.simulator, sample_every=args.sample_every) as profiler:
-        system.run_to_quiescence()
-    print(profiler.report().render())
     return 0
 
 
@@ -377,7 +256,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     from repro.core import get_variant
     from repro.errors import ClusterError, ConfigurationError, SimulationError
-    from repro.runner import run
+    from repro.runner import check_writable, run
 
     try:
         get_variant(args.variant)
@@ -385,6 +264,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(str(error))
         return 2
     try:
+        check_writable(args.json_out)
         report = run(
             args.variant,
             args.scenario,
@@ -401,6 +281,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             metrics_out=args.metrics_out,
             spans_out=args.spans_out,
             snapshots_out=args.snapshots_out,
+            trace_out=args.trace_out,
+            profile=args.profile,
             console=sys.stdout,
         )
     except (ConfigurationError, SimulationError) as error:
@@ -439,9 +321,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"  messages delivered: {report.messages_delivered}")
     if report.workers is not None:
         print(f"  worker processes: {report.workers}")
+    if args.trace_out:
+        print(f"  trace written to {args.trace_out}")
     print(f"  wall time: {report.wall_seconds:.3f} s")
     for failure in report.failures:
         print(f"FAILED: {failure}")
+    if report.profile is not None:
+        print(report.profile.render())
     return 0 if report.ok else 1
 
 
@@ -512,66 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="only policies that can drive this model (basic, ddb, ormodel)",
     )
     policies.set_defaults(handler=_cmd_policies)
-
-    timeline = subparsers.add_parser(
-        "timeline", help="render a protocol timeline of the 3-cycle demo"
-    )
-    timeline.set_defaults(handler=_cmd_timeline)
-
-    trace = subparsers.add_parser(
-        "trace",
-        help="run a scenario and export its trace (jsonl or chrome/Perfetto)",
-        description=(
-            "Runs a deterministic scenario to quiescence and exports the "
-            "structured trace: 'jsonl' is the lossless archival round-trip "
-            "format, 'chrome' loads in Perfetto (ui.perfetto.dev) or "
-            "chrome://tracing with per-vertex tracks, probe-computation "
-            "spans, and probe-hop flow arrows."
-        ),
-    )
-    _add_obs_scenario_arguments(trace)
-    trace.add_argument(
-        "--format",
-        choices=("jsonl", "chrome"),
-        default="jsonl",
-        help="export format (default: jsonl)",
-    )
-    trace.add_argument(
-        "--out", metavar="PATH", default=None, help="write to PATH instead of stdout"
-    )
-    trace.set_defaults(handler=_cmd_trace)
-
-    spans = subparsers.add_parser(
-        "spans",
-        help="per-computation span table with section 4 probe-bound checks",
-        description=(
-            "Runs a scenario, reconstructs every probe computation (i, n) "
-            "from the trace, prints one row per computation (hops, outcome, "
-            "detection latency), and machine-checks the paper's 'at most "
-            "one probe per edge per computation' bound; a violated bound "
-            "is a hard error (exit 1)."
-        ),
-    )
-    _add_obs_scenario_arguments(spans)
-    spans.set_defaults(handler=_cmd_spans)
-
-    profile = subparsers.add_parser(
-        "profile",
-        help="profile the simulator hot path on a scenario",
-        description=(
-            "Runs a scenario with the opt-in wall-clock profiler attached "
-            "and prints events/sec, per-handler-category wall time, and "
-            "event-queue depth statistics."
-        ),
-    )
-    _add_obs_scenario_arguments(profile)
-    profile.add_argument(
-        "--sample-every",
-        type=int,
-        default=64,
-        help="queue-depth sampling period in events (default: 64)",
-    )
-    profile.set_defaults(handler=_cmd_profile)
 
     experiment = subparsers.add_parser(
         "experiment", help="regenerate an experiment table (E1..E8 or 'all')"
@@ -672,10 +498,14 @@ def build_parser() -> argparse.ArgumentParser:
             "runtime, or one worker OS process per node, and observes it "
             "tick by tick: a one-line console status, a Prometheus text "
             "file rewritten each tick, and JSONL streams of settled "
-            "probe-computation spans and metric snapshots.  Times are "
-            "virtual units everywhere.  Exit 1 on a missed deadlock, a "
-            "soundness violation, a section 4 probe-bound violation, a "
-            "missed SLO, or a run failure; exit 2 on an unknown variant."
+            "probe-computation spans and metric snapshots.  --trace-out "
+            "writes the full trace (open a .json file in "
+            "https://ui.perfetto.dev), and --profile times the simulator's "
+            "event loop.  Times are virtual units everywhere.  Exit 1 on a "
+            "missed deadlock, a soundness violation, a section 4 "
+            "probe-bound violation, a missed SLO, or a run failure "
+            "(including an output path that cannot be written); exit 2 on "
+            "an unknown variant."
         ),
     )
     run.add_argument("variant", help="variant name (see `repro variants`)")
@@ -760,6 +590,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--snapshots-out",
         metavar="FILE",
         help="stream periodic metrics snapshots here as JSONL",
+    )
+    run.add_argument(
+        "--trace-out",
+        metavar="FILE",
+        help=(
+            "write the run's full trace here: Chrome/Perfetto JSON when FILE "
+            "ends in .json (basic and ddb models), lossless JSONL otherwise"
+        ),
+    )
+    run.add_argument(
+        "--profile",
+        action="store_true",
+        help="sim only: print the simulator's events/s and per-handler wall time",
     )
     run.set_defaults(handler=_cmd_run)
 

@@ -61,6 +61,9 @@ class DdbDetector:
     def __init__(self, controller: "Controller") -> None:
         self._controller = controller
         self._computations: dict[ProbeTag, DdbComputation] = {}
+        #: the tags this controller initiated, by the process they are
+        #: about, so :meth:`prune` touches only that process's records.
+        self._initiated: dict[ProcessId, list[ProbeTag]] = {}
         self._next_sequence = 1
 
     @property
@@ -100,6 +103,7 @@ class DdbDetector:
         self._next_sequence += 1
         computation = DdbComputation(tag=tag, about=about)
         self._computations[tag] = computation
+        self._initiated.setdefault(about, []).append(tag)
         controller.ctx.count("ddb.computations.initiated")
         controller.ctx.trace(
             categories.DDB_COMPUTATION_INITIATED, site=controller.site, about=about, tag=tag
@@ -203,12 +207,7 @@ class DdbDetector:
         initiated.  Forwarded (non-initiator) state is pruned lazily by
         :meth:`prune_forwarded`.
         """
-        stale = [
-            tag
-            for tag, computation in self._computations.items()
-            if computation.about == about
-        ]
-        for tag in stale:
+        for tag in self._initiated.pop(about, ()):
             del self._computations[tag]
 
     def prune_forwarded(self, max_records: int = 10_000) -> None:

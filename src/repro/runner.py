@@ -20,6 +20,14 @@ same span fold supplies the report's detection latencies (initiation to
 declaration, virtual units) and the section 4 bound check; the SLO gate
 compares those latencies against ``slo`` units.
 
+Two more views of the same run are opt-in.  ``trace_out`` turns the
+backend tracer's log on and writes the whole trace when the run ends:
+Chrome/Perfetto JSON for a ``.json`` path, lossless JSONL otherwise.
+``profile`` times the simulator's event loop
+(:func:`~repro.obs.profile.profiling`) and puts the result on the report.
+Every output path is checked before the backend is built, so a path that
+cannot be written fails the run before a cluster spawns its workers.
+
 This module sits above every tier (it imports both ``live`` and
 ``cluster``), next to :mod:`repro.cli`.
 """
@@ -42,9 +50,12 @@ from repro.core.scheduling import PolicySpec, coerce_policy_spec
 from repro.core.transport import Transport
 from repro.errors import ConfigurationError, SimulationError
 from repro.live.transport import AsyncioTransport
+from repro.obs.export import write_chrome, write_jsonl
 from repro.obs.metrics import TransportTelemetry, telemetry_for_variant
-from repro.obs.spans import ProbeComputationSpan
+from repro.obs.profile import ProfileReport, profiling
+from repro.obs.spans import SCHEMAS_BY_MODEL, ProbeComputationSpan
 from repro.obs.stream import span_to_json
+from repro.sim.transport import SimTransport
 from repro.workloads.provision import provision_workload, resolve_scenario_spec
 
 #: backend names :func:`run` accepts.
@@ -81,6 +92,9 @@ class RunReport:
     slo: float | None = None
     #: worker OS processes spawned (cluster only; ``None`` elsewhere).
     workers: int | None = None
+    #: the simulator profile when the run asked for one.  Wall-clock
+    #: numbers, so it stays out of :meth:`to_json`.
+    profile: ProfileReport | None = None
 
     @property
     def first_declaration_at(self) -> float | None:
@@ -150,6 +164,25 @@ class RunReport:
             "wall_seconds": self.wall_seconds,
             "workers": self.workers,
         }
+
+
+def check_writable(*paths: str | Path | None) -> None:
+    """Raise :class:`~repro.errors.ConfigurationError`, naming the path,
+    for the first output path that cannot be opened for writing.
+
+    ``None`` entries are skipped.  The check opens in append mode: it
+    creates a missing file but never truncates an existing one.
+    """
+    for path in paths:
+        if path is None:
+            continue
+        try:
+            with open(path, "a", encoding="utf-8"):
+                pass
+        except OSError as error:
+            raise ConfigurationError(
+                f"cannot open {path} for writing: {error.strerror or error}"
+            ) from error
 
 
 def _make_transport(
@@ -222,6 +255,8 @@ def run(
     metrics_out: str | Path | None = None,
     spans_out: str | Path | None = None,
     snapshots_out: str | Path | None = None,
+    trace_out: str | Path | None = None,
+    profile: bool = False,
     console: IO[str] | None = None,
 ) -> RunReport:
     """Run one scenario of one variant on one transport, observed.
@@ -248,6 +283,13 @@ def run(
     metrics_out / spans_out / snapshots_out:
         Prometheus text file (rewritten each tick), settled-span JSONL
         stream, and metrics-snapshot JSONL stream.
+    trace_out:
+        Write the run's full trace here when it ends: Chrome/Perfetto
+        JSON when the name ends in ``.json`` (basic and DDB models, which
+        have a span schema), lossless JSONL otherwise (every model).
+    profile:
+        Profile the simulator's event loop into :attr:`RunReport.profile`
+        (the ``sim`` transport only).
     console:
         Where to print one status line per tick; ``None`` prints nothing.
     """
@@ -261,8 +303,22 @@ def run(
             f"variant {variant_name!r} is an overlay bound to its fixed "
             "conformance host: a policy, size or duration cannot apply"
         )
-    # Resolve before building the backend, so a bad scenario fails fast
-    # instead of after cluster bring-up.
+    backend_name = transport if isinstance(transport, str) else transport.name
+    if profile and backend_name != "sim":
+        raise ConfigurationError(
+            f"the profiler times the simulator's event loop; transport "
+            f"{backend_name!r} has none (use 'sim')"
+        )
+    model = variant.capabilities.model
+    chrome = trace_out is not None and str(trace_out).endswith(".json")
+    if chrome and model not in SCHEMAS_BY_MODEL:
+        raise ConfigurationError(
+            f"a Chrome trace (.json) draws probe-computation spans, and model "
+            f"{model!r} has no span schema; write JSONL (any other suffix)"
+        )
+    # Resolve and check the outputs before building the backend, so a bad
+    # scenario or an unwritable path fails fast instead of after cluster
+    # bring-up.
     spec = (
         None
         if overlay
@@ -270,6 +326,7 @@ def run(
             variant, scenario, seed=seed, n_vertices=n_vertices, duration=duration
         )
     )
+    check_writable(metrics_out, spans_out, snapshots_out, trace_out)
     backend = (
         _make_transport(
             transport, seed=seed, time_scale=time_scale, timeout=timeout, tcp=tcp
@@ -281,6 +338,8 @@ def run(
     ticks = 0
     with ExitStack() as cleanup:
         cleanup.callback(backend.close)
+        if trace_out is not None:
+            backend.tracer.enabled = True
         spans_file = (
             None if spans_out is None else cleanup.enter_context(open(spans_out, "w"))
         )
@@ -298,11 +357,7 @@ def run(
             backend,
             variant.capabilities,
             # The probes-le-edges budget is in vertices: basic model only.
-            n_vertices=(
-                spec.n
-                if spec is not None and variant.capabilities.model == "basic"
-                else None
-            ),
+            n_vertices=spec.n if spec is not None and model == "basic" else None,
             span_sink=on_span,
         )
 
@@ -312,12 +367,19 @@ def run(
             if snapshots_file is not None:
                 snapshots_file.write(telemetry.snapshot_line(backend.now) + "\n")
 
-        if spec is None:
+        provisioned = (
+            None
+            if spec is None
+            else provision_workload(variant, spec, transport=backend, policy=policy_spec)
+        )
+        profiler = (
+            cleanup.enter_context(profiling(backend.simulator))
+            if profile and isinstance(backend, SimTransport)
+            else None
+        )
+        if provisioned is None:
             outcome = variant.conformance(scenario, seed, transport=backend)
         else:
-            provisioned = provision_workload(
-                variant, spec, transport=backend, policy=policy_spec
-            )
             deadline = started + timeout
             while True:
                 backend.run(until=backend.now + interval)
@@ -339,8 +401,14 @@ def run(
                         f"seconds (virtual t={backend.now:.1f})"
                     )
             outcome = provisioned.summarize()
+        profile_report = None if profiler is None else profiler.report()
         telemetry.finish()
         export()
+        if trace_out is not None:
+            if chrome:
+                write_chrome(trace_out, backend.tracer, schema=SCHEMAS_BY_MODEL[model])
+            else:
+                write_jsonl(trace_out, backend.tracer)
         delivered = telemetry.messages_delivered
         workers = (
             len(backend.worker_processes())
@@ -361,4 +429,5 @@ def run(
         wall_seconds=time.perf_counter() - started,
         slo=slo,
         workers=workers,
+        profile=profile_report,
     )

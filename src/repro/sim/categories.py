@@ -3,7 +3,7 @@
 Every category string recorded through :meth:`Simulator.trace_now` /
 :meth:`Tracer.record` and every category a consumer matches against
 (`verification/invariants.py`, the system observers, the baselines, the
-timeline renderer) must be a constant from this module.  The invariant
+span folds) must be a constant from this module.  The invariant
 checkers grep the trace *by category*; a typo'd literal on either the
 producer or the consumer side silently defeats them.  Centralising the
 names turns that failure mode into an ``AttributeError`` at import time,

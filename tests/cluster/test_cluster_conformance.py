@@ -11,6 +11,7 @@ from tests.transport.test_run_conformance import (
     TIMEOUT,
     AdaptivePolicy,
     EveryVariant,
+    TraceExport,
     run_on,
 )
 
@@ -20,6 +21,10 @@ class TestEveryVariantOnCluster(EveryVariant):
 
 
 class TestAdaptivePolicyOnCluster(AdaptivePolicy):
+    transport = "cluster"
+
+
+class TestTraceExportOnCluster(TraceExport):
     transport = "cluster"
 
 

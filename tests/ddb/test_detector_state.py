@@ -28,6 +28,31 @@ class TestPruning:
                     f"unpruned initiator record {tag} at C{controller.site}"
                 )
 
+    def test_prune_drops_exactly_its_process_initiator_records(self) -> None:
+        from repro.ddb.detector import DdbComputation
+
+        system = two_site_system()
+        detector = system.controller(0).detector
+        p, q = pid(1, 0), pid(2, 0)
+        about_p = [detector.initiate(p) for _ in range(3)]
+        about_q = [detector.initiate(q) for _ in range(2)]
+        forwarded = [ProbeTag(initiator=1, sequence=i + 1) for i in range(4)]
+        for tag in forwarded:
+            detector._computations[tag] = DdbComputation(tag=tag, about=None)
+        assert all(detector._computations[tag].about == p for tag in about_p)
+
+        detector.prune(p)
+        assert list(detector._computations) == about_q + forwarded
+        detector.prune(p)  # nothing left about p: a no-op
+        assert detector.tracked_computations == len(about_q) + len(forwarded)
+        detector.prune(q)
+        assert list(detector._computations) == forwarded
+        # p waits again: its new computation is pruned the same way
+        again = detector.initiate(p)
+        assert again not in about_p
+        detector.prune(p)
+        assert list(detector._computations) == forwarded
+
     def test_prune_forwarded_caps_records(self) -> None:
         from repro.ddb.detector import DdbComputation
 

@@ -4,8 +4,9 @@ The round-trip property is the contract that makes offline analysis
 trustworthy: ``events_from_jsonl(events_to_jsonl(t)) == list(t)`` event
 for event, payload types included (ProbeTag, frozen message dataclasses,
 tuples...).  The Chrome export is checked against :func:`validate_chrome`
-(what Perfetto needs) and the span pipeline is pinned by a golden file
-rendered from the deterministic quickstart scenario.
+(what Perfetto needs) and the span pipeline is pinned by a golden file of
+the deterministic quickstart scenario's spans, one ``span_to_json`` line
+each.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from pathlib import Path
 import pytest
 
 from repro._ids import ProbeTag
-from repro.analysis.timeline import render_spans
 from repro.basic.messages import Probe
 from repro.obs.export import (
     TraceEncodingError,
@@ -31,11 +31,12 @@ from repro.obs.export import (
     write_jsonl,
 )
 from repro.obs.spans import build_spans
+from repro.obs.stream import span_to_json
 from repro.sim.trace import TraceEvent, Tracer
 
 from tests.conftest import make_cycle_system
 
-GOLDEN = Path(__file__).parent / "golden_quickstart_spans.txt"
+GOLDEN = Path(__file__).parent / "golden_quickstart_spans.jsonl"
 
 
 def quickstart_tracer() -> Tracer:
@@ -90,9 +91,9 @@ class TestJsonlRoundTrip:
     def test_reimported_trace_feeds_the_span_builder(self, tmp_path) -> None:
         tracer = quickstart_tracer()
         path = write_jsonl(tmp_path / "trace.jsonl", tracer)
-        direct = render_spans(build_spans(tracer))
-        offline = render_spans(build_spans(read_jsonl(path)))
-        assert offline == direct
+        direct = build_spans(tracer)
+        assert direct
+        assert build_spans(read_jsonl(path)) == direct
 
     def test_non_finite_floats_are_rejected(self) -> None:
         event = TraceEvent(time=0.0, category="x", details={"v": float("nan")})
@@ -174,21 +175,25 @@ class TestChromeExport:
         assert any("unmatched phases" in p for p in problems)
 
 
+def quickstart_span_lines() -> str:
+    """The quickstart run's spans, one sorted-key ``span_to_json`` line each."""
+    spans = build_spans(quickstart_tracer())
+    return "".join(json.dumps(span_to_json(span), sort_keys=True) + "\n" for span in spans)
+
+
 class TestGoldenSpans:
     def test_quickstart_spans_match_golden_file(self) -> None:
         """The deterministic quickstart pipeline is pinned end to end.
 
         If this fails because of an *intentional* change to the span fold
-        or the renderer, regenerate with:
+        or to ``span_to_json``, regenerate with:
 
             PYTHONPATH=src python -c "
             from tests.obs.test_export import regenerate_golden
             regenerate_golden()"
         """
-        rendered = render_spans(build_spans(quickstart_tracer()))
-        assert rendered == GOLDEN.read_text().rstrip("\n")
+        assert quickstart_span_lines() == GOLDEN.read_text()
 
 
 def regenerate_golden() -> None:  # pragma: no cover - maintenance helper
-    rendered = render_spans(build_spans(quickstart_tracer()))
-    GOLDEN.write_text(rendered + "\n")
+    GOLDEN.write_text(quickstart_span_lines())

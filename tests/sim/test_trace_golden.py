@@ -1,17 +1,19 @@
 """Byte-level pins of the full trace of ``trace=True`` runs.
 
 Every protocol action is recorded through :meth:`~repro.sim.trace.Tracer.record`
-and, with recording enabled, logged in order; ``repro trace`` exports that
-log with :func:`~repro.obs.export.events_to_jsonl`.  A change to how the
-tracer routes, builds or stores events must leave the log byte-identical:
-the same events, the same payloads, in the same order.  This suite
-compares the JSONL digest of each case with ``golden_trace.json``.
+and, with recording enabled, logged in order; ``repro run --trace-out``
+exports that log with :func:`~repro.obs.export.events_to_jsonl`.  A
+change to how the tracer routes, builds or stores events must leave the
+log byte-identical: the same events, the same payloads, in the same
+order.  This suite compares the JSONL digest of each case with
+``golden_trace.json``.
 
-Cases: the basic cycle and figure-eight scenarios as ``repro trace``
-builds them, the DDB and OR deadlock conformance workloads, and a basic
-run with the timeout baseline attached (a subscriber that is not one of
-the system's own), each on seeds 0-2.  Message delays are exponential, so
-each seed is its own interleaving.
+Cases: the basic cycle and figure-eight scenarios as the ``cycle`` and
+``figure-eight`` workload families schedule them, the DDB and OR
+deadlock conformance workloads, and a basic run with the timeout
+baseline attached (a subscriber that is not one of the system's own),
+each on seeds 0-2.  Message delays are exponential, so each seed is its
+own interleaving.
 
 An intended change to the trace re-records the file with
 ``PYTHONPATH=src python -m tests.sim.test_trace_golden``.

@@ -58,12 +58,6 @@ class TestCommands:
         assert "OR-deadlock" in out
         assert "verified" in out
 
-    def test_timeline(self, capsys) -> None:
-        assert main(["timeline"]) == 0
-        out = capsys.readouterr().out
-        assert "requests" in out
-        assert "DECLARES DEADLOCK" in out
-
     def test_verify(self, capsys) -> None:
         assert main(["verify"]) == 0
         out = capsys.readouterr().out
@@ -80,45 +74,27 @@ class TestCommands:
         assert main(["experiment", "e4", "--quick"]) == 0
         assert "E4" in capsys.readouterr().out
 
-    def test_spans(self, capsys) -> None:
-        assert main(["spans"]) == 0
-        out = capsys.readouterr().out
-        assert "probe computations" in out
-        assert "deadlock" in out
-        assert "section 4 bounds OK" in out
+    def test_trace_jsonl_round_trips(self, tmp_path, capsys) -> None:
+        from repro.obs.export import events_to_jsonl, read_jsonl
 
-    def test_spans_other_scenarios(self, capsys) -> None:
-        assert main(["spans", "--scenario", "chain", "--n", "4"]) == 0
-        assert "fizzled" in capsys.readouterr().out
-        assert main(["spans", "--scenario", "ping-pong"]) == 0
-        assert "superseded" in capsys.readouterr().out
-
-    def test_trace_jsonl_round_trips(self, capsys) -> None:
-        from repro.obs.export import events_from_jsonl
-
-        assert main(["trace", "--format", "jsonl"]) == 0
-        events = events_from_jsonl(capsys.readouterr().out)
-        assert events
+        path = tmp_path / "run.jsonl"
+        argv = ["run", "basic", "--scenario", "cycle", "--n", "3", "--trace-out", str(path)]
+        assert main(argv) == 0
+        assert f"trace written to {path}" in capsys.readouterr().out
+        events = read_jsonl(path)
+        assert events_to_jsonl(events) == path.read_text()
         assert any(e.category == "basic.deadlock.declared" for e in events)
 
     def test_trace_chrome_to_file(self, tmp_path, capsys) -> None:
-        import json
-
         from repro.obs.export import validate_chrome
 
-        out_path = tmp_path / "trace.json"
-        assert main(["trace", "--format", "chrome", "--out", str(out_path)]) == 0
-        assert "written to" in capsys.readouterr().out
-        document = json.loads(out_path.read_text())
+        path = tmp_path / "run.json"
+        argv = ["run", "basic", "--scenario", "cycle", "--n", "3", "--trace-out", str(path)]
+        assert main(argv) == 0
+        assert f"trace written to {path}" in capsys.readouterr().out
+        document = json.loads(path.read_text())
         assert validate_chrome(document) == []
-        assert document["otherData"]["spans"] > 0
-
-    def test_profile(self, capsys) -> None:
-        assert main(["profile", "--sample-every", "16"]) == 0
-        out = capsys.readouterr().out
-        assert "simulator profile" in out
-        assert "events/s" in out
-        assert "deliver Probe" in out
+        assert document["otherData"]["spans"] == 3
 
     def test_experiment_json_export(self, tmp_path, capsys) -> None:
         import json
@@ -284,3 +260,71 @@ class TestMonitorCommand:
         out = capsys.readouterr().out
         assert "  worker 0 (p0): exited\n    Traceback: boom\n" in out
         assert "  worker 1 (p1): stopped heartbeating\n" in out
+
+
+class TestRunInspection:
+    """`repro run` on the simulator, inspected: the section 4 bound check,
+    the span stream and the profiler."""
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [["cycle", "--n", "3"], ["cycle", "--n", "12"], ["ping-pong"]],
+        ids=["cycle-3", "cycle-12", "ping-pong"],
+    )
+    def test_scenarios_stay_within_the_probe_bounds(self, capsys, scenario) -> None:
+        assert main(["run", "basic", "--scenario", *scenario]) == 0
+        out = capsys.readouterr().out
+        assert "  bound violations: 0\n" in out
+        assert "FAILED" not in out
+
+    @pytest.mark.parametrize(
+        ("scenario", "outcome"),
+        [(["chain", "--n", "4"], "fizzled"), (["ping-pong"], "superseded")],
+        ids=["chain-4", "ping-pong"],
+    )
+    def test_spans_out_records_every_outcome(
+        self, tmp_path, capsys, scenario, outcome
+    ) -> None:
+        spans = tmp_path / "spans.jsonl"
+        argv = ["run", "basic", "--scenario", *scenario, "--spans-out", str(spans)]
+        assert main(argv) == 0
+        streamed = [json.loads(line) for line in spans.read_text().splitlines()]
+        assert outcome in {span["outcome"] for span in streamed}
+
+    def test_profile_prints_the_simulator_profile(self, capsys) -> None:
+        argv = ["run", "basic", "--scenario", "cycle", "--n", "64", "--profile"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "simulator profile" in out
+        assert "events/s" in out
+        assert "deliver Probe" in out
+
+    @pytest.mark.parametrize(
+        "flag", ["--json-out", "--metrics-out", "--spans-out", "--snapshots-out", "--trace-out"]
+    )
+    def test_unwritable_output_fails_before_the_run(self, tmp_path, capsys, flag) -> None:
+        path = tmp_path / "missing" / "out.jsonl"
+        assert main(["run", "basic", flag, str(path)]) == 1
+        # one line and no console tick: the run never started
+        assert capsys.readouterr().out.splitlines() == [
+            f"RUN FAILED: cannot open {path} for writing: No such file or directory"
+        ]
+
+    def test_unwritable_output_spawns_no_cluster_worker(
+        self, tmp_path, capsys, monkeypatch
+    ) -> None:
+        import subprocess
+
+        spawned: list[object] = []
+        popen = subprocess.Popen
+
+        def spy(*args, **kwargs):
+            spawned.append(args)
+            return popen(*args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "Popen", spy)
+        path = tmp_path / "missing" / "metrics.prom"
+        argv = ["run", "basic", "--transport", "cluster", "--metrics-out", str(path)]
+        assert main(argv) == 1
+        assert capsys.readouterr().out.startswith(f"RUN FAILED: cannot open {path}")
+        assert spawned == []

@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from tests.transport.test_run_conformance import AdaptivePolicy, EveryVariant, run_on
+from tests.transport.test_run_conformance import (
+    AdaptivePolicy,
+    EveryVariant,
+    TraceExport,
+    run_on,
+)
 
 
 class TestEveryVariantLive(EveryVariant):
@@ -12,6 +17,10 @@ class TestEveryVariantLive(EveryVariant):
 
 
 class TestAdaptivePolicyLive(AdaptivePolicy):
+    transport = "live"
+
+
+class TestTraceExportLive(TraceExport):
     transport = "live"
 
 

@@ -303,3 +303,54 @@ class TestMonitorReport:
         assert checker.count_problems(document, "") == ["no snapshot line"]
         snapshots.write_text(text + zero + "\n")
         assert checker.main(argv) == 1
+
+    def test_ci_trace_check_accepts_real_traces_only(self, tmp_path) -> None:
+        checker = _ci_checker()
+        trace = tmp_path / "trace.jsonl"
+        report = tmp_path / "run-report.json"
+        document = run("ddb", "deadlock", trace_out=trace).to_json()
+        report.write_text(json.dumps(document))
+        text = trace.read_text()
+        assert checker.trace_problems(document, text) == []
+        argv = [str(report), "--detected", "true", "--trace", str(trace)]
+        assert checker.main(argv) == 0
+
+        lines = text.splitlines(keepends=True)
+
+        def first(category: str) -> int:
+            return next(
+                index
+                for index, line in enumerate(lines)
+                if json.loads(line)["category"] == category
+            )
+
+        def without(index: int) -> str:
+            return "".join(lines[:index] + lines[index + 1 :])
+
+        declarations = document["declarations"]
+        delivered = document["messages_delivered"]
+        spans = document["spans_emitted"]
+        assert declarations > 0 and delivered > 0 and spans > 0
+        assert checker.trace_problems(
+            document, without(first("ddb.deadlock.declared"))
+        ) == [
+            f"{declarations - 1} *.deadlock.declared record(s), "
+            f"want {declarations} (declarations)"
+        ]
+        assert checker.trace_problems(document, without(first("net.delivered"))) == [
+            f"{delivered - 1} net.delivered record(s), want {delivered} (messages_delivered)"
+        ]
+        repeated = text + lines[first("obs.span.settled")]
+        assert checker.trace_problems(document, repeated) == [
+            f"{spans + 1} obs.span.settled record(s), want {spans} (spans_emitted)"
+        ]
+        extra = len(lines) + 1
+        assert checker.trace_problems(document, text + '{"time": 1.0}\n') == [
+            f"line {extra} lacks a numeric time, a category or details"
+        ]
+        assert checker.trace_problems(document, text + "{not json}\n") == [
+            f"line {extra} is not JSON: Expecting property name enclosed in double quotes"
+        ]
+        assert checker.trace_problems(document, "") == ["no trace record"]
+        trace.write_text(repeated)
+        assert checker.main(argv) == 1

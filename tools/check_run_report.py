@@ -20,10 +20,16 @@ the run's last snapshot line: ``transport_counters`` maps names to
 positive ints, and its ``*.computations.initiated`` counts sum to the
 spans the report emitted (each initiated computation settles into one
 span by quiescence), so counts that are lost or bumped twice fail here.
+``--trace`` checks the run's ``--trace-out`` JSONL against the report:
+every line is a JSON object with ``time``, ``category`` and ``details``,
+and the trace holds one ``*.deadlock.declared`` record per declaration,
+one ``net.delivered`` record per delivered message and one
+``obs.span.settled`` record per emitted span, so a trace that drops or
+repeats records fails here.
 
 Usage: python tools/check_run_report.py REPORT.json --detected true|false
            [--nonempty FILE ...] [--families METRICS.prom]
-           [--counts SNAPSHOTS.jsonl]
+           [--counts SNAPSHOTS.jsonl] [--trace TRACE.jsonl]
 
 Exit 0 when every check holds; exit 1 with one line per problem.
 """
@@ -32,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import json
+from collections import Counter
 from pathlib import Path
 from typing import Any
 
@@ -107,6 +114,41 @@ def count_problems(report: dict[str, Any], snapshots: str) -> list[str]:
     return found
 
 
+def trace_problems(report: dict[str, Any], trace: str) -> list[str]:
+    """Everything wrong with a run's JSONL trace, given its report."""
+    lines = trace.splitlines()
+    if not lines:
+        return ["no trace record"]
+    found: list[str] = []
+    categories: Counter[str] = Counter()
+    for number, line in enumerate(lines, start=1):
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as error:
+            found.append(f"line {number} is not JSON: {error.msg}")
+            continue
+        if not (
+            isinstance(record, dict)
+            and isinstance(record.get("time"), (int, float))
+            and isinstance(record.get("category"), str)
+            and isinstance(record.get("details"), dict)
+        ):
+            found.append(f"line {number} lacks a numeric time, a category or details")
+            continue
+        categories[record["category"]] += 1
+    declared = sum(
+        count for name, count in categories.items() if name.endswith(".deadlock.declared")
+    )
+    for label, records, field in (
+        ("*.deadlock.declared", declared, "declarations"),
+        ("net.delivered", categories["net.delivered"], "messages_delivered"),
+        ("obs.span.settled", categories["obs.span.settled"], "spans_emitted"),
+    ):
+        if records != report.get(field):
+            found.append(f"{records} {label} record(s), want {report.get(field)!r} ({field})")
+    return found
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="Validate a `repro run` report.")
     parser.add_argument("report", type=Path)
@@ -114,6 +156,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--nonempty", type=Path, nargs="*", default=[])
     parser.add_argument("--families", type=Path, metavar="METRICS.prom")
     parser.add_argument("--counts", type=Path, metavar="SNAPSHOTS.jsonl")
+    parser.add_argument("--trace", type=Path, metavar="TRACE.jsonl")
     args = parser.parse_args(argv)
     report = json.loads(args.report.read_text(encoding="utf-8"))
     found = problems(report, detected=args.detected == "true")
@@ -127,6 +170,11 @@ def main(argv: list[str] | None = None) -> int:
         found += [
             f"{args.counts}: {problem}"
             for problem in count_problems(report, args.counts.read_text())
+        ]
+    if args.trace is not None:
+        found += [
+            f"{args.trace}: {problem}"
+            for problem in trace_problems(report, args.trace.read_text())
         ]
     for problem in found:
         print(f"{args.report}: {problem}")
