@@ -11,6 +11,7 @@ E8 comparison fair.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro._ids import VertexId
@@ -56,19 +57,54 @@ class BaselineReport:
 
 
 class BaselineDetector:
-    """Base class: binds to a system, owns a report, declares with verdicts."""
+    """Base class: binds to a system, owns a report, declares with verdicts,
+    and runs the periodic detectors' rounds."""
 
     name = "baseline"
+    #: a periodic detector's round period, and the latest virtual time a
+    #: round may be due at (see :meth:`_start_rounds`).
+    period: float
+    horizon: float
 
     def __init__(self, system: BasicSystem) -> None:
         self.system = system
         self.report = BaselineReport(name=self.name)
         self._declared: set[VertexId] = set()
         self._rng = system.transport.rng.stream(f"baseline.{self.name}")
+        #: rounds begun so far by :meth:`_start_rounds`.
+        self.rounds_started = 0
 
     def start(self) -> None:
         """Begin operating; subclasses schedule their first round here."""
         raise NotImplementedError
+
+    def _start_rounds(self, round_: Callable[[], None], name: str) -> None:
+        """Run ``round_`` every ``period``, the first one period from now,
+        and each later one while its due time is at most ``horizon``.
+
+        A round's due time is the virtual time it was scheduled for: the
+        first round's, plus ``period`` per round since.  It is counted,
+        not read from the clock, because on a wall-clock transport the
+        clock runs on while the host stalls, so a round that ran late
+        would see too little of the horizon left and stop the rounds
+        early.  The next round is still scheduled ``period`` after the
+        current one runs, so rounds stay a period apart.  On the
+        simulator a round runs exactly at its due time, so the schedule
+        is the one the clock would give.
+        """
+        transport = self.system.transport
+        period = self.period
+        due = transport.now + period
+
+        def run_round() -> None:
+            nonlocal due
+            self.rounds_started += 1
+            round_()
+            due += period
+            if due <= self.horizon:
+                transport.schedule(period, run_round, name=name)
+
+        transport.schedule(period, run_round, name=name)
 
     def _charge_messages(self, count: int) -> None:
         if count < 0:

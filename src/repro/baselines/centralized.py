@@ -61,9 +61,7 @@ class CentralizedDetector(BaselineDetector):
         self.rounds_completed = 0
 
     def start(self) -> None:
-        self.system.transport.schedule(
-            self.period, self._begin_round, name="centralized round"
-        )
+        self._start_rounds(self._begin_round, "centralized round")
 
     # ------------------------------------------------------------------
 
@@ -96,11 +94,6 @@ class CentralizedDetector(BaselineDetector):
                 self._delay(),
                 lambda vertex_id=vertex_id: snapshot(vertex_id),
                 name="centralized poll",
-            )
-
-        if self.system.now + self.period <= self.horizon:
-            self.system.transport.schedule(
-                self.period, self._begin_round, name="centralized round"
             )
 
     def _evaluate(self, round_state: dict[VertexId, set[VertexId]]) -> None:

@@ -65,7 +65,7 @@ class PathPushingDetector(BaselineDetector):
         self._sent: set[tuple[VertexId, Path, VertexId]] = set()
 
     def start(self) -> None:
-        self.system.transport.schedule(self.period, self._round, name="pathpush round")
+        self._start_rounds(self._round, "pathpush round")
 
     # ------------------------------------------------------------------
 
@@ -93,10 +93,6 @@ class PathPushingDetector(BaselineDetector):
                         lambda succ=successor, ext=extended: self._receive(succ, ext),
                         name="pathpush message",
                     )
-        if self.system.now + self.period <= self.horizon:
-            self.system.transport.schedule(
-                self.period, self._round, name="pathpush round"
-            )
 
     def _receive(self, vertex_id: VertexId, path: Path) -> None:
         assert path[-1] == vertex_id

@@ -97,7 +97,7 @@ class SnapshotDetector(BaselineDetector):
         system.transport.tracer.observe_messages(on_delivered=self._observe_delivery)
 
     def start(self) -> None:
-        self.system.transport.schedule(self.period, self._begin_round, name="snapshot")
+        self._start_rounds(self._begin_round, "snapshot")
 
     # ------------------------------------------------------------------
     # Round orchestration
@@ -113,10 +113,6 @@ class SnapshotDetector(BaselineDetector):
             self._round = round_state
             self._record_state(self.initiator)
             self._emit_markers(self.initiator)
-        if self.system.now + self.period <= self.horizon:
-            self.system.transport.schedule(
-                self.period, self._begin_round, name="snapshot"
-            )
 
     def _record_state(self, vertex_id: VertexId) -> None:
         assert self._round is not None

@@ -53,17 +53,23 @@ class MessageTaxonomy:
     lifecycle categories (step A0 initiation, A2 sends/receives, the A1
     declaration) plus the per-model detail-key names (the basic model
     records ``source``/``target`` vertices, the DDB model records
-    ``site``/``destination`` and a canonical ``edge`` label).
+    ``site``/``destination`` and a canonical ``edge`` label), and the
+    message class a probe travels as, which is how a reader of the
+    tracer's message channel tells a probe send from base traffic.
     """
 
     initiated: str
     probe_sent: str
     probe_received: str
     declared: str
+    #: the message class of a probe on the wire (``Probe``, ``DdbProbe``).
+    probe_message: type
     #: detail keys of a sent probe's network endpoints (sender, receiver).
     endpoint_keys: tuple[str, str]
-    #: detail key(s) naming the wait-for edge a probe travelled; a single
-    #: key reads that detail verbatim, several keys form a tuple label.
+    #: detail key(s) naming the wait-for edge a probe travelled.  A single
+    #: key reads that detail verbatim, and the probe message carries the
+    #: same label as an attribute of that name; keys equal to
+    #: ``endpoint_keys`` name the channel ``(sender, receiver)``.
     edge_keys: tuple[str, ...]
     #: detail key naming the declarer on the declaration event.
     declared_by_key: str

@@ -10,6 +10,7 @@ to the registry and supplies the standard conformance scenarios and the
 
 from __future__ import annotations
 
+from repro.basic.messages import Probe
 from repro.basic.system import BasicSystem
 from repro.core.conformance import ConformanceOutcome, conformance_workload
 from repro.core.registry import (
@@ -93,6 +94,7 @@ BASIC_VARIANT = register(
                 probe_sent=categories.BASIC_PROBE_SENT,
                 probe_received=categories.BASIC_PROBE_RECEIVED,
                 declared=categories.BASIC_DEADLOCK_DECLARED,
+                probe_message=Probe,
                 endpoint_keys=("source", "target"),
                 edge_keys=("source", "target"),
                 declared_by_key="vertex",

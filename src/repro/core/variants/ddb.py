@@ -18,6 +18,7 @@ from repro.core.registry import (
     VariantCapabilities,
     register,
 )
+from repro.ddb.messages import DdbProbe
 from repro.ddb.system import DdbSystem
 from repro.sim import categories
 from repro.workloads.spec import get_family
@@ -113,6 +114,7 @@ DDB_VARIANT = register(
                 probe_sent=categories.DDB_PROBE_SENT,
                 probe_received=categories.DDB_PROBE_RECEIVED,
                 declared=categories.DDB_DEADLOCK_DECLARED,
+                probe_message=DdbProbe,
                 endpoint_keys=("site", "destination"),
                 edge_keys=("edge",),
                 declared_by_key="process",

@@ -16,10 +16,11 @@ for inspecting a run.  This package folds the structured trace recorded by
   itself (events/sec, queue depth, per-handler-category time).  This is the
   **only** module in the scoped packages allowed to read the wall clock
   (lint rule RPX002's documented allowlist).
-* :mod:`repro.obs.stream` -- the incremental twin of the span fold: a
-  category-scoped tracer subscription rebuilds spans one event at a time,
-  emits each computation the moment it resolves, and checks the section 4
-  probe bounds online, with memory bounded by the *open* computations.
+* :mod:`repro.obs.stream` -- the incremental twin of the span fold:
+  category-scoped tracer subscriptions and the tracer's message channel
+  rebuild spans one event at a time, emit each computation the moment it
+  resolves, and check the section 4 probe bounds online at each probe
+  send, with memory bounded by the *open* computations.
 * :mod:`repro.obs.metrics` -- labelled live metric families (counters,
   gauges, bucketed histograms) with Prometheus text exposition, plus
   :class:`~repro.obs.metrics.TransportTelemetry`, which populates them

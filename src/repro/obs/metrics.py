@@ -9,10 +9,11 @@ layer, plus :class:`TransportTelemetry` -- the bridge that populates it
 from any :class:`~repro.core.transport.Transport` backend through the
 tracer's message observers and category-scoped subscriptions, so the
 same wiring observes the deterministic simulator and the live asyncio
-runtime.  The bridge keeps its per-channel and per-edge families as
-plain counts and turns them into labelled series only when the registry
-is read (the Prometheus "custom collector" pattern), so a message costs
-no label formatting and no series allocation.
+runtime.  The bridge keeps its per-channel families as plain counts,
+reads the per-edge probe counts from its span engines, and turns both
+into labelled series only when the registry is read (the Prometheus
+"custom collector" pattern), so a message costs no label formatting and
+no series allocation.
 
 Everything here is stamped with **virtual** time (the transport's clock);
 per lint rule RPX002 this module never reads the wall clock, which keeps
@@ -564,17 +565,21 @@ class TransportTelemetry:
 
     The tracer's message observers cover the network layer (per-channel
     in-flight gauges and message counts, per-handler latency
-    histograms); category-scoped subscriptions, one handler per category,
-    count probes per edge and declarations; and, per span schema, a
+    histograms); one category-scoped subscription per schema counts
+    declarations; and, per span schema, a
     :class:`~repro.obs.stream.StreamingSpanEngine` turns settled
-    computations into outcome counters and detection-latency histograms.
+    computations into outcome counters and detection-latency histograms
+    and counts the probes sent per wait-for edge
+    (:attr:`~repro.obs.stream.StreamingSpanEngine.edge_probes`), which
+    the bridge exports without counting them again.
     Works identically on :class:`~repro.sim.transport.SimTransport` and
     :class:`~repro.live.transport.AsyncioTransport` -- the subscription
     rides the same :class:`~repro.sim.trace.Tracer` either backend owns.
 
     The three high-cardinality families -- ``repro_channel_in_flight``,
     ``repro_messages_total`` and ``repro_edge_probes_total`` -- are kept
-    as plain per-channel and per-edge counts while events flow.  The
+    as plain per-channel counts (the bridge's) and per-edge counts (the
+    engines') while events flow.  The
     bridge's collector, which the registry runs before every read, makes
     each series the first time a read needs it and writes the current
     counts into it, so a run pays for these families per read, not per
@@ -623,8 +628,7 @@ class TransportTelemetry:
         self._attached = False
         #: every channel a send was seen on, by ``(sender, destination)``.
         self._channels: dict[tuple[Hashable, Hashable], _Channel] = {}
-        #: per model: probes per raw edge, and the series a read made of them.
-        self._edge_probe_counts: dict[str, dict[Hashable, int]] = {}
+        #: per model: the series a read made of its engine's per-edge counts.
         self._edge_probe_series: dict[str, dict[Hashable, CounterMetric]] = {}
         #: latency series per message type, found without re-labelling.
         self._latency_by_type: dict[str, HistogramMetric] = {}
@@ -683,9 +687,9 @@ class TransportTelemetry:
             labelnames=("model",),
         )
 
-        #: one handler per observed category: each schema's probe-sent
-        #: and declared categories (sends and deliveries arrive through
-        #: the tracer's message channel).
+        #: one handler per observed category: each schema's declared
+        #: category (sends and deliveries arrive through the tracer's
+        #: message channel, probes per edge from the span engines).
         self._handlers: dict[str, Callable[[TraceEvent], None]] = {}
         self.engines: dict[str, StreamingSpanEngine] = {}
         for schema in self.schemas:
@@ -697,7 +701,7 @@ class TransportTelemetry:
                 on_violation=self._make_violation_handler(schema.model),
             )
             self.engines[schema.model] = engine
-            self._handlers[schema.probe_sent] = self._make_edge_probe_handler(schema)
+            self._edge_probe_series[schema.model] = {}
             self._handlers[schema.declared] = self._make_declaration_handler(schema)
         registry_.add_collector(self._collect)
         if attach:
@@ -742,17 +746,6 @@ class TransportTelemetry:
             self._violations._child((model, str(violation.bound))).inc()
 
         return on_violation
-
-    def _make_edge_probe_handler(self, schema: SpanSchema) -> Callable[[TraceEvent], None]:
-        edge_of = schema.edge_of
-        counts = self._edge_probe_counts[schema.model] = {}
-        self._edge_probe_series[schema.model] = {}
-
-        def on_probe_sent(event: TraceEvent) -> None:
-            edge = edge_of(event.details)
-            counts[edge] = counts.get(edge, 0) + 1
-
-        return on_probe_sent
 
     def _make_declaration_handler(self, schema: SpanSchema) -> Callable[[TraceEvent], None]:
         declared: CounterMetric | None = None
@@ -822,9 +815,9 @@ class TransportTelemetry:
                         (*channel.labels, type_name)
                     )
                 counter._value = float(count)
-        for model, counts in self._edge_probe_counts.items():
+        for model, engine in self.engines.items():
             by_edge = self._edge_probe_series[model]
-            for edge, count in counts.items():
+            for edge, count in engine.edge_probes.items():
                 counter = by_edge.get(edge)
                 if counter is None:
                     counter = by_edge[edge] = self._edge_probes._child((model, str(edge)))

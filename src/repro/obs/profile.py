@@ -83,9 +83,9 @@ class ProfileReport:
             f"({self.handler_seconds / self.wall_seconds:.0%} of wall)"
             if self.wall_seconds > 0
             else "  handler time: 0 s",
-            f"  event-queue depth (sim.queue.depth): max {self.queue_depth_max} "
-            f"({self.queue_depth_samples} samples traced as "
-            f"'{categories.PROFILE_QUEUE_SAMPLED}')",
+            f"  event-queue depth: high-water mark {self.queue_depth_max}, "
+            f"{self.queue_depth_samples} samples traced as "
+            f"'{categories.PROFILE_QUEUE_SAMPLED}'",
             "  by handler category:",
         ]
         width = max((len(c.category) for c in self.by_category), default=8)

@@ -28,12 +28,12 @@ from collections import deque
 from collections.abc import Callable, Hashable, Iterable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Any
 
 from repro._ids import ProbeTag
 from repro.core.registry import MessageTaxonomy, all_variants
-from repro.errors import BoundViolation
+from repro.errors import BoundViolation, ConfigurationError
 from repro.sim import categories
 from repro.sim.trace import TraceEvent, Tracer
 
@@ -63,7 +63,8 @@ class SpanSchema:
     The extractor callables isolate the fold from per-model detail-key
     differences (the basic model records ``source``/``target`` vertices,
     the DDB model records ``site``/``destination``/``edge``).  Each takes
-    an event's ``details``, not the event.
+    an event's ``details``, not the event, except :attr:`message_edge`,
+    which reads a probe send or delivery on the tracer's message channel.
     """
 
     model: str
@@ -80,6 +81,28 @@ class SpanSchema:
     #: who declared (step A1): the vertex in the basic model, the victim
     #: process in the DDB model.
     declared_by: Callable[[Details], object]
+    #: the message class of a probe on the wire, which is how a reader of
+    #: the tracer's message channel tells a probe send from base traffic.
+    probe_message: type
+    #: the wait-for edge label of a probe message sent or delivered as
+    #: ``(sender, destination, message)``: the label :attr:`edge_of`
+    #: reads off the matching ``probe.sent`` event.
+    message_edge: Callable[[Hashable, Hashable, Any], Hashable]
+
+
+def _channel_edge(sender: Hashable, destination: Hashable, message: Any) -> Hashable:
+    """The edge of a model whose edges are its channels (the basic model)."""
+    return (sender, destination)
+
+
+def _message_edge(attribute: str) -> Callable[[Hashable, Hashable, Any], Hashable]:
+    """The edge of a model whose probes carry their edge label (DDB)."""
+    read = attrgetter(attribute)
+
+    def edge(sender: Hashable, destination: Hashable, message: Any) -> Hashable:
+        return read(message)
+
+    return edge
 
 
 def schema_from_taxonomy(model: str, taxonomy: MessageTaxonomy) -> SpanSchema:
@@ -89,9 +112,21 @@ def schema_from_taxonomy(model: str, taxonomy: MessageTaxonomy) -> SpanSchema:
     turns the keys into the extractor callables the fold runs, each an
     :func:`operator.itemgetter` over the event's details.  A single edge
     key reads that detail verbatim (the DDB model records a canonical
-    ``edge`` label); several keys form a tuple label (the basic model's
-    ``(source, target)``).
+    ``edge`` label), and a probe message carries the same label as an
+    attribute of that name; edge keys equal to the endpoint keys form a
+    tuple label (the basic model's ``(source, target)``), which is the
+    probe's channel ``(sender, destination)``.
     """
+    edge_keys = taxonomy.edge_keys
+    if edge_keys == taxonomy.endpoint_keys:
+        message_edge = _channel_edge
+    elif len(edge_keys) == 1:
+        message_edge = _message_edge(edge_keys[0])
+    else:
+        raise ConfigurationError(
+            f"model {model!r}: edge_keys {edge_keys} must be one key or the "
+            f"endpoint keys {taxonomy.endpoint_keys}"
+        )
     return SpanSchema(
         model=model,
         initiated=taxonomy.initiated,
@@ -99,8 +134,10 @@ def schema_from_taxonomy(model: str, taxonomy: MessageTaxonomy) -> SpanSchema:
         probe_received=taxonomy.probe_received,
         declared=taxonomy.declared,
         sent_endpoints=itemgetter(*taxonomy.endpoint_keys),
-        edge_of=itemgetter(*taxonomy.edge_keys),
+        edge_of=itemgetter(*edge_keys),
         declared_by=itemgetter(taxonomy.declared_by_key),
+        probe_message=taxonomy.probe_message,
+        message_edge=message_edge,
     )
 
 
@@ -140,6 +177,14 @@ class ProbeHop:
     ``queue_delay`` is time spent between protocol send and network accept,
     ``flight_delay`` the in-flight time on the channel.  Any timestamp may
     be ``None`` on a sliced trace or for probes still in flight.
+
+    A fold of a recorded trace reads ``sent_at`` off the handler's
+    ``probe.sent`` record and ``net_sent_at`` off the ``net.sent`` record.
+    A fold attached to a running transport opens the hop at the send on
+    the tracer's message channel and stamps both there, so its
+    ``queue_delay`` is 0; on the simulator the two records carry the same
+    time anyway, while on a wall-clock transport they are microseconds
+    apart.
     """
 
     tag: ProbeTag

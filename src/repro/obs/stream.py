@@ -5,10 +5,16 @@ after the run -- the wrong shape for the live backend and for
 long-running workloads, where the full trace either does not exist
 (``trace=False``) or must not be buffered.  This module rebuilds the
 same :class:`~repro.obs.spans.ProbeComputationSpan` records one event
-at a time -- the protocol categories via category-scoped
-:meth:`~repro.sim.trace.Tracer.subscribe` hooks, sends and deliveries
-via :meth:`~repro.sim.trace.Tracer.observe_messages` -- and emits each
-span the moment its computation ``(i, n)`` resolves:
+at a time and emits each span the moment its computation ``(i, n)``
+resolves.  Initiations, probe receipts and declarations arrive through
+category-scoped :meth:`~repro.sim.trace.Tracer.subscribe` hooks; probe
+sends and deliveries arrive on the tracer's message channel
+(:meth:`~repro.sim.trace.Tracer.observe_messages`).  A send opens its
+hop there: a probe message carries its tag, and its wait-for edge
+follows from the sender, the destination and the message
+(:attr:`~repro.obs.spans.SpanSchema.message_edge`), so nothing needs the
+handler's ``probe.sent`` record, and with ``trace=False`` nobody routes
+it.  The outcomes:
 
 * **deadlock** -- the A1 declaration arrived and every probe hop of the
   tag has drained (received + net-delivered);
@@ -26,9 +32,15 @@ moved on, no further event of that tag can exist.
 
 The section 4 bounds are checked **online**: the per-edge probe count is
 maintained incrementally and a breach raises (``strict_bounds=True``) or
-records a :class:`~repro.errors.BoundViolation` at the offending
-``probe.sent`` event -- not after the run, when the evidence has long
-since scrolled past.
+records a :class:`~repro.errors.BoundViolation` at the offending send
+-- not after the run, when the evidence has long since scrolled past.
+The engine also keeps the run's probes per edge (:attr:`edge_probes`),
+which the telemetry bridge exports.
+
+A replayed trace (:meth:`StreamingSpanEngine.on_event`,
+:func:`stream_spans`) has no message channel: there the ``probe.sent``
+record opens the hop, through the same routine, and a ``net.sent``
+record only stamps the hop's network-accept time.
 
 Equivalence with the batch fold is a hard contract (the parity suite in
 ``tests/obs/test_stream.py`` asserts field-for-field equality on every
@@ -38,7 +50,7 @@ exactly what :func:`~repro.obs.spans.build_spans` does.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from collections.abc import Callable, Hashable, Iterable
 from typing import Any
 
@@ -83,10 +95,12 @@ class _OpenComputation:
         self.initiator = span.tag.initiator
         self.sequence = span.tag.sequence
         #: hops awaiting their protocol receive, FIFO per wait-for edge.
-        self.receive: dict[Hashable, deque[ProbeHop]] = {}
+        self.receive: defaultdict[Hashable, deque[ProbeHop]] = defaultdict(deque)
         #: hops awaiting their net delivery, FIFO per channel
         #: ``(sender, destination)`` -- the network's P4 FIFO order.
-        self.net: dict[tuple[Hashable, Hashable], deque[ProbeHop]] = {}
+        self.net: defaultdict[tuple[Hashable, Hashable], deque[ProbeHop]] = defaultdict(
+            deque
+        )
         #: hops still awaiting a receive or a net-delivery match; zero
         #: means no future event can belong to the tag (once its
         #: producing handler has finished).
@@ -94,13 +108,6 @@ class _OpenComputation:
         #: sent probes per edge, and their total: the online section 4 check.
         self.edge_counts: dict[Hashable, int] = {}
         self.probes = 0
-
-
-def _append(queues: dict[Any, deque[ProbeHop]], key: Any, hop: ProbeHop) -> None:
-    queue = queues.get(key)
-    if queue is None:
-        queue = queues[key] = deque()
-    queue.append(hop)
 
 
 class StreamingSpanEngine:
@@ -120,8 +127,13 @@ class StreamingSpanEngine:
         When given, the section 4 total bound (at most ``n(n-1)`` probes
         per computation) is checked online as well as the per-edge bound.
     strict_bounds:
-        Raise the first :class:`~repro.errors.BoundViolation` out of the
-        producing handler instead of only recording it.
+        Raise the first :class:`~repro.errors.BoundViolation` instead of
+        only recording it.  Attached to a tracer, the engine raises out of
+        the offending send (``Network.send`` or ``AsyncioTransport.send``):
+        after the message observers attached before it (the telemetry
+        bridge's send count, a system's probe accounting) have seen the
+        send, and before the delivery is queued.  That ends the run.
+        Replaying a trace, it raises out of :meth:`on_event`.
     on_span:
         Called once per settled span, at eviction time.  Emission order
         is settlement order, **not** initiation order; sort with
@@ -152,7 +164,16 @@ class StreamingSpanEngine:
         #: high-water mark of simultaneously open computations -- the
         #: bounded-memory claim, made testable.
         self.peak_open = 0
+        #: probes sent per wait-for edge over the whole run, in the order
+        #: of each edge's first probe (``repro_edge_probes_total``).
+        self.edge_probes: dict[Hashable, int] = {}
         self._tracer: Tracer | None = None
+        # Read on every message: bound here, not looked up on the schema.
+        self._probe_message = schema.probe_message
+        self._message_edge = schema.message_edge
+        #: the probe count that breaches the probes-le-edges bound in one
+        #: computation (0: the bound is not checked).
+        self._over_budget = 0 if n_vertices is None else n_vertices * (n_vertices - 1) + 1
 
         #: open computations by initiator, then sequence, in the order
         #: they opened (the per-initiator index).
@@ -164,18 +185,18 @@ class StreamingSpanEngine:
         #: first event of a different tag (probes of a tag are only
         #: produced inside that tag's own receive handler).
         self._deferred: dict[_OpenComputation, None] = {}
-        #: one handler per protocol category; :meth:`attach` subscribes
-        #: each to its own category.
+        #: one handler per protocol category the message channel does not
+        #: carry; :meth:`attach` subscribes each to its own category.
         self._traced: dict[str, Callable[[TraceEvent], None]] = {
             schema.initiated: self._on_initiated,
-            schema.probe_sent: self._on_probe_sent,
             schema.probe_received: self._on_probe_received,
             schema.declared: self._on_declared,
         }
-        #: :meth:`on_event`'s dispatch: the protocol categories plus the
-        #: ``net.*`` records of a replayed trace.
+        #: :meth:`on_event`'s dispatch: those categories plus the
+        #: ``probe.sent`` and ``net.*`` records of a replayed trace.
         self._handlers: dict[str, Callable[[TraceEvent], None]] = {
             **self._traced,
+            schema.probe_sent: self._on_probe_sent,
             categories.NET_SENT: self._on_net_sent,
             categories.NET_DELIVERED: self._on_net_delivered,
         }
@@ -190,13 +211,14 @@ class StreamingSpanEngine:
         return self._open_count
 
     def attach(self, tracer: Tracer) -> None:
-        """Observe ``tracer``'s messages and subscribe one handler per
-        protocol category.
+        """Observe ``tracer``'s messages and subscribe one handler each to
+        the initiated, probe-received and declared categories.
 
         The scoped subscription is the whole point: with ``trace=False``
         every category the engine does not watch stays out of the
         tracer's routes, no ``net.*`` event is built, and nothing is ever
-        buffered in the trace log.
+        buffered in the trace log.  Probe sends open their hops on the
+        message channel, so the engine routes no ``probe.sent`` record.
         """
         tracer.observe_messages(self._message_sent, self._message_delivered)
         for category, handler in self._traced.items():
@@ -258,25 +280,25 @@ class StreamingSpanEngine:
         if span.initiated_at is None:
             span.initiated_at = event.time
 
-    def _on_probe_sent(self, event: TraceEvent) -> None:
-        details = event.details
-        tag = details["tag"]
-        if not isinstance(tag, ProbeTag):
-            return
+    def _open_hop(
+        self,
+        tag: ProbeTag,
+        time: float,
+        sender: Hashable,
+        destination: Hashable,
+        edge: Hashable,
+    ) -> ProbeHop:
+        """Open the hop of one probe send, and check section 4 at it."""
         if self._deferred:
             self._flush_deferred(tag)
-        time = event.time
         record = self._record(tag, time)
-        schema = self.schema
-        sender, destination = schema.sent_endpoints(details)
-        edge = schema.edge_of(details)
-        hop = ProbeHop(
-            tag=tag, source=sender, target=destination, edge=edge, sent_at=time
-        )
+        hop = ProbeHop(tag, sender, destination, edge, time)
         record.span.hops.append(hop)
-        _append(record.receive, edge, hop)
-        _append(record.net, (sender, destination), hop)
+        record.receive[edge].append(hop)
+        record.net[sender, destination].append(hop)
         record.outstanding += 2
+        edge_probes = self.edge_probes
+        edge_probes[edge] = edge_probes.get(edge, 0) + 1
         # Online section 4 bounds.
         counts = record.edge_counts
         count = counts.get(edge, 0) + 1
@@ -290,15 +312,25 @@ class StreamingSpanEngine:
                 )
             )
         record.probes += 1
-        n = self.n_vertices
-        if n is not None and record.probes == n * (n - 1) + 1:
+        if record.probes == self._over_budget:
             self._violate(
                 BoundViolation(
                     "probes-le-edges",
-                    f"computation {tag} exceeded the {n * (n - 1)} possible "
-                    f"wait-for edges among {n} vertices at t={time}",
+                    f"computation {tag} exceeded the {self._over_budget - 1} possible "
+                    f"wait-for edges among {self.n_vertices} vertices at t={time}",
                 )
             )
+        return hop
+
+    def _on_probe_sent(self, event: TraceEvent) -> None:
+        """A replayed ``probe.sent`` record opens its hop."""
+        details = event.details
+        tag = details["tag"]
+        if not isinstance(tag, ProbeTag):
+            return
+        schema = self.schema
+        sender, destination = schema.sent_endpoints(details)
+        self._open_hop(tag, event.time, sender, destination, schema.edge_of(details))
 
     def _on_probe_received(self, event: TraceEvent) -> None:
         details = event.details
@@ -339,47 +371,44 @@ class StreamingSpanEngine:
             span.declared_by = self.schema.declared_by(event.details)
         self._try_settle(record)
 
-    def _net_pending(
-        self, sender: Hashable, destination: Hashable, message: Any
-    ) -> tuple[_OpenComputation, tuple[Hashable, Hashable], deque[ProbeHop]] | None:
-        """The open record, channel and hop queue a send or delivery matches."""
-        tag = getattr(message, "tag", None)
+    def _find(self, tag: Any) -> _OpenComputation | None:
+        """The open record a net record or a delivery of a probe of ``tag``
+        belongs to, if any."""
         if not isinstance(tag, ProbeTag):
             return None
         if self._deferred:
             self._flush_deferred(tag)
         records = self._open.get(tag.initiator)
-        record = None if records is None else records.get(tag.sequence)
-        if record is None:
-            return None
-        channel = (sender, destination)
-        pending = record.net.get(channel)
-        if not pending:
-            return None
-        return record, channel, pending
+        return None if records is None else records.get(tag.sequence)
 
     def _message_sent(
         self, time: float, sender: Hashable, destination: Hashable, message: Any
     ) -> None:
-        matched = self._net_pending(sender, destination, message)
-        if matched is None:
+        """A probe send opens its hop, accepted by the network at once."""
+        if type(message) is not self._probe_message:
             return
-        record, _, pending = matched
-        # First hop in the queue that has no net-accept time yet.
-        for hop in pending:
-            if hop.net_sent_at is None:
-                hop.net_sent_at = time
-                if time > record.span.end_time:
-                    record.span.end_time = time
-                break
+        tag = message.tag
+        if not isinstance(tag, ProbeTag):
+            return
+        edge = self._message_edge(sender, destination, message)
+        self._open_hop(tag, time, sender, destination, edge).net_sent_at = time
 
     def _message_delivered(
         self, time: float, sender: Hashable, destination: Hashable, message: Any
     ) -> None:
-        matched = self._net_pending(sender, destination, message)
-        if matched is None:
+        if type(message) is self._probe_message:
+            self._deliver(time, sender, destination, message.tag)
+
+    def _deliver(
+        self, time: float, sender: Hashable, destination: Hashable, tag: Any
+    ) -> None:
+        record = self._find(tag)
+        if record is None:
             return
-        record, channel, pending = matched
+        channel = (sender, destination)
+        pending = record.net.get(channel)
+        if not pending:
+            return
         hop = pending.popleft()
         if not pending:
             del record.net[channel]
@@ -390,15 +419,31 @@ class StreamingSpanEngine:
         self._try_settle(record)
 
     def _on_net_sent(self, event: TraceEvent) -> None:
+        """A replayed ``net.sent`` record stamps its hop's accept time."""
         details = event.details
-        self._message_sent(
-            event.time, details["sender"], details["destination"], details.get("message")
-        )
+        record = self._find(getattr(details.get("message"), "tag", None))
+        if record is None:
+            return
+        pending = record.net.get((details["sender"], details["destination"]))
+        if not pending:
+            return
+        time = event.time
+        # First hop in the queue that has no net-accept time yet.
+        for hop in pending:
+            if hop.net_sent_at is None:
+                hop.net_sent_at = time
+                if time > record.span.end_time:
+                    record.span.end_time = time
+                break
 
     def _on_net_delivered(self, event: TraceEvent) -> None:
+        # Duck-typed: a replayed message need only carry its tag.
         details = event.details
-        self._message_delivered(
-            event.time, details["sender"], details["destination"], details.get("message")
+        self._deliver(
+            event.time,
+            details["sender"],
+            details["destination"],
+            getattr(details.get("message"), "tag", None),
         )
 
     def _violate(self, violation: BoundViolation) -> None:

@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro._ids import VertexId
 from repro.baselines.base import BaselineReport
 from repro.baselines.centralized import CentralizedDetector
 from repro.baselines.pathpush import PathPushingDetector
+from repro.baselines.snapshot import SnapshotDetector
 from repro.baselines.timeout import TimeoutDetector
 from repro.basic.initiation import ManualInitiation
 from repro.basic.system import BasicSystem
 from repro.errors import ConfigurationError
+from repro.live.transport import AsyncioTransport
 from repro.workloads.scenarios import schedule_cycle, schedule_ping_pong
 
 
@@ -167,3 +171,56 @@ class TestTimeout:
         detector.start()
         system.run_to_quiescence()
         assert detector.report.messages == 0
+
+
+class TestPeriodicRounds:
+    """The periodic baselines share one round scheduler."""
+
+    PERIODIC = (CentralizedDetector, PathPushingDetector, SnapshotDetector)
+
+    @pytest.mark.parametrize("detector_class", PERIODIC)
+    def test_rounds_on_the_simulator_are_due_every_period(self, detector_class) -> None:
+        system = deadlocked_system(k=4)
+        detector = detector_class(system, period=5.0, horizon=21.0)
+        started: list[float] = []
+        begin = detector._start_rounds
+
+        def recording(round_, name):
+            def round_recorded() -> None:
+                started.append(system.now)
+                round_()
+
+            begin(round_recorded, name)
+
+        detector._start_rounds = recording
+        detector.start()
+        system.run_to_quiescence()
+        assert started == [5.0, 10.0, 15.0, 20.0]
+        assert detector.rounds_started == 4
+
+    @pytest.mark.parametrize("detector_class", PERIODIC)
+    def test_a_wall_clock_stall_loses_no_round(self, detector_class) -> None:
+        # On the live transport the clock runs on while the loop stalls.
+        # A stall of three periods early in the run must still leave
+        # horizon / period rounds: the horizon is tested against each
+        # round's due time, not against the late clock.
+        time_scale = 0.002
+        transport = AsyncioTransport(seed=0, time_scale=time_scale, max_wall_seconds=30.0)
+        try:
+            system = BasicSystem(
+                n_vertices=3, seed=0, initiation=ManualInitiation(), transport=transport
+            )
+            detector = detector_class(system, period=5.0, horizon=30.0)
+            detector.start()
+            stalled: list[float] = []
+
+            def stall() -> None:
+                time.sleep(3 * 5.0 * time_scale)
+                stalled.append(transport.now)
+
+            transport.schedule(1.0, stall)
+            system.run_to_quiescence()
+            assert stalled and stalled[0] > 1.0 + 2 * 5.0
+            assert detector.rounds_started == 30.0 / 5.0
+        finally:
+            transport.close()

@@ -123,7 +123,8 @@ class TestReport:
         _, report = self.run_profiled()
         text = report.render()
         assert "events/s" in text
-        assert "sim.queue.depth" in text
+        assert f"high-water mark {report.queue_depth_max}," in text
+        assert f"{report.queue_depth_samples} samples traced as 'profile.queue.sampled'" in text
         assert "deliver Probe" in text
 
 

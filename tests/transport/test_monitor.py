@@ -354,3 +354,40 @@ class TestMonitorReport:
         assert checker.trace_problems(document, "") == ["no trace record"]
         trace.write_text(repeated)
         assert checker.main(argv) == 1
+
+    @pytest.mark.parametrize("variant", ["basic", "ddb"])
+    def test_ci_edge_probe_check_accepts_real_counts_only(self, tmp_path, variant) -> None:
+        checker = _ci_checker()
+        metrics = tmp_path / "metrics.prom"
+        trace = tmp_path / "trace.jsonl"
+        report = tmp_path / "run-report.json"
+        document = run(variant, "deadlock", metrics_out=metrics, trace_out=trace).to_json()
+        report.write_text(json.dumps(document))
+        text, records = metrics.read_text(), trace.read_text()
+        sent = sum(
+            1
+            for line in records.splitlines()
+            if json.loads(line)["category"].endswith(".probe.sent")
+        )
+        assert sent > 0
+        assert checker.edge_probe_problems(text, records) == []
+        argv = [str(report), "--detected", "true", "--families", str(metrics)]
+        assert checker.main([*argv, "--trace", str(trace)]) == 0
+
+        # one probe counted on an edge but never recorded by its handler
+        lines = text.splitlines()
+        index = next(
+            index
+            for index, line in enumerate(lines)
+            if line.startswith("repro_edge_probes_total{")
+        )
+        labels, _, value = lines[index].rpartition(" ")
+        lines[index] = f"{labels} {int(value) + 1}"
+        forged = "\n".join(lines) + "\n"
+        assert checker.edge_probe_problems(forged, records) == [
+            f"repro_edge_probes_total sums to {sent + 1}, want {sent} (*.probe.sent records)"
+        ]
+        metrics.write_text(forged)
+        assert checker.main([*argv, "--trace", str(trace)]) == 1
+        # the check needs both files; the families alone still pass
+        assert checker.main(argv) == 0

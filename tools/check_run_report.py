@@ -25,7 +25,11 @@ every line is a JSON object with ``time``, ``category`` and ``details``,
 and the trace holds one ``*.deadlock.declared`` record per declaration,
 one ``net.delivered`` record per delivered message and one
 ``obs.span.settled`` record per emitted span, so a trace that drops or
-repeats records fails here.
+repeats records fails here.  Given both ``--families`` and ``--trace``,
+the ``repro_edge_probes_total`` series must sum to the trace's
+``*.probe.sent`` records: the span engine counts probes per edge from
+the message channel, and the handlers record each probe they send, so a
+probe send that either side loses or counts twice fails here.
 
 Usage: python tools/check_run_report.py REPORT.json --detected true|false
            [--nonempty FILE ...] [--families METRICS.prom]
@@ -114,14 +118,11 @@ def count_problems(report: dict[str, Any], snapshots: str) -> list[str]:
     return found
 
 
-def trace_problems(report: dict[str, Any], trace: str) -> list[str]:
-    """Everything wrong with a run's JSONL trace, given its report."""
-    lines = trace.splitlines()
-    if not lines:
-        return ["no trace record"]
+def trace_categories(trace: str) -> tuple[Counter[str], list[str]]:
+    """Records per category of a JSONL trace, and its malformed lines."""
     found: list[str] = []
     categories: Counter[str] = Counter()
-    for number, line in enumerate(lines, start=1):
+    for number, line in enumerate(trace.splitlines(), start=1):
         try:
             record = json.loads(line)
         except json.JSONDecodeError as error:
@@ -136,6 +137,14 @@ def trace_problems(report: dict[str, Any], trace: str) -> list[str]:
             found.append(f"line {number} lacks a numeric time, a category or details")
             continue
         categories[record["category"]] += 1
+    return categories, found
+
+
+def trace_problems(report: dict[str, Any], trace: str) -> list[str]:
+    """Everything wrong with a run's JSONL trace, given its report."""
+    if not trace:
+        return ["no trace record"]
+    categories, found = trace_categories(trace)
     declared = sum(
         count for name, count in categories.items() if name.endswith(".deadlock.declared")
     )
@@ -147,6 +156,25 @@ def trace_problems(report: dict[str, Any], trace: str) -> list[str]:
         if records != report.get(field):
             found.append(f"{records} {label} record(s), want {report.get(field)!r} ({field})")
     return found
+
+
+def edge_probe_problems(prometheus: str, trace: str) -> list[str]:
+    """Everything wrong with a run's per-edge probe counts, given its trace."""
+    exported = sum(
+        float(line.rpartition(" ")[2])
+        for line in prometheus.splitlines()
+        if line.partition("{")[0] == "repro_edge_probes_total"
+    )
+    sent = sum(
+        count
+        for name, count in trace_categories(trace)[0].items()
+        if name.endswith(".probe.sent")
+    )
+    if exported != sent:
+        return [
+            f"repro_edge_probes_total sums to {exported:g}, want {sent} (*.probe.sent records)"
+        ]
+    return []
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -175,6 +203,13 @@ def main(argv: list[str] | None = None) -> int:
         found += [
             f"{args.trace}: {problem}"
             for problem in trace_problems(report, args.trace.read_text())
+        ]
+    if args.families is not None and args.trace is not None:
+        found += [
+            f"{args.families}: {problem}"
+            for problem in edge_probe_problems(
+                args.families.read_text(), args.trace.read_text()
+            )
         ]
     for problem in found:
         print(f"{args.report}: {problem}")
