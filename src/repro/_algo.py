@@ -14,12 +14,20 @@ from typing import TypeVar
 Node = TypeVar("Node", bound=Hashable)
 
 
-def cyclic_sccs(adjacency: Mapping[Node, Iterable[Node]]) -> list[set[Node]]:
+def cyclic_sccs(
+    adjacency: Mapping[Node, Iterable[Node]], roots: Iterable[Node] | None = None
+) -> list[set[Node]]:
     """Strongly connected components that contain a cycle.
 
     Uses an iterative Tarjan (no recursion limit on long chains).  Since
     wait-for graphs have no self-loops, a component contains a cycle iff
     it has more than one node; singleton components are dropped.
+
+    ``roots`` (default: every node of ``adjacency``) are where the
+    depth-first searches start, so only the components reachable from
+    them are returned.  Every member of a root's component is reachable
+    from the root, so that component is returned whole, exactly as the
+    full pass returns it.
     """
     index_counter = [0]
     stack: list[Node] = []
@@ -65,7 +73,7 @@ def cyclic_sccs(adjacency: Mapping[Node, Iterable[Node]]) -> list[set[Node]]:
                 if len(component) > 1:
                     components.append(component)
 
-    for node in list(adjacency):
+    for node in list(adjacency) if roots is None else roots:
         if node not in index:
             strongconnect(node)
     return components

@@ -210,6 +210,13 @@ class _Connection(asyncio.Protocol):
         link.pid = pid
         link.last_seen = cluster._loop.time()
         self._link = link
+        bound = cluster._bound
+        if (
+            bound is not None
+            and not bound.done()
+            and all(other.socket is not None for other in cluster._links)
+        ):
+            bound.set_result(None)
         if cluster.tracer.wants(categories.CLUSTER_WORKER_READY):
             cluster.tracer.record(
                 cluster.now,
@@ -283,6 +290,9 @@ class ClusterTransport(AsyncioTransport):
         self._tempdir: str | None = None
         self._server: asyncio.AbstractServer | None = None
         self._watcher: asyncio.Task[None] | None = None
+        #: resolved by the ``hello`` that binds the last worker, so
+        #: bring-up ends then rather than at its next poll.
+        self._bound: asyncio.Future[None] | None = None
         self._brought_up = False
         self._closing = False
 
@@ -384,6 +394,7 @@ class ClusterTransport(AsyncioTransport):
 
     async def _bring_up(self) -> None:
         self._tempdir = tempfile.mkdtemp(prefix="repro-cluster-")
+        bound = self._bound = self._loop.create_future()
         connection = functools.partial(_Connection, self)
         if self.channel == "unix":
             socket_path = os.path.join(self._tempdir, "coordinator.sock")
@@ -444,7 +455,9 @@ class ClusterTransport(AsyncioTransport):
                         for link in missing
                     ),
                 )
-            await asyncio.sleep(0.02)
+            # Worker exits and the deadline are polled every 20 ms; the
+            # last ``hello`` ends the wait at once.
+            await asyncio.wait((bound,), timeout=0.02)
 
     async def _watch(self) -> None:
         """Process-exit and heartbeat watchdog.

@@ -55,6 +55,8 @@ from repro.sim.process import Process
 
 ProcessEdge = tuple[ProcessId, ProcessId]
 
+_NO_EDGES: frozenset[ProcessEdge] = frozenset()
+
 
 class Controller(Process):
     """The controller ``C_j`` at site ``S_j``."""
@@ -76,7 +78,11 @@ class Controller(Process):
         self._intra_refs: dict[ProcessEdge, int] = {}
         #: waiter -> holders over the edges with a positive count: the
         #: intra edges leaving each local process (P3 knowledge, indexed)
-        self._intra_out: dict[ProcessId, set[ProcessId]] = {}
+        self.intra_out: dict[ProcessId, set[ProcessId]] = {}
+        #: home process -> its execution, for exactly the unfinished
+        #: executions with a non-empty ``waiting_remote``: the processes
+        #: with outgoing inter edges, which a probe sweep visits
+        self.remote_waiting: dict[ProcessId, TransactionExecution] = {}
         #: newest incarnation seen per transaction (stale-message guard)
         self._latest_incarnation: dict[TransactionId, int] = {}
 
@@ -195,13 +201,21 @@ class Controller(Process):
                         name=f"wait-die T{execution.spec.tid}",
                     )
 
+        if not by_site:
+            return
+        # ``_advance`` runs only while the execution is unblocked, so
+        # ``waiting_remote`` is empty here and is filled in site order;
+        # deleting keys keeps that order (``outgoing_inter_edges``).
+        self.remote_waiting[home_pid] = execution
+        system = self.system
         for site, items in sorted(by_site.items()):
             agent_pid = ProcessId(transaction=execution.spec.tid, site=site)
             serial = next(self._serial_counter)
             edge = EdgeRef(origin=home_pid, target=agent_pid, serial=serial)
             execution.waiting_remote[site] = RemoteWait(edge=edge, sent_at=self.now)
             execution.agent_sites.add(site)
-            self.oracle.add_inter_edge(home_pid, agent_pid, serial)
+            system.oracle.add_inter_edge(home_pid, agent_pid, serial)
+            system.stamp_formation(home_pid, agent_pid)
             self.ctx.trace(
                 categories.DDB_EDGE_ADDED, kind="inter", source=home_pid, target=agent_pid
             )
@@ -349,29 +363,36 @@ class Controller(Process):
         """Diff the wait edges induced by ``resource`` against the oracle
         and the local intra adjacency."""
         lock = self.locks.get(resource)
+        old_edges = self._resource_edges.get(resource, _NO_EDGES)
+        if not old_edges and (lock is None or not lock.waiters):
+            # No edges before and none without waiters: both diffs are empty.
+            return
         new_edges = lock.all_wait_edges() if lock is not None else set()
-        old_edges = self._resource_edges.get(resource, set())
+        system = self.system
+        oracle = system.oracle
         for edge in sorted(new_edges - old_edges):
             count = self._intra_refs.get(edge, 0)
             self._intra_refs[edge] = count + 1
             if count == 0:
-                self._intra_out.setdefault(edge[0], set()).add(edge[1])
-                self.oracle.add_intra_edge(*edge)
+                source, target = edge
+                self.intra_out.setdefault(source, set()).add(target)
+                oracle.add_intra_edge(source, target)
+                system.stamp_formation(source, target)
                 self.ctx.trace(
-                    categories.DDB_EDGE_ADDED, kind="intra", source=edge[0], target=edge[1]
+                    categories.DDB_EDGE_ADDED, kind="intra", source=source, target=target
                 )
                 # WFGD persistent-send rule: a new waiter on an informed
                 # process is informed immediately.
-                self.wfgd.on_new_predecessor(edge[0], edge[1])
+                self.wfgd.on_new_predecessor(source, target)
         for edge in sorted(old_edges - new_edges):
             count = self._intra_refs[edge] - 1
             if count == 0:
                 del self._intra_refs[edge]
-                discard_edge(self._intra_out, *edge)
+                discard_edge(self.intra_out, *edge)
                 if force:
-                    self.oracle.force_remove_intra_edge(*edge)
+                    oracle.force_remove_intra_edge(*edge)
                 else:
-                    self.oracle.remove_intra_edge(*edge)
+                    oracle.remove_intra_edge(*edge)
             else:
                 self._intra_refs[edge] = count
         if new_edges:
@@ -409,7 +430,10 @@ class Controller(Process):
     # ------------------------------------------------------------------
 
     def on_message(self, sender: Hashable, message: object) -> None:
-        if isinstance(message, RemoteAcquireRequest):
+        # Probes are most of a controller's deliveries: test for them first.
+        if type(message) is DdbProbe:
+            self.detector.on_probe(message)
+        elif isinstance(message, RemoteAcquireRequest):
             self._on_remote_acquire(message)
         elif isinstance(message, RemoteAcquireGranted):
             self._on_remote_granted(message)
@@ -419,8 +443,6 @@ class Controller(Process):
             self._abort_agent(message.transaction, message.incarnation)
         elif isinstance(message, AbortDemand):
             self._on_abort_demand(message)
-        elif isinstance(message, DdbProbe):
-            self.detector.on_probe(message)
         elif isinstance(message, DdbWfgdMessage):
             if message.destination.site != self.site:
                 raise ProtocolError(
@@ -511,6 +533,8 @@ class Controller(Process):
             return
         self.oracle.delete_inter_edge(edge.origin, edge.target, edge.serial)
         del execution.waiting_remote[edge.target.site]
+        if not execution.waiting_remote:
+            del self.remote_waiting[edge.origin]
         if not execution.blocked:
             execution.status = TransactionStatus.RUNNING
             self.detector.prune(edge.origin)
@@ -567,6 +591,7 @@ class Controller(Process):
         for wait in execution.waiting_remote.values():
             self.oracle.force_remove_inter_edge(home_pid, wait.edge.target)
         execution.waiting_remote.clear()
+        self.remote_waiting.pop(home_pid, None)
         # 3. Release locally held locks (home now has no outgoing edges).
         for resource in sorted(execution.held_local):
             self._local_release(home_pid, resource)
@@ -606,7 +631,7 @@ class Controller(Process):
         """Processes ``pid`` waits for along intra-controller edges: the
         holders blocking its waiting lock requests, read from the adjacency
         :meth:`_sync_resource_edges` keeps in step with the lock tables."""
-        return set(self._intra_out.get(pid, ()))
+        return set(self.intra_out.get(pid, ()))
 
     def _held_resources(self, pid: ProcessId) -> set[ResourceId]:
         execution = self.executions.get(pid.transaction)
@@ -649,7 +674,7 @@ class Controller(Process):
         """
         reached: set[ProcessId] = set(start)
         stack = [p for p in reached if p != stop]
-        intra_out = self._intra_out
+        intra_out = self.intra_out
         while stack:
             for successor in intra_out.get(stack.pop(), ()):
                 if successor not in reached:
@@ -659,11 +684,17 @@ class Controller(Process):
         return reached
 
     def outgoing_inter_edges(self, pid: ProcessId) -> list[EdgeRef]:
-        """Inter-controller edges leaving ``pid`` (home processes only)."""
-        execution = self.executions.get(pid.transaction)
-        if execution is None or execution.spec.home_process != pid or execution.finished:
+        """Inter-controller edges leaving ``pid``, in site order.
+
+        Only a home process in :attr:`remote_waiting` has any.  Its
+        ``waiting_remote`` was filled in site order while empty (see
+        :meth:`_do_acquire`) and has only lost keys since, so the dict's
+        own order is site order.
+        """
+        execution = self.remote_waiting.get(pid)
+        if execution is None:
             return []
-        return [wait.edge for _, wait in sorted(execution.waiting_remote.items())]
+        return [wait.edge for wait in execution.waiting_remote.values()]
 
     def inter_edge_black(self, edge: EdgeRef) -> bool:
         """P3: is ``edge`` an incoming black inter edge at this controller?"""

@@ -32,7 +32,6 @@ cancel a controller's own concurrent computations.  State is reclaimed via
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro._ids import ProbeTag, ProcessId
@@ -43,16 +42,18 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.ddb.controller import Controller
 
 
-@dataclass
 class DdbComputation:
     """State of one probe computation at one controller."""
 
-    tag: ProbeTag
-    #: the process this computation is about (set only at the initiator)
-    about: ProcessId | None
-    labelled: set[ProcessId] = field(default_factory=set)
-    probes_sent: set[EdgeRef] = field(default_factory=set)
-    declared: bool = False
+    __slots__ = ("about", "declared", "labelled", "probes_sent", "tag")
+
+    def __init__(self, tag: ProbeTag, about: ProcessId | None) -> None:
+        self.tag = tag
+        #: the process this computation is about (set only at the initiator)
+        self.about = about
+        self.labelled: set[ProcessId] = set()
+        self.probes_sent: set[EdgeRef] = set()
+        self.declared = False
 
 
 class DdbDetector:
@@ -110,7 +111,7 @@ class DdbDetector:
         )
 
         computation.labelled = controller.intra_closure(
-            controller.intra_successors(about), stop=about
+            controller.intra_out.get(about, ()), stop=about
         )
         if about in computation.labelled:
             # Black cycle of intra-controller edges: declare locally (A0).
@@ -150,7 +151,7 @@ class DdbDetector:
 
         target = probe.edge.target
         newly = (
-            controller.intra_closure({target}, stop=computation.about)
+            controller.intra_closure((target,), stop=computation.about)
             - computation.labelled
         )
         if not newly:
@@ -182,15 +183,17 @@ class DdbDetector:
         sends along its own outgoing edges (passed via ``include``).
         """
         controller = self._controller
-        sources = set(computation.labelled)
+        # Only the processes in ``remote_waiting`` have inter edges.
+        sources = computation.labelled & controller.remote_waiting.keys()
         sources.discard(computation.about)  # type: ignore[arg-type]
         if include is not None:
             sources.add(include)
+        probes_sent = computation.probes_sent
         for process in sorted(sources):
             for edge in controller.outgoing_inter_edges(process):
-                if edge in computation.probes_sent:
+                if edge in probes_sent:
                     continue
-                computation.probes_sent.add(edge)
+                probes_sent.add(edge)
                 controller.send_probe(edge.target.site, DdbProbe(computation.tag, edge))
 
     def _declare(self, computation: DdbComputation) -> None:

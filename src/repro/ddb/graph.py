@@ -257,13 +257,17 @@ class DdbWaitForGraph:
             seen.add(b)
         return seen
 
-    def dark_cycle_components(self) -> list[set[ProcessId]]:
+    def dark_cycle_components(
+        self, roots: Iterable[ProcessId] | None = None
+    ) -> list[set[ProcessId]]:
         """The cyclic SCCs of the dark subgraph: one Tarjan pass.
 
         G1-DDB and G3-DDB forbid self-edges, so a process lies on a dark
-        cycle exactly when its dark SCC has more than one member.
+        cycle exactly when its dark SCC has more than one member.  With
+        ``roots`` the pass covers only what they reach along dark edges,
+        which still returns each root's own component whole.
         """
-        return cyclic_sccs(self._dark_out)
+        return cyclic_sccs(self._dark_out, roots)
 
     def processes_on_dark_cycles(self) -> set[ProcessId]:
         """Processes in a cyclic SCC of the dark subgraph."""

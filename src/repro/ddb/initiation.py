@@ -120,15 +120,18 @@ class DdbPolicyInitiation(DdbInitiationPolicy):
 
     def __init__(self, policy: scheduling.InitiationPolicy) -> None:
         self.policy = policy
+        #: the one site view of each controller, built at :meth:`setup`
+        self._sites: dict["Controller", _ControllerSite] = {}
 
     def setup(self, controller: "Controller") -> None:
-        self.policy.setup(_ControllerSite(controller))
+        site = self._sites[controller] = _ControllerSite(controller)
+        self.policy.setup(site)
 
     def on_process_blocked(self, controller: "Controller", process: ProcessId) -> None:
-        self.policy.on_waits_started(_ControllerSite(controller), (process,))
+        self.policy.on_waits_started(self._sites[controller], (process,))
 
     def on_process_unblocked(self, controller: "Controller", process: ProcessId) -> None:
-        self.policy.on_wait_resolved(_ControllerSite(controller), process)
+        self.policy.on_wait_resolved(self._sites[controller], process)
 
 
 class DdbManualInitiation(DdbPolicyInitiation):

@@ -164,12 +164,24 @@ class ResourceLock:
         return set()
 
     def all_wait_edges(self) -> set[tuple[ProcessId, ProcessId]]:
-        """All (waiter, holder) pairs this resource currently induces."""
+        """All (waiter, holder) pairs this resource currently induces.
+
+        :func:`compatible` inline: an exclusive request waits for every
+        other holder, a shared one for the other exclusive holders.
+        """
         edges: set[tuple[ProcessId, ProcessId]] = set()
+        holders = self.holders
+        exclusive = LockMode.EXCLUSIVE
         for waiter in self.waiters:
-            for holder, held_mode in self.holders.items():
-                if holder != waiter.process and not compatible(held_mode, waiter.mode):
-                    edges.add((waiter.process, holder))
+            process = waiter.process
+            if waiter.mode is exclusive:
+                for holder in holders:
+                    if holder != process:
+                        edges.add((process, holder))
+            else:
+                for holder, held_mode in holders.items():
+                    if held_mode is exclusive and holder != process:
+                        edges.add((process, holder))
         return edges
 
     @property

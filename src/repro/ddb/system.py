@@ -42,9 +42,7 @@ from repro.ddb.messages import DdbProbe
 from repro.ddb.resolution import NoResolution, VictimPolicy
 from repro.ddb.transaction import TransactionExecution, TransactionSpec
 from repro.errors import ConfigurationError, ProtocolError
-from repro.sim import categories
 from repro.sim.network import DelayModel
-from repro.sim.trace import TraceEvent
 
 
 @dataclass(frozen=True)
@@ -168,9 +166,7 @@ class DdbSystem:
         #: now, so "an abort in [formed, now]" is "latest abort >= formed".
         self._last_abort: float | None = None
 
-        tracer = self.transport.tracer
-        tracer.subscribe(self._on_edge_added, categories=(categories.DDB_EDGE_ADDED,))
-        tracer.observe_messages(on_sent=self._on_message_sent)
+        self.transport.tracer.observe_messages(on_sent=self._on_message_sent)
 
     # ------------------------------------------------------------------
     # Accessors
@@ -320,31 +316,33 @@ class DdbSystem:
         )
         self.resolution.on_declaration(controller, process, tag)
 
-    def _on_edge_added(self, event: TraceEvent) -> None:
+    def stamp_formation(self, source: ProcessId, target: ProcessId) -> None:
         """Record when each process first joins a dark cycle.
 
-        Edges are dark when added and never turn dark later, so a new dark
-        cycle must use the edge just added, and every process it puts on a
-        cycle lies in the source's SCC (DESIGN.md, "DDB cost").
+        A controller calls this right after it adds the oracle edge
+        ``source -> target``, before it traces ``ddb.edge.added``, so the
+        stamp is the instant that record carries.  Edges are dark when
+        added and never turn dark later, so a new dark cycle must use the
+        edge just added, and every process it puts on a cycle lies in the
+        source's SCC (DESIGN.md, "DDB cost"): the SCC pass starts at the
+        source and covers only what the source reaches.
         """
-        details = event.details
-        source = details["source"]
-        if self.oracle.has_dark_path(details["target"], source):
-            for member in self._dark_cycle_members(source):
-                self.deadlock_formed_at.setdefault(member, event.time)
+        oracle = self.oracle
+        if not oracle.has_dark_path(target, source):
+            return
+        now = self.transport.now
+        formed_at = self.deadlock_formed_at
+        for component in oracle.dark_cycle_components(roots=(source,)):
+            if source in component:
+                for member in component:
+                    formed_at.setdefault(member, now)
+                return
 
     def _on_message_sent(
         self, time: float, sender: SiteId, destination: SiteId, message: object
     ) -> None:
         if isinstance(message, DdbProbe):
             self._probes.count(message.tag)
-
-    def _dark_cycle_members(self, start: ProcessId) -> set[ProcessId]:
-        """Processes on dark cycles in the SCC of ``start``."""
-        for component in self.oracle.dark_cycle_components():
-            if start in component:
-                return component
-        return {start}
 
     # ------------------------------------------------------------------
     # Quiescence-time checks

@@ -1,13 +1,15 @@
 """The quick benchmark tier: throughput baselines + sweep shape hashes.
 
 ``repro bench record`` writes ``BENCH_baseline.json``: the throughput of
-four engine micro-benchmarks (mirroring
+five micro-benchmarks (the first three mirror
 ``benchmarks/bench_engine_throughput.py``) and a SHA-256 of the canonical
 quick-grid document for every shipped sweep grid.  ``repro bench check``
 re-measures and fails when
 
 * any micro-benchmark's throughput falls more than ``threshold`` (default
   25%) below its recorded baseline -- a hot-path performance regression;
+* a micro-benchmark has no recorded baseline, or a recorded one is no
+  longer measured;
 * any grid's shape hash differs -- a *behavioural* change to experiment
   results (which must be deliberate: re-record with ``repro bench record``
   or, in CI, push a commit whose message contains ``[bench-reset]``).
@@ -139,11 +141,45 @@ def _bench_monitor_stream() -> tuple[int, float]:
     return system.simulator.events_executed, elapsed
 
 
+def _bench_ddb_hot() -> tuple[int, float]:
+    """Run detection-only ``ddb-hot`` on ten fixed seeds (tracing disabled).
+
+    The spec of the end-to-end ``sim-ddb-hot`` lane: 8 sites,
+    ``resources=32 load=4 window=25 resolve=0``.  Only
+    ``run_to_quiescence`` is timed, so this gates the DDB controllers'
+    lock handling, probe sweeps and oracle, not workload set-up.
+    """
+    from repro.core.assembly import build_runtime
+    from repro.core.registry import get_variant
+    from repro.workloads.provision import provision_workload
+    from repro.workloads.spec import WorkloadSpec, make_params
+
+    variant = get_variant("ddb")
+    params = make_params(resources=32, load=4, window=25, resolve=0)
+    events = 0
+    elapsed = 0.0
+    declarations = 0
+    for seed in range(10):
+        spec = WorkloadSpec(family="ddb-hot", n=8, seed=seed, params=params)
+        transport = build_runtime(seed=seed, trace=False).transport
+        run = provision_workload(variant, spec, transport=transport)
+        simulator = run.system.simulator
+        before = simulator.events_executed
+        started = time.perf_counter()
+        run.run_to_quiescence()
+        elapsed += time.perf_counter() - started
+        events += simulator.events_executed - before
+        declarations += len(run.system.declarations)
+    assert declarations, "hot-resource contention must deadlock on some seed"
+    return events, elapsed
+
+
 MICRO_BENCHMARKS: dict[str, Callable[[], tuple[int, float]]] = {
     "engine.event_loop": _bench_event_loop,
     "engine.network": _bench_network,
     "engine.cycle64": _bench_cycle64,
     "obs.monitor_stream": _bench_monitor_stream,
+    "ddb.hot": _bench_ddb_hot,
 }
 
 
@@ -218,6 +254,9 @@ def check(
     failures: list[str] = []
 
     current = measure_throughput(repeats)
+    for name in sorted(current.keys() - baseline["throughput"].keys()):
+        lines.append(f"throughput {name}: {current[name]:>12.6g} ev/op (no baseline) MISSING")
+        failures.append(f"micro-benchmark {name!r} has no recorded baseline")
     for name, recorded in sorted(baseline["throughput"].items()):
         measured = current.get(name)
         if measured is None:

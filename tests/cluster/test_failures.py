@@ -11,6 +11,7 @@ documented in :mod:`repro.cluster.worker`.
 
 from __future__ import annotations
 
+import asyncio
 import time
 
 import pytest
@@ -24,6 +25,7 @@ from repro.cluster.worker import (
 )
 from repro.errors import ClusterError, SimulationError
 from repro.runner import RunReport, run
+from repro.sim import categories
 
 TIME_SCALE = 0.002
 TIMEOUT = 15.0
@@ -104,6 +106,51 @@ class TestConnectRobustness:
     def test_connect_failures_recovered_by_backoff(self) -> None:
         report = run_with_worker_env({"REPRO_CLUSTER_TEST_CONNECT_FAILS": "2"})
         assert report.ok
+
+    def test_bring_up_ends_at_the_last_hello(self, monkeypatch) -> None:
+        # Stretch bring-up's 20 ms poll to 5 s.  A bring-up that sleeps out
+        # the poll it was in when the last worker bound ends seconds after
+        # that ``hello``; one the ``hello`` wakes ends at once.
+        stretched = 5.0
+        sleep, wait = asyncio.sleep, asyncio.wait
+
+        def slow_sleep(delay, *args, **kwargs):
+            return sleep(stretched if delay == 0.02 else delay, *args, **kwargs)
+
+        def slow_wait(futures, *, timeout=None, **kwargs):
+            timeout = stretched if timeout == 0.02 else timeout
+            return wait(futures, timeout=timeout, **kwargs)
+
+        class Node:
+            def __init__(self, pid):
+                self.pid = pid
+
+            def attach_context(self, ctx):
+                pass
+
+            def on_message(self, sender, message):
+                pass
+
+        transport = ClusterTransport(
+            seed=0, time_scale=TIME_SCALE, max_wall_seconds=TIMEOUT
+        )
+        ready: list[float] = []
+        transport.tracer.subscribe(
+            lambda event: ready.append(time.perf_counter()),
+            categories=(categories.CLUSTER_WORKER_READY,),
+        )
+        try:
+            transport.register(Node("a"))
+            transport.register(Node("b"))
+            with monkeypatch.context() as patch:
+                patch.setattr(asyncio, "sleep", slow_sleep)
+                patch.setattr(asyncio, "wait", slow_wait)
+                transport.run(max_events=0)
+            brought_up = time.perf_counter()
+        finally:
+            transport.close()
+        assert len(ready) == 2
+        assert brought_up - max(ready) < stretched / 2
 
     def test_connect_timeout_is_a_typed_bring_up_failure(self) -> None:
         transport = ClusterTransport(

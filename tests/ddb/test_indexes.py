@@ -1,13 +1,18 @@
 """The DDB hot-path indexes agree with the state they index, after every event.
 
 A controller answers P3 questions from an intra adjacency it keeps in
-step with its lock tables, and sends the :class:`EdgeRef` each remote
-wait already holds; the oracle records formation times with a
-closing-edge check over its dark adjacency.  Each test here recomputes
-the indexed answer the direct way -- from the lock tables, from
-``waiting_remote``, from a colour-filtered walk over ``oracle.edges()``
--- on random ``ddb-hot`` runs with exponential delays, with and without
-victim restart and under a prevention scheme.
+step with its lock tables.  Its probe sweeps visit only the processes in
+its remote-wait index, and send the :class:`EdgeRef` each remote wait
+already holds, in the site order ``waiting_remote`` keeps without
+sorting.  The system stamps formation times by a direct call where a
+controller adds an oracle edge: a closing-edge check over the dark
+adjacency, then an SCC pass from the new edge's source.  Each test here
+recomputes the indexed answer the direct way -- from the lock tables,
+from every execution's ``waiting_remote``, from a colour-filtered walk
+over ``oracle.edges()`` -- on random ``ddb-hot`` runs with exponential
+delays, with and without victim restart and under a prevention scheme.
+With tracing off and no monitor, nothing routes a trace category, and
+the stamps equal those of a traced run.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 import pytest
 
 from repro._ids import ProcessId
+from repro.core.assembly import build_runtime
 from repro.core.engine import dark_components
 from repro.core.registry import get_variant
 from repro.ddb.controller import Controller
@@ -65,6 +71,16 @@ def rebuilt_inter_edges(controller: Controller, pid: ProcessId) -> list[EdgeRef]
     ]
 
 
+def rebuilt_remote_waiting(controller: Controller) -> dict[ProcessId, object]:
+    """The home processes with an unfinished execution and a non-empty
+    ``waiting_remote``, each with its execution."""
+    return {
+        execution.spec.home_process: execution
+        for execution in controller.executions.values()
+        if not execution.finished and execution.waiting_remote
+    }
+
+
 def local_processes(controller: Controller) -> set[ProcessId]:
     processes = {e.spec.home_process for e in controller.executions.values()}
     processes |= {agent.pid for agent in controller.agents.values()}
@@ -92,7 +108,7 @@ def reference_formation_times(system: DdbSystem) -> dict[ProcessId, float]:
     return formed
 
 
-def hot_system(seed: int, resolve: int) -> DdbSystem:
+def hot_system(seed: int, resolve: int, trace: bool = True) -> DdbSystem:
     spec = WorkloadSpec(
         family="ddb-hot",
         n=4,
@@ -100,9 +116,10 @@ def hot_system(seed: int, resolve: int) -> DdbSystem:
         duration=150.0,
         params=make_params(resources=12, load=3, window=15, resolve=resolve),
     )
-    run = provision_workload(
-        get_variant("ddb"), spec, delay_model=ExponentialDelay(mean=1.0)
-    )
+    transport = build_runtime(
+        seed=seed, delay_model=ExponentialDelay(mean=1.0), trace=trace
+    ).transport
+    run = provision_workload(get_variant("ddb"), spec, transport=transport)
     system: DdbSystem = run.system
     return system
 
@@ -147,6 +164,7 @@ def test_indexes_match_their_sources_after_every_event(config: str, seed: int) -
     while system.simulator.step():
         events += 1
         for controller in system.controllers.values():
+            assert controller.remote_waiting == rebuilt_remote_waiting(controller), events
             for pid in local_processes(controller):
                 assert controller.intra_successors(pid) == lock_derived_successors(
                     controller, pid
@@ -160,3 +178,14 @@ def test_indexes_match_their_sources_after_every_event(config: str, seed: int) -
         # Wound-wait wounds most cycles before they close; the other two
         # must form some for the formation-time comparison to mean anything.
         assert system.deadlock_formed_at
+
+
+@pytest.mark.parametrize("seed", SEEDS[:2])
+def test_untraced_run_routes_nothing_and_stamps_as_a_traced_one(seed: int) -> None:
+    untraced = hot_system(seed, resolve=0, trace=False)
+    assert not untraced.transport.tracer.routes
+    untraced.run_to_quiescence()
+    traced = hot_system(seed, resolve=0)
+    traced.run_to_quiescence()
+    assert untraced.deadlock_formed_at
+    assert untraced.deadlock_formed_at == traced.deadlock_formed_at

@@ -147,6 +147,20 @@ class TestBaselineRoundTrip:
         with pytest.raises(baseline.BenchRegression, match="regressed"):
             baseline.check(path, threshold=0.25, repeats=3)
 
+    def test_micro_benchmark_without_a_baseline_fails(
+        self, tmp_path: Path, fast_bench, monkeypatch: pytest.MonkeyPatch
+    ) -> None:
+        path = tmp_path / "BENCH_baseline.json"
+        baseline.record(path, repeats=1)
+        benchmarks = {**baseline.MICRO_BENCHMARKS, "fake.unrecorded": lambda: (100, 0.1)}
+        monkeypatch.setattr(baseline, "MICRO_BENCHMARKS", benchmarks)
+        with pytest.raises(baseline.BenchRegression, match="'fake.unrecorded'") as failed:
+            baseline.check(path, threshold=0.25, repeats=1)
+        assert any(
+            "fake.unrecorded" in line and "no baseline" in line
+            for line in failed.value.lines
+        )
+
     def test_small_slowdown_within_threshold_passes(
         self, tmp_path: Path, fast_bench
     ) -> None:

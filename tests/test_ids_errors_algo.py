@@ -8,8 +8,10 @@ import json
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro._algo import cyclic_sccs, discard_edge
+from repro._algo import cyclic_sccs, discard_edge, has_path
 from repro._ids import ProbeTag, ProcessId, SiteId, TransactionId
 from repro.cluster.frames import decode_value, encode_value
 from repro.errors import (
@@ -162,6 +164,29 @@ class TestCyclicSccs:
     def test_nested_cycles_merge_into_one_scc(self) -> None:
         adjacency = {0: [1], 1: [2, 0], 2: [0]}
         assert cyclic_sccs(adjacency) == [{0, 1, 2}]
+
+    @given(
+        edges=st.lists(
+            st.tuples(st.integers(0, 9), st.integers(0, 9)).filter(lambda e: e[0] != e[1]),
+            max_size=30,
+        ),
+        root=st.integers(0, 9),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_a_pass_from_one_root_returns_that_roots_component_whole(
+        self, edges: list[tuple[int, int]], root: int
+    ) -> None:
+        adjacency: dict[int, list[int]] = {}
+        for source, target in edges:
+            adjacency.setdefault(source, []).append(target)
+        full = [c for c in cyclic_sccs(adjacency) if root in c]
+        rooted = [c for c in cyclic_sccs(adjacency, roots=(root,)) if root in c]
+        if has_path(adjacency, root, root):
+            assert len(full) == 1
+            assert rooted == full
+        else:
+            assert full == []
+            assert rooted == []
 
     def test_networkx_agreement_on_random_graphs(self) -> None:
         import random
