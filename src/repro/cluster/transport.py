@@ -18,9 +18,9 @@ path -- the part the paper axiomatises:
 * ``send()`` samples the seeded injected delay (inherited from
   :class:`~repro.live.transport.AsyncioTransport`), serializes the
   message, and frames it to the **destination's** worker;
-* the worker keeps each inbound channel's frames in a deque, with a loop
-  timer armed for the head only, and at the head's virtual due time on its
-  own clock echoes a ``deliver`` frame back;
+* the worker keeps each inbound channel's frames in a deque, with a
+  timer on its heap for the head only, and at the head's virtual due time
+  on its own clock echoes a ``deliver`` frame back;
 * the coordinator decodes the returned payload (the delivered message is
   rebuilt from wire bytes, not the original object) and runs the handler
   atomically on its single-threaded loop.
@@ -29,7 +29,10 @@ Socket I/O runs on plain loop callbacks, as the live backend's deliveries
 do.  Each worker connection is one :class:`asyncio.Protocol`
 (:class:`_Connection`) that parses frames as bytes arrive and handles
 each one in place; ``send`` writes its frame straight to the destination
-worker's socket, whose transport buffer is the only queue.
+worker's socket, whose transport buffer is the only queue.  A worker is
+a standard-library program on one :mod:`selectors` loop, spawned in
+isolated mode (``python -I -S``) so that its start-up, which every run
+pays once per worker, costs as little as it can.
 
 Per-channel FIFO (axiom P4) holds end to end by construction: every frame
 for one worker is written to its one socket in send order and arrives in
@@ -48,7 +51,8 @@ malformed frame, or a stale heartbeat surfaces as a typed
 :class:`~repro.errors.ClusterError` carrying
 :class:`~repro.errors.WorkerFailure` records -- a partial-run report,
 never a hang.  ``close()`` shuts down gracefully: a ``shutdown`` frame
-per worker, a bounded wait, then SIGKILL for stragglers.
+per worker, a wait that ends when the last worker's connection closes
+(or after a bounded grace), then SIGKILL for stragglers.
 """
 
 from __future__ import annotations
@@ -89,6 +93,7 @@ class _WorkerLink:
     """Coordinator-side state for one worker process."""
 
     __slots__ = (
+        "closed",
         "failed",
         "index",
         "last_seen",
@@ -105,6 +110,8 @@ class _WorkerLink:
         self.process: subprocess.Popen[bytes] | None = None
         #: the worker's connection, set once its ``hello`` arrives.
         self.socket: asyncio.Transport | None = None
+        #: set once that connection has closed.
+        self.closed = False
         self.last_seen = 0.0
         self.failed = False
         self.pid: int | None = None
@@ -179,6 +186,17 @@ class _Connection(asyncio.Protocol):
         link = self._link
         if link is None:
             return
+        link.closed = True
+        cluster = self._cluster
+        if cluster._closing:
+            drained = cluster._drained
+            if (
+                drained is not None
+                and not drained.done()
+                and all(other.closed or other.socket is None for other in cluster._links)
+            ):
+                drained.set_result(None)
+            return
         try:
             self._frames.eof()
         except ClusterError as error:
@@ -189,7 +207,7 @@ class _Connection(asyncio.Protocol):
                 if exc is None
                 else f"connection error: {exc}"
             )
-        self._cluster._worker_lost(link, reason)
+        cluster._worker_lost(link, reason)
 
     def _bind(self, frame: dict[str, Any]) -> _WorkerLink | None:
         """Bind this connection to the worker its ``hello`` names, if valid."""
@@ -293,6 +311,9 @@ class ClusterTransport(AsyncioTransport):
         #: resolved by the ``hello`` that binds the last worker, so
         #: bring-up ends then rather than at its next poll.
         self._bound: asyncio.Future[None] | None = None
+        #: resolved, while closing, once every bound worker's connection
+        #: has closed, so teardown ends then rather than at its next poll.
+        self._drained: asyncio.Future[None] | None = None
         self._brought_up = False
         self._closing = False
 
@@ -415,6 +436,12 @@ class ClusterTransport(AsyncioTransport):
                 link.process = subprocess.Popen(
                     [
                         sys.executable,
+                        # Isolated (no PYTHON* variables, no user site) and
+                        # without ``site``: the worker needs only the
+                        # standard library, and skips the start-up cost of
+                        # site-packages' ``.pth`` hooks.
+                        "-I",
+                        "-S",
                         str(_WORKER_PATH),
                         "--connect",
                         spec,
@@ -549,24 +576,31 @@ class ClusterTransport(AsyncioTransport):
             self._watcher.cancel()
             await asyncio.gather(self._watcher, return_exceptions=True)
             self._watcher = None
+        drained = self._drained = self._loop.create_future()
         shutdown = encode_frame({"kind": "shutdown"})
         for link in self._links:
             process = link.process
             if process is not None and process.poll() is None and link.socket is not None:
                 link.socket.write(shutdown)
         deadline = self._loop.time() + _SHUTDOWN_GRACE
-        while any(
+        while not drained.done() and any(
             link.process is not None and link.process.poll() is None
             for link in self._links
         ):
             if self._loop.time() > deadline:
                 break
-            await asyncio.sleep(0.02)
+            # Worker exits and the deadline are polled every 20 ms; the
+            # last worker to close its connection ends the wait at once.
+            await asyncio.wait((drained,), timeout=0.02)
         for link in self._links:
-            if link.process is not None:
-                if link.process.poll() is None:
-                    link.process.kill()
-                link.process.wait()
+            process = link.process
+            if process is not None:
+                # A worker closes its connection just before it exits.
+                try:
+                    process.wait(timeout=max(deadline - self._loop.time(), 0.0))
+                except subprocess.TimeoutExpired:
+                    process.kill()
+                    process.wait()
             if link.socket is not None:
                 link.socket.close()
         if self._server is not None:

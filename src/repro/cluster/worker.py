@@ -5,30 +5,34 @@ registered node and routes every message for that node through it, so
 each delivery genuinely crosses two process boundaries as length-prefixed
 JSON frames.  The worker's job is the delivery half of axiom P4:
 
-* one deque per inbound channel, with a loop timer armed for its head
-  only: when the head's timer fires it arms the next head's, then echoes
-  the head back as a ``deliver`` frame, so delivery order on a channel
-  equals frame order regardless of the injected delays (``loose``
-  frames -- the ``fifo=False`` ablation -- get a timer each instead and
-  may overtake);
+* one deque per inbound channel, with a timer for its head only: when
+  the head's timer fires it arms the next head's, then echoes the head
+  back as a ``deliver`` frame, so delivery order on a channel equals
+  frame order regardless of the injected delays (``loose`` frames -- the
+  ``fifo=False`` ablation -- get a timer each instead and may overtake);
 * a frame's timer fires at its virtual due time, ``origin + due *
-  time_scale`` on the worker's own clock, anchored by the coordinator's
-  ``start`` frame;
+  time_scale`` on the worker's own monotonic clock, anchored by the
+  coordinator's ``start`` frame;
 * a heartbeat frame every ``--heartbeat`` seconds, so the coordinator
   can tell a stalled worker from a quiet one;
 * connects back to the coordinator with deterministic exponential
   backoff (:func:`backoff_delays`; no jitter -- cluster runs must stay
   reproducible per seed, and the schedule has nothing to desynchronize).
 
-The worker is one :class:`asyncio.Protocol` on plain loop callbacks:
-frames are parsed as their bytes arrive, and no task runs per channel or
-per message.
+The worker is one :mod:`selectors` loop over its coordinator socket.
+Frames are parsed as their bytes arrive, one heap of due times holds the
+timers, and a write the socket does not take at once waits in a buffer
+until the socket is writable again.  No task or thread runs per channel
+or per message.
 
 This file is a **self-contained stdlib program**: the coordinator spawns
-it by file path (``python .../worker.py``), so worker start-up never
-imports the repro package -- payloads stay opaque JSON, and the tiny
-frame helpers are inlined here instead of imported from
-:mod:`repro.cluster.frames`.
+it by file path in isolated mode (``python -I -S .../worker.py``), so
+worker start-up never imports the repro package, runs no ``site`` hooks
+and reads no ``PYTHON*`` variables.  Payloads stay opaque JSON, and the
+tiny frame helpers are inlined here instead of imported from
+:mod:`repro.cluster.frames`.  Start-up time is the cost every cluster
+run pays once per worker, so the program imports only what its loop
+uses.
 
 Test hooks (environment variables, all off by default):
 
@@ -42,19 +46,28 @@ Test hooks (environment variables, all off by default):
 
 from __future__ import annotations
 
-import argparse
-import asyncio
+import heapq
 import json
 import os
+import selectors
+import socket
 import struct
 import sys
 import time
 from collections import deque
-from typing import Any, cast
+
+# ``typing`` is imported for the type checker only: at run time it would
+# add to every worker's start-up.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Callable
+    from typing import Any
 
 _HEADER = struct.Struct(">I")
 _MAX_FRAME_BYTES = 8 * 1024 * 1024
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
+#: bytes asked of the socket per read.
+_READ_SIZE = 256 * 1024
 #: exit status of an injected mid-run crash (REPRO_CLUSTER_TEST_EXIT_AFTER).
 CRASH_EXIT_CODE = 17
 
@@ -62,6 +75,11 @@ CRASH_EXIT_CODE = 17
 BACKOFF_BASE = 0.05
 BACKOFF_CAP = 1.0
 CONNECT_ATTEMPTS = 8
+
+_USAGE = (
+    "usage: worker.py --connect unix:<path>|tcp:<host>:<port> --index N "
+    "[--heartbeat SECONDS]"
+)
 
 
 def backoff_delays(
@@ -94,146 +112,201 @@ def _encode_frame(frame: dict[str, Any]) -> bytes:
     return _HEADER.pack(len(body)) + body
 
 
-async def _connect(
-    loop: asyncio.AbstractEventLoop, spec: str, protocol: asyncio.Protocol
-) -> None:
+def _dial(spec: str) -> socket.socket:
+    """One blocking connect to ``unix:<path>`` or ``tcp:<host>:<port>``."""
+    if spec.startswith("unix:"):
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        try:
+            sock.connect(spec[len("unix:") :])
+        except OSError:
+            sock.close()
+            raise
+        return sock
+    if spec.startswith("tcp:"):
+        host, _, port = spec[len("tcp:") :].rpartition(":")
+        sock = socket.create_connection((host, int(port)))
+        # Without it, Nagle's algorithm and the peer's delayed ACK can hold
+        # a small frame back for tens of milliseconds.
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return sock
+    raise ValueError(f"unknown connect spec {spec!r}")
+
+
+def _connect(spec: str) -> socket.socket:
     """Dial the coordinator, retrying with deterministic backoff."""
     forced_failures = _env_int("REPRO_CLUSTER_TEST_CONNECT_FAILS")
     delays = backoff_delays()
-    last_error: Exception = ConnectionError("no connect attempt made")
+    last_error: OSError = ConnectionError("no connect attempt made")
     for attempt in range(len(delays) + 1):
         try:
             if attempt < forced_failures:
                 raise ConnectionError("injected connect failure (test hook)")
-            if spec.startswith("unix:"):
-                await loop.create_unix_connection(lambda: protocol, spec[len("unix:") :])
-                return
-            if spec.startswith("tcp:"):
-                host, _, port = spec[len("tcp:") :].rpartition(":")
-                await loop.create_connection(lambda: protocol, host, int(port))
-                return
-            raise ValueError(f"unknown connect spec {spec!r}")
-        except (OSError, ConnectionError) as error:
+            return _dial(spec)
+        except OSError as error:
             last_error = error
             if attempt < len(delays):
-                await asyncio.sleep(delays[attempt])
+                time.sleep(delays[attempt])
     raise last_error
 
 
-class Worker(asyncio.Protocol):
-    """Channel owner for one node; see the module docstring.
+class Worker:
+    """Channel owner for one node over a connected socket; see the module
+    docstring.  :meth:`run` serves the connection and returns the exit
+    status, or raises the connection or frame error that ends it."""
 
-    Create it inside the running loop; :meth:`run` dials the coordinator
-    and returns the exit status once the connection ends.
-    """
-
-    #: set by ``connection_made``, which runs before ``_connect`` returns.
-    _socket: asyncio.Transport
-    _beat: asyncio.TimerHandle
-
-    def __init__(self, index: int, heartbeat: float) -> None:
+    def __init__(self, index: int, heartbeat: float, sock: socket.socket) -> None:
         self.index = index
         self.heartbeat = heartbeat
         self.origin: float | None = None
         self.time_scale = 1.0
         self.delivered = 0
         self.exit_after = _env_int("REPRO_CLUSTER_TEST_EXIT_AFTER")
-        self._loop = asyncio.get_running_loop()
-        #: resolved with the exit status, or the error that ends the run.
-        self._exit: asyncio.Future[int] = self._loop.create_future()
-        self._buffer = bytearray()
+        self._socket = sock
+        self._selector = selectors.DefaultSelector()
+        #: received bytes not yet parsed into frames.
+        self._inbox = bytearray()
+        #: encoded bytes the socket has not taken yet.
+        self._outbox = bytearray()
+        #: ``(when, sequence, action, argument)``; the sequence keeps timers
+        #: due at the same instant in the order they were armed.
+        self._timers: list[tuple[float, int, Callable[[Any], None], Any]] = []
+        self._sequence = 0
         #: frames in flight per FIFO channel; the head's timer is armed.
         self._channels: dict[str, deque[dict[str, Any]]] = {}
         self._heartbeats = 0
+        #: set once the connection is over: 0 after ``shutdown``, 1 on EOF.
+        self._exit: int | None = None
 
-    async def run(self, spec: str) -> int:
-        await _connect(self._loop, spec, self)
+    def run(self) -> int:
+        sock = self._socket
+        selector = self._selector
+        timers = self._timers
+        sock.setblocking(False)
+        selector.register(sock, selectors.EVENT_READ)
         try:
-            return await self._exit
+            self._write({"kind": "hello", "index": self.index, "pid": os.getpid()})
+            next_beat = time.monotonic() + self.heartbeat
+            while (status := self._exit) is None:
+                wake = timers[0][0] if timers and timers[0][0] < next_beat else next_beat
+                for _, events in selector.select(max(wake - time.monotonic(), 0.0)):
+                    if events & selectors.EVENT_WRITE:
+                        self._flush()
+                    if events & selectors.EVENT_READ and self._exit is None:
+                        self._read()
+                now = time.monotonic()
+                while timers and timers[0][0] <= now and self._exit is None:
+                    _, _, action, argument = heapq.heappop(timers)
+                    action(argument)
+                if now >= next_beat and self._exit is None:
+                    self._heartbeats += 1
+                    self._write(
+                        {"kind": "heartbeat", "index": self.index, "seq": self._heartbeats}
+                    )
+                    next_beat = now + self.heartbeat
+            if status == 0 and self._outbox:
+                sock.setblocking(True)
+                try:
+                    sock.sendall(self._outbox)
+                except OSError:
+                    pass  # the coordinator left first; nothing is owed to it
+            return status
         finally:
-            self._beat.cancel()
-            self._socket.close()
-
-    def _finish(self, outcome: int | Exception) -> None:
-        if self._exit.done():
-            return
-        if isinstance(outcome, Exception):
-            self._exit.set_exception(outcome)
-        else:
-            self._exit.set_result(outcome)
+            selector.close()
+            sock.close()
 
     # ------------------------------------------------------------------
     # The connection
 
-    def connection_made(self, transport: asyncio.BaseTransport) -> None:
-        self._socket = cast(asyncio.Transport, transport)
-        self._write({"kind": "hello", "index": self.index, "pid": os.getpid()})
-        self._beat = self._loop.call_later(self.heartbeat, self._heartbeat)
+    def _read(self) -> None:
+        try:
+            data = self._socket.recv(_READ_SIZE)
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError:
+            data = b""
+        if data:
+            self._receive(data)
+        else:
+            self._connection_lost()
 
-    def data_received(self, data: bytes) -> None:
-        buffer = self._buffer
+    def _receive(self, data: bytes) -> None:
+        buffer = self._inbox
         buffer += data
         offset = 0
         end = len(buffer)
-        try:
-            while end - offset >= _HEADER.size and not self._exit.done():
-                (length,) = _HEADER.unpack_from(buffer, offset)
-                if length > _MAX_FRAME_BYTES:
-                    raise ConnectionError(f"frame announces {length} bytes; stream corrupt")
-                start = offset + _HEADER.size
-                if end - start < length:
-                    break
-                offset = start + length
-                frame = json.loads(buffer[start:offset].decode("utf-8"))
-                if not isinstance(frame, dict):
-                    raise ConnectionError("frame body is not a JSON object")
-                self._handle(frame)
-        except Exception as error:  # noqa: BLE001 - ends the run with this error
-            self._finish(error)
-            return
+        while end - offset >= _HEADER.size and self._exit is None:
+            (length,) = _HEADER.unpack_from(buffer, offset)
+            if length > _MAX_FRAME_BYTES:
+                raise ConnectionError(f"frame announces {length} bytes; stream corrupt")
+            start = offset + _HEADER.size
+            if end - start < length:
+                break
+            offset = start + length
+            frame = json.loads(buffer[start:offset].decode("utf-8"))
+            if not isinstance(frame, dict):
+                raise ConnectionError("frame body is not a JSON object")
+            self._handle(frame)
         del buffer[:offset]
 
-    def connection_lost(self, exc: Exception | None) -> None:
-        if len(self._buffer) >= _HEADER.size:
-            self._finish(ConnectionError("coordinator died inside a frame body"))
-        elif self._buffer:
-            self._finish(ConnectionError("coordinator died inside a frame header"))
+    def _connection_lost(self) -> None:
+        if len(self._inbox) >= _HEADER.size:
+            raise ConnectionError("coordinator died inside a frame body")
+        if self._inbox:
+            raise ConnectionError("coordinator died inside a frame header")
         # Coordinator went away without a shutdown frame: exit rather than
         # linger as an orphan.
-        self._finish(1)
+        self._exit = 1
 
     def _handle(self, frame: dict[str, Any]) -> None:
         kind = frame.get("kind")
         if kind == "msg":
             self._enqueue(frame)
         elif kind == "start":
-            self.origin = self._loop.time()
+            self.origin = time.monotonic()
             self.time_scale = float(frame["time_scale"])
         elif kind == "shutdown":
-            self._finish(0)
+            self._exit = 0
         else:
             raise ConnectionError(f"unknown frame kind {kind!r}")
 
     def _write(self, frame: dict[str, Any]) -> None:
-        self._socket.write(_encode_frame(frame))
+        idle = not self._outbox
+        self._outbox += _encode_frame(frame)
+        if idle:
+            self._flush()
 
-    def _heartbeat(self) -> None:
-        self._heartbeats += 1
-        self._write({"kind": "heartbeat", "index": self.index, "seq": self._heartbeats})
-        self._beat = self._loop.call_later(self.heartbeat, self._heartbeat)
+    def _flush(self) -> None:
+        """Send what the socket takes now; watch for writability while
+        bytes remain."""
+        outbox = self._outbox
+        try:
+            sent = self._socket.send(outbox)
+        except (BlockingIOError, InterruptedError):
+            sent = 0
+        except OSError:
+            self._connection_lost()
+            return
+        del outbox[:sent]
+        events = selectors.EVENT_READ | selectors.EVENT_WRITE if outbox else selectors.EVENT_READ
+        if self._selector.get_key(self._socket).events != events:
+            self._selector.modify(self._socket, events)
 
     # ------------------------------------------------------------------
     # Delivery
 
+    def _call_at(self, when: float, action: Callable[[Any], None], argument: Any) -> None:
+        self._sequence += 1
+        heapq.heappush(self._timers, (when, self._sequence, action, argument))
+
     def _due(self, frame: dict[str, Any]) -> float:
-        """Loop time of ``frame``'s virtual due time (now, before ``start``)."""
+        """Clock time of ``frame``'s virtual due time (now, before ``start``)."""
         if self.origin is None:
-            return self._loop.time()
+            return time.monotonic()
         return self.origin + float(frame["due"]) * self.time_scale
 
     def _enqueue(self, frame: dict[str, Any]) -> None:
         if frame.get("loose"):
-            self._loop.call_at(self._due(frame), self._deliver, frame)
+            self._call_at(self._due(frame), self._deliver, frame)
             return
         key = frame["channel"]
         channel = self._channels.get(key)
@@ -241,13 +314,13 @@ class Worker(asyncio.Protocol):
             channel = self._channels[key] = deque()
         channel.append(frame)
         if len(channel) == 1:
-            self._loop.call_at(self._due(frame), self._deliver_head, channel)
+            self._call_at(self._due(frame), self._deliver_head, channel)
 
     def _deliver_head(self, channel: deque[dict[str, Any]]) -> None:
         """Deliver a channel's head, arming the next head's timer first."""
         frame = channel.popleft()
         if channel:
-            self._loop.call_at(self._due(channel[0]), self._deliver_head, channel)
+            self._call_at(self._due(channel[0]), self._deliver_head, channel)
         self._deliver(frame)
 
     def _deliver(self, frame: dict[str, Any]) -> None:
@@ -260,26 +333,39 @@ class Worker(asyncio.Protocol):
             os._exit(CRASH_EXIT_CODE)
 
 
-async def _amain(args: argparse.Namespace) -> int:
-    worker = Worker(index=args.index, heartbeat=args.heartbeat)
-    return await worker.run(args.connect)
+def _parse_args(argv: list[str]) -> tuple[str, int, float] | None:
+    """The coordinator's three flags, or ``None`` when they do not parse."""
+    flags = dict(zip(argv[::2], argv[1::2]))
+    if (
+        len(argv) % 2
+        or len(flags) != len(argv) // 2
+        or not {"--connect", "--index"} <= flags.keys()
+        or not flags.keys() <= {"--connect", "--index", "--heartbeat"}
+    ):
+        return None
+    try:
+        index = int(flags["--index"])
+        heartbeat = float(flags.get("--heartbeat", "0.5"))
+    except ValueError:
+        return None
+    if not heartbeat > 0:
+        return None
+    return flags["--connect"], index, heartbeat
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description="repro cluster worker process")
-    parser.add_argument("--connect", required=True, help="unix:<path> or tcp:<host>:<port>")
-    parser.add_argument("--index", type=int, required=True, help="worker index")
-    parser.add_argument(
-        "--heartbeat", type=float, default=0.5, help="heartbeat interval (seconds)"
-    )
-    args = parser.parse_args(argv)
+    parsed = _parse_args(sys.argv[1:] if argv is None else argv)
+    if parsed is None:
+        print(_USAGE, file=sys.stderr)
+        return 2
+    spec, index, heartbeat = parsed
     startup_delay = _env_float("REPRO_CLUSTER_TEST_STARTUP_DELAY")
     if startup_delay > 0:
         time.sleep(startup_delay)
     try:
-        return asyncio.run(_amain(args))
-    except (OSError, ConnectionError, ValueError) as error:
-        print(f"worker {args.index}: {error}", file=sys.stderr)
+        return Worker(index, heartbeat, _connect(spec)).run()
+    except (OSError, ValueError) as error:
+        print(f"worker {index}: {error}", file=sys.stderr)
         return 3
 
 

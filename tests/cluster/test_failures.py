@@ -152,6 +152,49 @@ class TestConnectRobustness:
         assert len(ready) == 2
         assert brought_up - max(ready) < stretched / 2
 
+    def test_teardown_ends_when_the_last_worker_leaves(self, monkeypatch) -> None:
+        # Stretch teardown's 20 ms polls to 5 s.  A teardown that sleeps out
+        # the poll it was in when the last worker left ends seconds after
+        # the exit; one the closing connection wakes ends at once.
+        stretched = 5.0
+        sleep, wait = asyncio.sleep, asyncio.wait
+
+        def slow_sleep(delay, *args, **kwargs):
+            return sleep(stretched if delay == 0.02 else delay, *args, **kwargs)
+
+        def slow_wait(futures, *, timeout=None, **kwargs):
+            timeout = stretched if timeout == 0.02 else timeout
+            return wait(futures, timeout=timeout, **kwargs)
+
+        class Node:
+            def __init__(self, pid):
+                self.pid = pid
+
+            def attach_context(self, ctx):
+                pass
+
+            def on_message(self, sender, message):
+                pass
+
+        transport = ClusterTransport(
+            seed=0, time_scale=TIME_SCALE, max_wall_seconds=TIMEOUT
+        )
+        try:
+            transport.register(Node("a"))
+            transport.register(Node("b"))
+            transport.run(max_events=0)
+            processes = list(transport.worker_processes().values())
+        finally:
+            with monkeypatch.context() as patch:
+                patch.setattr(asyncio, "sleep", slow_sleep)
+                patch.setattr(asyncio, "wait", slow_wait)
+                started = time.perf_counter()
+                transport.close()
+                closed = time.perf_counter()
+        assert closed - started < stretched / 2
+        # Each worker left on its shutdown frame, not by SIGKILL.
+        assert [process.returncode for process in processes] == [0, 0]
+
     def test_connect_timeout_is_a_typed_bring_up_failure(self) -> None:
         transport = ClusterTransport(
             seed=0,
