@@ -1,8 +1,8 @@
 """System wrapper for the basic model: wiring plus on-line verification.
 
 :class:`BasicSystem` assembles a simulator, a FIFO network, ``n`` vertex
-processes, the oracle graph, and an initiation policy, and installs trace
-subscribers that verify the paper's two theorems while the simulation runs:
+processes, the oracle graph, and an initiation policy, and verifies the
+paper's two theorems while the simulation runs:
 
 * **Soundness (QRP2 / Theorem 2):** at the instant any vertex declares "I am
   on a black cycle", the oracle is consulted; if the vertex is not on an
@@ -15,36 +15,27 @@ subscribers that verify the paper's two theorems while the simulation runs:
   connected component of the dark subgraph that contains a cycle also
   contains at least one vertex that declared.
 
-The verification bookkeeping itself (declaration log, completeness check,
-probe accounting) lives in :mod:`repro.core.engine`, shared with the other
-detector variants; this wrapper contributes the basic-model oracle queries
-and message wiring.  It also keeps the per-computation probe counts that
-experiment E3 reads.
+The verification bookkeeping itself (runtime, declaration log, probe
+accounting, the theorem assertions) lives in
+:class:`~repro.core.assembly.ProbeSystem`, shared with the DDB model; this
+wrapper contributes the basic-model oracle queries and vertex wiring.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import attrgetter
 
 from repro._ids import ProbeTag, VertexId
 from repro.basic.graph import WaitForGraph
 from repro.basic.initiation import ImmediateInitiation, InitiationPolicy
 from repro.basic.messages import Probe
 from repro.basic.vertex import VertexProcess
-from repro.core.assembly import build_runtime, require_fleet
+from repro.core.assembly import ProbeSystem, require_fleet
+from repro.core.engine import CompletenessReport, dark_components
 from repro.core.transport import Transport, TransportFactory
-from repro.core.engine import (
-    CompletenessReport,
-    DeclarationLog,
-    ProbeAccounting,
-    completeness_report,
-    dark_components,
-)
-from repro.sim import categories
 from repro.sim.network import DelayModel
-from repro.sim.trace import TraceEvent
 
 __all__ = ["BasicSystem", "CompletenessReport", "Declaration"]
 
@@ -59,7 +50,7 @@ class Declaration:
     on_black_cycle: bool
 
 
-class BasicSystem:
+class BasicSystem(ProbeSystem[Declaration, VertexId]):
     """A ready-to-run basic-model system.
 
     Parameters
@@ -91,6 +82,11 @@ class BasicSystem:
         deterministic simulator.  See :func:`repro.core.assembly.build_runtime`.
     """
 
+    model = "basic"
+    probe_message = Probe
+    declarer = attrgetter("vertex")
+    oracle: WaitForGraph
+
     def __init__(
         self,
         n_vertices: int,
@@ -106,25 +102,13 @@ class BasicSystem:
         transport: Transport | TransportFactory | None = None,
     ) -> None:
         require_fleet(n_vertices, "vertex")
-        runtime = build_runtime(
+        super().__init__(
             seed=seed, delay_model=delay_model, trace=trace, fifo=fifo,
-            transport=transport,
+            transport=transport, strict=strict,
         )
-        self.transport = runtime.transport
-        self.simulator = runtime.simulator
-        self.network = runtime.network
         self.oracle = WaitForGraph()
         self.initiation = initiation if initiation is not None else ImmediateInitiation()
         self.wfgd_on_declare = wfgd_on_declare
-        self._log: DeclarationLog[Declaration] = DeclarationLog(strict=strict)
-        #: every declaration, sound or not (alias into the shared log).
-        self.declarations = self._log.declarations
-        self.soundness_violations = self._log.violations
-        #: Virtual time at which each vertex first joined a dark cycle.
-        self.deadlock_formed_at: dict[VertexId, float] = {}
-        self._probes = ProbeAccounting()
-        #: Probes sent per computation tag (experiment E3).
-        self.probes_per_computation = self._probes.per_computation
 
         self.vertices: dict[VertexId, VertexProcess] = {}
         for i in range(n_vertices):
@@ -135,18 +119,11 @@ class BasicSystem:
                 service_delay=service_delay,
                 auto_reply=auto_reply,
                 on_declare=self._handle_declare,
+                on_edge_added=self.stamp_formation,
             )
             vertex.initiation = self.initiation
             self.transport.register(vertex)
             self.vertices[vid] = vertex
-
-        # One category-scoped subscription: with trace=False every *other*
-        # category then stays out of the tracer's routes and costs its
-        # producer one membership test, which is most of the win of
-        # running big sweeps untraced.  Probes are counted as messages.
-        tracer = self.transport.tracer
-        tracer.subscribe(self._on_request_sent, categories=(categories.BASIC_REQUEST_SENT,))
-        tracer.observe_messages(on_sent=self._on_message_sent)
 
     # ------------------------------------------------------------------
     # Convenience accessors
@@ -155,48 +132,9 @@ class BasicSystem:
     def vertex(self, i: int) -> VertexProcess:
         return self.vertices[VertexId(i)]
 
-    @property
-    def now(self) -> float:
-        return self.transport.now
-
-    @property
-    def counts(self) -> Counter[str]:
-        """The run's event counts (``transport.counts``)."""
-        return self.transport.counts
-
-    @property
-    def detection_latencies(self) -> list[float]:
-        """Each declaration's time minus the time its vertex first joined a
-        dark cycle, in declaration order (E5's dependent variable).  A
-        declaration made before its vertex's deadlock formed has none."""
-        formed_at = self.deadlock_formed_at
-        return [
-            d.time - formed
-            for d in self.declarations
-            if (formed := formed_at.get(d.vertex)) is not None and formed <= d.time
-        ]
-
-    @property
-    def probes_sent(self) -> int:
-        """Probes sent over the run, from :attr:`probes_per_computation`."""
-        return self._probes.sent()
-
-    @property
-    def strict(self) -> bool:
-        return self._log.strict
-
-    @strict.setter
-    def strict(self, value: bool) -> None:
-        self._log.strict = value
-
     # ------------------------------------------------------------------
     # Driving
     # ------------------------------------------------------------------
-
-    def request(self, source: int, targets: Iterable[int]) -> None:
-        """Issue a request batch immediately (only valid at time 0 or from
-        inside a scheduled event)."""
-        self.vertex(source).request([VertexId(t) for t in targets])
 
     def schedule_request(self, time: float, source: int, targets: Sequence[int]) -> None:
         """Schedule a request batch at absolute virtual ``time``."""
@@ -206,12 +144,6 @@ class BasicSystem:
             lambda: self.vertex(source).request(frozen),
             name=f"request v{source}->{list(targets)}",
         )
-
-    def run(self, until: float | None = None, max_events: int | None = None) -> None:
-        self.transport.run(until=until, max_events=max_events)
-
-    def run_to_quiescence(self, max_events: int = 1_000_000) -> None:
-        self.transport.run_to_quiescence(max_events=max_events)
 
     # ------------------------------------------------------------------
     # On-line verification
@@ -236,18 +168,21 @@ class BasicSystem:
         if self.wfgd_on_declare:
             vertex.wfgd.start_as_initiator()
 
-    def _on_request_sent(self, event: TraceEvent) -> None:
-        source = event.details["source"]
-        if self.oracle.is_on_dark_cycle(source):
-            cycle = self.oracle.find_dark_cycle(source) or [source]
-            for member in cycle:
-                self.deadlock_formed_at.setdefault(member, event.time)
+    def stamp_formation(self, source: VertexId, target: VertexId) -> None:
+        """Record when each vertex first joins a dark cycle.
 
-    def _on_message_sent(
-        self, time: float, sender: VertexId, destination: VertexId, message: object
-    ) -> None:
-        if isinstance(message, Probe):
-            self._probes.count(message.tag)
+        A vertex calls this right after it adds the oracle edge
+        ``source -> target`` for a request.  Edges are dark when added, so
+        a new dark cycle runs through ``source``; the walk stamps the one
+        cycle :meth:`~repro.basic.graph.WaitForGraph.find_dark_cycle`
+        finds from it.
+        """
+        oracle = self.oracle
+        if oracle.is_on_dark_cycle(source):
+            now = self.transport.now
+            formed_at = self.deadlock_formed_at
+            for member in oracle.find_dark_cycle(source) or [source]:
+                formed_at.setdefault(member, now)
 
     # ------------------------------------------------------------------
     # Quiescence-time checks
@@ -257,29 +192,6 @@ class BasicSystem:
         """Strongly connected components of the dark subgraph that contain a
         cycle (size > 1; the graph has no self-loops)."""
         return dark_components(self.oracle.dark_edges())
-
-    def completeness_report(self) -> CompletenessReport[VertexId]:
-        """Check Theorem 1 + the section 4.2 initiation rule at quiescence.
-
-        Every cyclic SCC of the dark subgraph must contain at least one
-        vertex that declared deadlock.
-        """
-        return completeness_report(
-            self.oracle.dark_edges(),
-            declared={d.vertex for d in self.declarations},
-            deadlocked=self.oracle.vertices_on_dark_cycles(),
-        )
-
-    def assert_completeness(self) -> None:
-        report = self.completeness_report()
-        if not report.complete:
-            raise AssertionError(
-                f"QRP1 violated: dark components {report.undetected_components} "
-                f"contain no vertex that declared deadlock"
-            )
-
-    def assert_soundness(self) -> None:
-        self._log.assert_sound("QRP2 violated by declarations: ")
 
     def __repr__(self) -> str:
         return (

@@ -52,6 +52,10 @@ class VertexProcess(Process):
     on_declare:
         Optional callback ``(vertex, tag)`` fired when this vertex declares
         itself deadlocked (step A1).
+    on_edge_added:
+        Optional callback ``(source, target)`` fired right after each
+        request adds its edge to the oracle (the system stamps deadlock
+        formation times from it).
     on_unblocked:
         Optional callback ``(vertex)`` fired when the last outstanding reply
         arrives and the vertex becomes active again.
@@ -65,6 +69,7 @@ class VertexProcess(Process):
         auto_reply: bool = True,
         on_declare: Callable[["VertexProcess", ProbeTag], None] | None = None,
         on_unblocked: Callable[["VertexProcess"], None] | None = None,
+        on_edge_added: Callable[[VertexId, VertexId], None] | None = None,
     ) -> None:
         super().__init__(vertex_id)
         self.vertex_id = vertex_id
@@ -72,6 +77,7 @@ class VertexProcess(Process):
         self.service_delay = service_delay
         self.auto_reply = auto_reply
         self._on_declare = on_declare
+        self._on_edge_added = on_edge_added
         #: Optional callback fired when the vertex unblocks; public so that
         #: workload drivers can (re)assign it after construction.
         self.unblocked_callback = on_unblocked
@@ -140,6 +146,8 @@ class VertexProcess(Process):
                 )
         for target in batch:
             self.oracle.create_edge(self.vertex_id, target)
+            if self._on_edge_added is not None:
+                self._on_edge_added(self.vertex_id, target)
             self.pending_out.add(target)
             self.ctx.trace(
                 categories.BASIC_REQUEST_SENT, source=self.vertex_id, target=target

@@ -580,7 +580,13 @@ class ClusterTransport(AsyncioTransport):
         shutdown = encode_frame({"kind": "shutdown"})
         for link in self._links:
             process = link.process
-            if process is not None and process.poll() is None and link.socket is not None:
+            if process is None or process.poll() is not None:
+                continue
+            if link.socket is None:
+                # Never connected (a failed bring-up): no shutdown frame
+                # can reach it, so waiting out the grace would gain nothing.
+                process.kill()
+            else:
                 link.socket.write(shutdown)
         deadline = self._loop.time() + _SHUTDOWN_GRACE
         while not drained.done() and any(

@@ -12,8 +12,9 @@ jobs once:
 
 * :mod:`repro.core.engine` -- declaration log, dark-component
   completeness, probe accounting.  Pure bookkeeping: no protocol imports.
-* :mod:`repro.core.assembly` -- the shared simulator/network runtime and
-  fleet-size validation.
+* :mod:`repro.core.assembly` -- the shared simulator/network runtime,
+  fleet-size validation, and ``ProtocolSystem`` / ``ProbeSystem``, the base
+  the three system wrappers subclass.
 * :mod:`repro.core.registry` -- the :class:`DetectorVariant` registry:
   name -> factory + capabilities (oracle criterion, message taxonomy,
   supported sweep scenarios).  ``sweep``, ``obs``, ``cli`` and the

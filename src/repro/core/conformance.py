@@ -4,8 +4,8 @@ Every registered detector variant must be able to run two standard
 scenarios and summarise the outcome in one model-independent record:
 
 * ``"deadlock"`` -- a small genuine deadlock.  The variant must declare
-  (non-empty declarations), stay sound (zero violations), and -- where it
-  reports completeness -- cover every dark component.
+  (non-empty declarations), stay sound (zero violations), and cover every
+  dark component.
 * ``"clean"`` -- a workload whose waits all resolve.  The variant must
   stay silent and sound.
 
@@ -66,9 +66,8 @@ class ConformanceOutcome:
     declarations: int
     #: declarations that failed the variant's oracle criterion when made.
     soundness_violations: int
-    #: quiescence-time completeness verdict; ``None`` when the variant's
-    #: capabilities say it has no completeness report.
-    complete: bool | None
+    #: quiescence-time completeness verdict (QRP1).
+    complete: bool
     #: dark components (or deadlocked closures) left without a declarer.
     undetected_components: int = 0
     #: time (virtual units) of the first declaration, ``None`` when the

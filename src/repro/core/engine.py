@@ -63,23 +63,22 @@ class CompletenessReport(Generic[Node]):
 
 
 def completeness_report(
-    dark_edges: Iterable[tuple[Node, Node]],
-    declared: set[Node],
-    deadlocked: set[Node],
+    dark_edges: Iterable[tuple[Node, Node]], declared: set[Node]
 ) -> CompletenessReport[Node]:
     """Check Theorem 1 + the section 4.2 initiation rule at quiescence.
 
     Every cyclic SCC of the dark subgraph must contain at least one node
-    in ``declared``.  ``deadlocked`` (the oracle's ground-truth set) is
-    carried on the report for callers that want detection ratios.
+    in ``declared``.  The nodes of those SCCs, the ones on a dark cycle
+    (the oracle's ground truth), are carried on the report for callers
+    that want detection ratios.
     """
-    report: CompletenessReport[Node] = CompletenessReport(
-        deadlocked_vertices=deadlocked, declared_vertices=declared
+    components = dark_components(dark_edges)
+    deadlocked: set[Node] = set().union(*components)
+    return CompletenessReport(
+        deadlocked_vertices=deadlocked,
+        declared_vertices=declared,
+        undetected_components=[c for c in components if not c & declared],
     )
-    for component in dark_components(dark_edges):
-        if not component & declared:
-            report.undetected_components.append(component)
-    return report
 
 
 class DeclarationLog(Generic[DeclarationT]):

@@ -108,8 +108,6 @@ class VariantCapabilities:
     #: probe-lifecycle taxonomy for span reconstruction; ``None`` for
     #: variants whose messages are not probe computations.
     taxonomy: MessageTaxonomy | None = None
-    #: whether the variant produces a quiescence-time completeness report.
-    has_completeness_report: bool = True
 
 
 @dataclass(frozen=True)

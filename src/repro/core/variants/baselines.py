@@ -25,7 +25,6 @@ from repro.baselines import (
     TimeoutDetector,
 )
 from repro.baselines.base import BaselineDetector
-from repro.basic.graph import EdgeColor
 from repro.basic.initiation import ManualInitiation
 from repro.basic.system import BasicSystem
 from repro.core.conformance import ConformanceOutcome, unknown_scenario
@@ -86,15 +85,8 @@ def _conformance_for(
         detector = build(host, **settings)
         detector.start()
         host.run_to_quiescence()
-        dark_edges = [
-            edge
-            for edge, color in host.oracle.edges()
-            if color is not EdgeColor.WHITE
-        ]
         report = completeness_report(
-            dark_edges,
-            declared=detector.report.detected_vertices(),
-            deadlocked=host.oracle.vertices_on_dark_cycles(),
+            host.oracle.dark_edges(), declared=detector.report.detected_vertices()
         )
         return ConformanceOutcome(
             variant=name,

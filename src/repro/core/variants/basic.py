@@ -39,18 +39,7 @@ def _conformance(
     )
     get_family(spec.family).schedule(spec, system)
     system.run_to_quiescence()
-    report = system.completeness_report()
-    return ConformanceOutcome(
-        variant="basic",
-        scenario=scenario,
-        declarations=len(system.declarations),
-        soundness_violations=len(system.soundness_violations),
-        complete=report.complete,
-        undetected_components=len(report.undetected_components),
-        first_declaration_at=(
-            system.declarations[0].time if system.declarations else None
-        ),
-    )
+    return system.outcome("basic", scenario)
 
 
 def _demo() -> int:

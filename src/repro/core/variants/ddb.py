@@ -39,18 +39,7 @@ def _conformance(
     system: DdbSystem = family.build(spec, transport=transport, strict=False)
     family.schedule(spec, system)
     system.run_to_quiescence(max_events=100_000)
-    complete, undetected = system.completeness_report()
-    return ConformanceOutcome(
-        variant="ddb",
-        scenario=scenario,
-        declarations=len(system.declarations),
-        soundness_violations=len(system.soundness_violations),
-        complete=complete,
-        undetected_components=len(undetected),
-        first_declaration_at=(
-            system.declarations[0].time if system.declarations else None
-        ),
-    )
+    return system.outcome("ddb", scenario)
 
 
 def _demo() -> int:

@@ -13,7 +13,8 @@ and a victim policy -- and verifies the paper's claims while running:
   liveness claim is that no dark cycle survives (victims break them), and
   the workload's commit counters show progress.
 
-Both checks run through the shared machinery in :mod:`repro.core.engine`;
+Both checks run through the shared base,
+:class:`~repro.core.assembly.ProbeSystem`, and :mod:`repro.core.engine`;
 this wrapper adds the DDB-specific stale-declaration carve-out (a victim
 abort can break a genuinely detected cycle while the final probe is in
 flight).  Transaction admission and restart are exposed at this level;
@@ -23,18 +24,13 @@ through the ``finished_callback``.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
+from operator import attrgetter
 
 from repro._ids import ProbeTag, ProcessId, ResourceId, SiteId, TransactionId
-from repro.core.assembly import build_runtime, require_fleet
+from repro.core.assembly import ProbeSystem, require_fleet
 from repro.core.transport import Transport, TransportFactory
-from repro.core.engine import (
-    DeclarationLog,
-    ProbeAccounting,
-    completeness_report,
-)
 from repro.ddb.controller import Controller
 from repro.ddb.graph import DdbWaitForGraph
 from repro.ddb.initiation import DdbImmediateInitiation, DdbInitiationPolicy
@@ -78,7 +74,7 @@ def uniform_resources(n_resources: int, n_sites: int) -> dict[ResourceId, SiteId
     }
 
 
-class DdbSystem:
+class DdbSystem(ProbeSystem[DdbDeclaration, ProcessId]):
     """A ready-to-run DDB with N controllers.
 
     Parameters
@@ -97,6 +93,11 @@ class DdbSystem:
     strict:
         Raise on a soundness violation instead of just recording it.
     """
+
+    model = "ddb"
+    probe_message = DdbProbe
+    declarer = attrgetter("process")
+    oracle: DdbWaitForGraph
 
     def __init__(
         self,
@@ -121,13 +122,10 @@ class DdbSystem:
                 raise ConfigurationError(
                     f"resource {resource!r} homed at invalid site {site}"
                 )
-        runtime = build_runtime(
+        super().__init__(
             seed=seed, delay_model=delay_model, trace=trace, fifo=fifo,
-            transport=transport,
+            transport=transport, strict=strict,
         )
-        self.transport = runtime.transport
-        self.simulator = runtime.simulator
-        self.network = runtime.network
         self.oracle = DdbWaitForGraph()
         self.resource_home: dict[ResourceId, SiteId] = dict(resources)
         self.initiation = initiation if initiation is not None else DdbImmediateInitiation()
@@ -151,22 +149,12 @@ class DdbSystem:
             self.initiation.setup(controller)
 
         self.transactions: dict[TransactionId, TransactionRecord] = {}
-        self._log: DeclarationLog[DdbDeclaration] = DeclarationLog(strict=strict)
-        self.declarations = self._log.declarations
-        self.soundness_violations = self._log.violations
-        #: Virtual time each process first joined a dark cycle.
-        self.deadlock_formed_at: dict[ProcessId, float] = {}
-        self._probes = ProbeAccounting()
-        #: Probes sent per computation tag.
-        self.probes_per_computation = self._probes.per_computation
         #: Workload hook: called as ``callback(execution, aborted)``.
         self.finished_callback: Callable[[TransactionExecution, bool], None] | None = None
         #: Time of the latest abort of any transaction (stale-declaration
         #: check).  Aborts happen at non-decreasing times no later than
         #: now, so "an abort in [formed, now]" is "latest abort >= formed".
         self._last_abort: float | None = None
-
-        self.transport.tracer.observe_messages(on_sent=self._on_message_sent)
 
     # ------------------------------------------------------------------
     # Accessors
@@ -175,45 +163,8 @@ class DdbSystem:
     def controller(self, site: int) -> Controller:
         return self.controllers[SiteId(site)]
 
-    @property
-    def now(self) -> float:
-        return self.transport.now
-
-    @property
-    def counts(self) -> Counter[str]:
-        """The run's event counts (``transport.counts``)."""
-        return self.transport.counts
-
-    @property
-    def detection_latencies(self) -> list[float]:
-        """Each declaration's time minus the time its process first joined
-        a dark cycle, in declaration order.  A declaration made before its
-        process's deadlock formed has none."""
-        formed_at = self.deadlock_formed_at
-        return [
-            d.time - formed
-            for d in self.declarations
-            if (formed := formed_at.get(d.process)) is not None and formed <= d.time
-        ]
-
-    @property
-    def probes_sent(self) -> int:
-        """Probes sent over the run, from :attr:`probes_per_computation`."""
-        return self._probes.sent()
-
-    @property
-    def strict(self) -> bool:
-        return self._log.strict
-
-    @strict.setter
-    def strict(self, value: bool) -> None:
-        self._log.strict = value
-
     def transaction_home(self, tid: TransactionId) -> SiteId:
         return self.transactions[tid].spec.home
-
-    def current_incarnation(self, tid: TransactionId) -> int:
-        return self.transactions[tid].incarnation
 
     # ------------------------------------------------------------------
     # Transaction admission
@@ -264,16 +215,6 @@ class DdbSystem:
             record.committed_at = self.now
         if self.finished_callback is not None:
             self.finished_callback(execution, aborted)
-
-    # ------------------------------------------------------------------
-    # Running
-    # ------------------------------------------------------------------
-
-    def run(self, until: float | None = None, max_events: int | None = None) -> None:
-        self.transport.run(until=until, max_events=max_events)
-
-    def run_to_quiescence(self, max_events: int = 1_000_000) -> None:
-        self.transport.run_to_quiescence(max_events=max_events)
 
     # ------------------------------------------------------------------
     # Verification hooks
@@ -338,40 +279,9 @@ class DdbSystem:
                     formed_at.setdefault(member, now)
                 return
 
-    def _on_message_sent(
-        self, time: float, sender: SiteId, destination: SiteId, message: object
-    ) -> None:
-        if isinstance(message, DdbProbe):
-            self._probes.count(message.tag)
-
     # ------------------------------------------------------------------
     # Quiescence-time checks
     # ------------------------------------------------------------------
-
-    def completeness_report(self) -> tuple[bool, list[set[ProcessId]]]:
-        """Detection-only check: every cyclic dark SCC has a declaration.
-
-        Returns the historical ``(complete, undetected)`` tuple shape the
-        DDB experiments consume; the check itself is the shared
-        :func:`repro.core.engine.completeness_report`.
-        """
-        report = completeness_report(
-            self.oracle.dark_edges(),
-            declared={d.process for d in self.declarations},
-            deadlocked=self.oracle.processes_on_dark_cycles(),
-        )
-        return (report.complete, report.undetected_components)
-
-    def assert_completeness(self) -> None:
-        complete, undetected = self.completeness_report()
-        if not complete:
-            raise AssertionError(
-                f"DDB completeness violated: dark components {undetected} "
-                f"contain no declared process"
-            )
-
-    def assert_soundness(self) -> None:
-        self._log.assert_sound("DDB soundness violated by: ")
 
     def assert_no_deadlock_remains(self) -> None:
         """Liveness check for resolution mode: no dark cycle survives."""

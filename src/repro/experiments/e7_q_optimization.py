@@ -103,14 +103,13 @@ def run_config(n_sites: int, extra_local: int, optimized: bool, seed: int = 0) -
     system = ring_system(n_sites, extra_local, optimized, seed)
     system.run_to_quiescence(max_events=1_000_000)
     system.assert_soundness()
-    complete, _ = system.completeness_report()
     return E7Result(
         label=f"{n_sites}-site ring + {extra_local} local blockers/site",
         mode="6.7 optimised" if optimized else "naive",
         computations=system.counts["ddb.computations.initiated"],
         probes=system.probes_sent,
         scans=system.counts["ddb.scans"],
-        detected=bool(system.declarations) and complete,
+        detected=bool(system.declarations) and system.completeness_report().complete,
     )
 
 

@@ -12,7 +12,8 @@ parses every collected file once and builds:
 * a **send/receive graph**: which message classes each handler
   constructs and sends (``self.send(target, Probe(...))``, or a name
   whose type is pinned by an annotation or a local construction), which
-  classes ``on_message`` dispatches on (``isinstance(message, Cls)``),
+  classes ``on_message`` dispatches on (``isinstance(message, Cls)`` or
+  ``type(message) is Cls``),
   and which trace categories each package records with which detail
   keys;
 * the **statically resolved taxonomies**: every ``MessageTaxonomy(...)``
@@ -123,7 +124,8 @@ class SendSite:
 
 @dataclass(frozen=True)
 class DispatchSite:
-    """One ``isinstance(<expr>, Cls)`` dispatch in a protocol package."""
+    """One ``isinstance(<expr>, Cls)`` or ``type(<expr>) is Cls`` dispatch
+    in a protocol package."""
 
     package: str
     ref: SourceRef
@@ -526,16 +528,27 @@ class ProjectAnalysis:
                     and node.func.id == "isinstance"
                     and len(node.args) == 2
                 ):
-                    for candidate in self._isinstance_classes(node.args[1]):
-                        resolved = self._resolve_class(parts, candidate)
-                        if resolved is not None:
-                            self.dispatch_sites.append(
-                                DispatchSite(
-                                    package=package,
-                                    ref=_ref(ctx, node),
-                                    message_class=resolved,
-                                )
+                    tested = node.args[1]
+                elif (
+                    isinstance(node, ast.Compare)
+                    and isinstance(node.left, ast.Call)
+                    and isinstance(node.left.func, ast.Name)
+                    and node.left.func.id == "type"
+                    and isinstance(node.ops[0], ast.Is)
+                ):
+                    tested = node.comparators[0]
+                else:
+                    continue
+                for candidate in self._isinstance_classes(tested):
+                    resolved = self._resolve_class(parts, candidate)
+                    if resolved is not None:
+                        self.dispatch_sites.append(
+                            DispatchSite(
+                                package=package,
+                                ref=_ref(ctx, node),
+                                message_class=resolved,
                             )
+                        )
 
     @staticmethod
     def _isinstance_classes(node: ast.expr) -> list[str]:

@@ -176,8 +176,8 @@ class TaxonomyConformanceRule(ProjectRule):
                     self.diagnostic_at(
                         cls.ref,
                         f"message class '{cls.name}' is sent but no handler "
-                        "dispatches on it (isinstance); the message would be "
-                        "silently dropped on delivery",
+                        "dispatches on it (isinstance or type() is); the "
+                        "message would be silently dropped on delivery",
                     )
                 )
         for key, cls in sorted(analysis.message_classes.items()):

@@ -10,7 +10,8 @@ grant wipes the initiator's computation first).  The dedicated ablation
 test breaks FIFO to demonstrate the dependence.
 
 Verification mirrors :class:`~repro.basic.system.BasicSystem` and shares
-its machinery (:mod:`repro.core.engine`):
+its base (:class:`~repro.core.assembly.ProtocolSystem`), without the probe
+count and formation times of the two probe models:
 
 * every declaration is checked against the oracle criterion at the
   instant it is made;
@@ -23,14 +24,13 @@ its machinery (:mod:`repro.core.engine`):
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro._ids import ProbeTag, VertexId
-from repro.core.assembly import build_runtime, require_fleet
+from repro.core.assembly import ProtocolSystem, require_fleet
+from repro.core.engine import CompletenessReport
 from repro.core.transport import Transport, TransportFactory
-from repro.core.engine import CompletenessReport, DeclarationLog
 from repro.ormodel.initiation import OrInitiationPolicy
 from repro.ormodel.messages import Grant
 from repro.ormodel.vertex import OrVertexProcess
@@ -48,12 +48,6 @@ class OrWaitGraph:
             self._dependents[vertex] = set(dependents)
         else:
             self._dependents.pop(vertex, None)
-
-    def dependents(self, vertex: VertexId) -> set[VertexId]:
-        return set(self._dependents.get(vertex, ()))
-
-    def is_blocked(self, vertex: VertexId) -> bool:
-        return vertex in self._dependents
 
     def closure(self, vertex: VertexId) -> set[VertexId]:
         """Everything reachable from ``vertex`` along dependency edges."""
@@ -90,7 +84,7 @@ class OrDeclaration:
     deadlocked: bool
 
 
-class OrSystem:
+class OrSystem(ProtocolSystem[OrDeclaration, VertexId]):
     """A ready-to-run OR-model system.
 
     Parameters parallel :class:`BasicSystem`; ``auto_initiate`` runs a
@@ -102,6 +96,8 @@ class OrSystem:
     reproduces ``auto_initiate``, ``delayed``/``adaptive`` transplant the
     section 4.3 window.
     """
+
+    model = "ormodel"
 
     def __init__(
         self,
@@ -118,19 +114,13 @@ class OrSystem:
         initiation: OrInitiationPolicy | None = None,
     ) -> None:
         require_fleet(n_vertices, "vertex")
-        runtime = build_runtime(
+        super().__init__(
             seed=seed, delay_model=delay_model, trace=trace, fifo=fifo,
-            transport=transport,
+            transport=transport, strict=strict,
         )
-        self.transport = runtime.transport
-        self.simulator = runtime.simulator
-        self.network = runtime.network
         self.oracle = OrWaitGraph()
         self.auto_initiate = auto_initiate
         self.initiation = initiation
-        self._log: DeclarationLog[OrDeclaration] = DeclarationLog(strict=strict)
-        self.declarations = self._log.declarations
-        self.soundness_violations = self._log.violations
         #: grants currently in flight, as (granter, grantee) multiset --
         #: needed because the state-only criterion is not stable while a
         #: grant is travelling (its receiver is about to unblock).
@@ -157,23 +147,6 @@ class OrSystem:
     def vertex(self, i: int) -> OrVertexProcess:
         return self.vertices[VertexId(i)]
 
-    @property
-    def now(self) -> float:
-        return self.transport.now
-
-    @property
-    def counts(self) -> Counter[str]:
-        """The run's event counts (``transport.counts``)."""
-        return self.transport.counts
-
-    @property
-    def strict(self) -> bool:
-        return self._log.strict
-
-    @strict.setter
-    def strict(self, value: bool) -> None:
-        self._log.strict = value
-
     def request_any(self, source: int, targets: Iterable[int]) -> None:
         vertex = self.vertex(source)
         vertex.request_any([VertexId(t) for t in targets])
@@ -194,12 +167,6 @@ class OrSystem:
             lambda: self.request_any(source, frozen),
             name=f"or-request v{source}->{frozen}",
         )
-
-    def run(self, until: float | None = None, max_events: int | None = None) -> None:
-        self.transport.run(until=until, max_events=max_events)
-
-    def run_to_quiescence(self, max_events: int = 1_000_000) -> None:
-        self.transport.run_to_quiescence(max_events=max_events)
 
     # ------------------------------------------------------------------
     # Verification
@@ -245,9 +212,6 @@ class OrSystem:
             ),
         )
 
-    def assert_soundness(self) -> None:
-        self._log.assert_sound("OR soundness violated by: ")
-
     def completeness_report(self) -> CompletenessReport[VertexId]:
         """Quiescence-time check under the OR criterion.
 
@@ -266,18 +230,6 @@ class OrSystem:
             if not closure & declared:
                 report.undetected_components.append(closure)
         return report
-
-    def assert_completeness(self) -> None:
-        """Every deadlocked vertex has a declarer in its closure (or is
-        one itself)."""
-        declared = {d.vertex for d in self.declarations}
-        for vertex in sorted(self.oracle.deadlocked_vertices()):
-            closure = self.oracle.closure(vertex) | {vertex}
-            if not closure & declared:
-                raise AssertionError(
-                    f"OR completeness violated: deadlocked vertex {vertex} has no "
-                    f"declarer in its closure {sorted(closure)}"
-                )
 
     def __repr__(self) -> str:
         return (

@@ -34,6 +34,7 @@ from repro.workloads.spec import WorkloadFamily, get_family
 
 if TYPE_CHECKING:
     from repro.basic.system import BasicSystem
+    from repro.ddb.system import DdbSystem
 
 #: Event budget for every cell; generous for all shipped grids.
 MAX_EVENTS = 2_000_000
@@ -161,24 +162,10 @@ def _run_ddb_family(cell: SweepCell, family: WorkloadFamily) -> CellResult:
         attach_policy_feedback(system, initiation)
     handle = family.schedule(spec, system)
     system.run_to_quiescence(max_events=MAX_EVENTS)
-    complete, _ = system.completeness_report()
-    extra: dict[str, Any] = {"complete": int(complete)}
+    result = _collect_ddb(cell, system)
     if family.collect is not None:
-        extra.update(family.collect(spec, system, handle))
-    return {
-        "cell_id": cell.cell_id,
-        "status": "ok",
-        "outcome": "deadlock" if system.declarations else "clean",
-        "events": system.simulator.events_executed,
-        "quiesced_at": system.simulator.now,
-        "declarations": len(system.declarations),
-        "unsound": len(system.soundness_violations),
-        "probes": system.probes_sent,
-        "computations": system.counts["ddb.computations.initiated"],
-        "max_probes_per_computation": 0,
-        "detection_latency_mean": None,
-        "extra": extra,
-    }
+        result["extra"].update(family.collect(spec, system, handle))
+    return result
 
 
 def _run_ddb_ring(cell: SweepCell) -> CellResult:
@@ -191,7 +178,14 @@ def _run_ddb_ring(cell: SweepCell) -> CellResult:
         seed=cell.seed,
     )
     system.run_to_quiescence(max_events=MAX_EVENTS)
-    complete, _ = system.completeness_report()
+    result = _collect_ddb(cell, system)
+    result["extra"]["scans"] = system.counts["ddb.scans"]
+    return result
+
+
+def _collect_ddb(cell: SweepCell, system: DdbSystem) -> CellResult:
+    """A DDB cell's result; per-computation probe maxima and latencies are
+    left out (0 and ``None``), as in every recorded DDB sweep."""
     return {
         "cell_id": cell.cell_id,
         "status": "ok",
@@ -199,15 +193,12 @@ def _run_ddb_ring(cell: SweepCell) -> CellResult:
         "events": system.simulator.events_executed,
         "quiesced_at": system.simulator.now,
         "declarations": len(system.declarations),
-        "unsound": 0,
+        "unsound": len(system.soundness_violations),
         "probes": system.probes_sent,
         "computations": system.counts["ddb.computations.initiated"],
         "max_probes_per_computation": 0,
         "detection_latency_mean": None,
-        "extra": {
-            "scans": system.counts["ddb.scans"],
-            "complete": int(complete),
-        },
+        "extra": {"complete": int(system.completeness_report().complete)},
     }
 
 

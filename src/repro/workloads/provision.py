@@ -8,8 +8,9 @@ family's capability declaration against the variant's model (typed
 family), builds the system -- through the family's own factory when it
 has one, else through the variant's -- schedules the workload, and
 returns a handle whose ``summarize`` folds the finished run into the
-standard :class:`~repro.core.conformance.ConformanceOutcome` plus the
-family's declared extra outcome fields.
+standard :class:`~repro.core.conformance.ConformanceOutcome` (through the
+system's own :meth:`~repro.core.assembly.ProtocolSystem.outcome`) plus
+the family's declared extra outcome fields.
 """
 
 from __future__ import annotations
@@ -33,20 +34,6 @@ from repro.workloads.spec import (
     get_family,
     require_model,
 )
-
-
-def _completeness(system: Any) -> tuple[bool | None, int]:
-    """Normalise the two completeness-report shapes the models use.
-
-    Basic/OR systems return a report object (``.complete`` /
-    ``.undetected_components``); the DDB system returns a bare
-    ``(complete, undetected_components)`` tuple.
-    """
-    report = system.completeness_report()
-    if isinstance(report, tuple):
-        complete, undetected = report
-        return bool(complete), len(undetected)
-    return report.complete, len(report.undetected_components)
 
 
 def build_initiation(policy: PolicySpec, model: str) -> Any:
@@ -88,7 +75,7 @@ def attach_policy_feedback(
     from repro.obs.spans import SCHEMAS_BY_MODEL
     from repro.obs.stream import StreamingSpanEngine
 
-    model = system_model(system)
+    model = system.model
     schema = SCHEMAS_BY_MODEL.get(model)
     if schema is None:
         # The OR variant reports no probe taxonomy (its query/reply
@@ -114,16 +101,6 @@ def attach_policy_feedback(
     )
     engine.attach(system.transport.tracer)
     return engine
-
-
-def system_model(system: Any) -> str:
-    """The registry model a built system instance belongs to."""
-    module = type(system).__module__
-    if module.startswith("repro.ddb"):
-        return "ddb"
-    if module.startswith("repro.ormodel"):
-        return "ormodel"
-    return "basic"
 
 
 @dataclass
@@ -153,20 +130,10 @@ class ProvisionedWorkload:
         return self.family.collect(self.spec, self.system, self.handle)
 
     def summarize(self) -> ConformanceOutcome:
-        complete, undetected = _completeness(self.system)
-        return ConformanceOutcome(
-            variant=self.variant.name,
-            scenario=self.spec.family,
-            declarations=len(self.system.declarations),
-            soundness_violations=len(self.system.soundness_violations),
-            complete=complete,
-            undetected_components=undetected,
-            first_declaration_at=(
-                self.system.declarations[0].time
-                if self.system.declarations
-                else None
-            ),
+        outcome: ConformanceOutcome = self.system.outcome(
+            self.variant.name, self.spec.family
         )
+        return outcome
 
 
 def resolve_scenario_spec(

@@ -12,6 +12,7 @@ documented in :mod:`repro.cluster.worker`.
 from __future__ import annotations
 
 import asyncio
+import signal
 import time
 
 import pytest
@@ -222,6 +223,39 @@ class TestConnectRobustness:
                 transport.run_to_quiescence()
         finally:
             transport.close()
+
+    def test_failed_bring_up_kills_the_unconnected_worker_at_once(self) -> None:
+        # No shutdown frame can reach a worker that never connected, so
+        # teardown kills it rather than waiting out the 2 s shutdown grace:
+        # the typed failure arrives soon after the 0.5 s connect timeout.
+        transport = ClusterTransport(
+            seed=0,
+            time_scale=TIME_SCALE,
+            max_wall_seconds=TIMEOUT,
+            connect_timeout=0.5,
+            worker_env={"REPRO_CLUSTER_TEST_STARTUP_DELAY": "30"},
+        )
+
+        class Node:
+            pid = "n"
+
+            def attach_context(self, ctx):
+                pass
+
+            def on_message(self, sender, message):
+                pass
+
+        try:
+            transport.register(Node())
+            started = time.perf_counter()
+            with pytest.raises(ClusterError, match="connect_timeout"):
+                transport.run_to_quiescence()
+            failed = time.perf_counter()
+            processes = list(transport.worker_processes().values())
+        finally:
+            transport.close()
+        assert failed - started < 1.5
+        assert [process.returncode for process in processes] == [-signal.SIGKILL]
 
 
 class TestBackoffSchedule:

@@ -40,31 +40,23 @@ class TestDarkComponents:
 
 class TestCompletenessReport:
     def test_complete_when_every_component_has_a_declarer(self) -> None:
-        report = completeness_report(
-            [(0, 1), (1, 0), (2, 3), (3, 2)],
-            declared={0, 2},
-            deadlocked={0, 1, 2, 3},
-        )
+        report = completeness_report([(0, 1), (1, 0), (2, 3), (3, 2)], declared={0, 2})
         assert report.complete
         assert report.undetected_components == []
         assert report.deadlocked_vertices == {0, 1, 2, 3}
         assert report.declared_vertices == {0, 2}
 
     def test_undeclared_component_is_reported(self) -> None:
-        report = completeness_report(
-            [(0, 1), (1, 0), (2, 3), (3, 2)], declared={0}, deadlocked={0, 1, 2, 3}
-        )
+        report = completeness_report([(0, 1), (1, 0), (2, 3), (3, 2)], declared={0})
         assert not report.complete
         assert report.undetected_components == [{2, 3}]
 
     def test_acyclic_dark_subgraph_is_trivially_complete(self) -> None:
-        report = completeness_report([(0, 1), (1, 2)], declared=set(), deadlocked=set())
+        report = completeness_report([(0, 1), (1, 2)], declared=set())
         assert report.complete
 
     def test_report_type_is_exported(self) -> None:
-        report: CompletenessReport[int] = completeness_report(
-            [], declared=set(), deadlocked=set()
-        )
+        report: CompletenessReport[int] = completeness_report([], declared=set())
         assert isinstance(report, CompletenessReport)
 
 

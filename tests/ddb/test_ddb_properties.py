@@ -70,8 +70,8 @@ def test_detection_only_soundness_and_completeness(
     workload.start()
     system.run_to_quiescence(max_events=1_000_000)
     assert system.soundness_violations == []
-    complete, undetected = system.completeness_report()
-    assert complete, undetected
+    report = system.completeness_report()
+    assert report.complete, report.undetected_components
 
 
 @given(
@@ -144,8 +144,8 @@ def test_every_initiation_policy_is_sound_and_complete(seed: int, initiation) ->
     workload.start()
     system.run_to_quiescence(max_events=1_000_000)
     assert system.soundness_violations == []
-    complete, undetected = system.completeness_report()
-    assert complete, undetected
+    report = system.completeness_report()
+    assert report.complete, report.undetected_components
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))

@@ -220,6 +220,23 @@ class TestTaxonomyConformance:
             for rule, _, msg in got
         ), got
 
+    def test_type_identity_test_is_a_dispatch(self) -> None:
+        # The DDB controller tests its hottest message with ``type(m) is``.
+        vertex = VERTEX_SRC.replace(
+            "if isinstance(message, Probe):\n", "if type(message) is Probe:\n"
+        )
+        assert vertex != VERTEX_SRC
+        assert findings(project(**{VERTEX_PATH: vertex})) == []
+        # ... but a type test that is not an identity test dispatches nothing.
+        vertex = VERTEX_SRC.replace(
+            "if isinstance(message, Probe):\n", "if type(message) == Probe:\n"
+        )
+        got = findings(project(**{VERTEX_PATH: vertex}))
+        assert any(
+            rule == "RPX008" and "no handler dispatches" in msg
+            for rule, _, msg in got
+        ), got
+
 
 class TestMessageImmutability:
     def test_mutating_annotated_parameter(self) -> None:

@@ -304,6 +304,34 @@ class TestMonitorReport:
         snapshots.write_text(text + zero + "\n")
         assert checker.main(argv) == 1
 
+    def test_ci_count_check_holds_only_span_models_to_spans(self, tmp_path) -> None:
+        # The OR model's query computations have no span schema, so its
+        # initiated count is not held against spans_emitted; a basic count is.
+        checker = _ci_checker()
+        snapshots = tmp_path / "snapshots.jsonl"
+        report = tmp_path / "run-report.json"
+        document = run("ormodel", "deadlock", snapshots_out=snapshots).to_json()
+        report.write_text(json.dumps(document))
+        text = snapshots.read_text()
+        counts = json.loads(text.splitlines()[-1])["transport_counters"]
+        assert counts["or.computations.initiated"] > 0
+        assert document["spans_emitted"] == 0
+        assert checker.count_problems(document, text) == []
+        argv = [str(report), "--detected", "true", "--counts", str(snapshots)]
+        assert checker.main(argv) == 0
+
+        basic_snapshots = tmp_path / "basic-snapshots.jsonl"
+        basic = run("basic", "deadlock", snapshots_out=basic_snapshots).to_json()
+        last = json.loads(basic_snapshots.read_text().splitlines()[-1])
+        counts = last["transport_counters"]
+        spans = basic["spans_emitted"]
+        assert counts["basic.computations.initiated"] == spans > 0
+        bumped = dict(counts, **{"basic.computations.initiated": spans + 1})
+        forged = json.dumps(dict(last, transport_counters=bumped))
+        assert checker.count_problems(basic, forged) == [
+            f"*.computations.initiated sum to {spans + 1}, want {spans} (spans emitted)"
+        ]
+
     def test_ci_trace_check_accepts_real_traces_only(self, tmp_path) -> None:
         checker = _ci_checker()
         trace = tmp_path / "trace.jsonl"

@@ -17,9 +17,11 @@ delivered), and no channel is left in flight.  The telemetry builds
 those per-channel families when an export reads it, so a stale or empty
 export fails here.  ``--counts`` checks the transport's event counts in
 the run's last snapshot line: ``transport_counters`` maps names to
-positive ints, and its ``*.computations.initiated`` counts sum to the
-spans the report emitted (each initiated computation settles into one
-span by quiescence), so counts that are lost or bumped twice fail here.
+positive ints, and its ``basic.`` and ``ddb.computations.initiated``
+counts sum to the spans the report emitted (each initiated computation of
+a model with a span schema settles into one span by quiescence; the OR
+model's query computations have no schema), so counts that are lost or
+bumped twice fail here.
 ``--trace`` checks the run's ``--trace-out`` JSONL against the report:
 every line is a JSON object with ``time``, ``category`` and ``details``,
 and the trace holds one ``*.deadlock.declared`` record per declaration,
@@ -49,6 +51,9 @@ from typing import Any
 SCHEMA = "repro.run-report/1"
 #: the per-channel families every run that delivered a message exports.
 CHANNEL_FAMILIES = ("repro_channel_in_flight", "repro_messages_total")
+#: the counts of computations that settle into spans: one per model in
+#: ``repro.obs.spans.SCHEMAS_BY_MODEL``.
+SPAN_COUNTS = ("basic.computations.initiated", "ddb.computations.initiated")
 
 
 def problems(report: dict[str, Any], *, detected: bool) -> list[str]:
@@ -106,9 +111,7 @@ def count_problems(report: dict[str, Any], snapshots: str) -> list[str]:
         if not (type(value) is int and value > 0)
     ]
     initiated = sum(
-        value
-        for name, value in counts.items()
-        if name.endswith(".computations.initiated") and type(value) is int
+        value for name, value in counts.items() if name in SPAN_COUNTS and type(value) is int
     )
     spans = report.get("spans_emitted")
     if initiated != spans:
