@@ -3,9 +3,9 @@
 The simulator answers "what does the protocol do on this exact
 schedule"; the live runtime answers "does the same node code behave on a
 real concurrent scheduler"; this package answers "does it survive a real
-*distributed* substrate" -- every message serialized to length-prefixed
-JSON frames (:mod:`repro.cluster.frames`), shipped over a Unix-domain or
-TCP socket to the destination node's worker process, held there until
+*distributed* substrate" -- every message serialized to a length-prefixed
+``struct`` frame (:mod:`repro.cluster.frames`), shipped over a Unix-domain
+or TCP socket to the destination node's worker process, held there until
 its injected virtual due time, and delivered back in per-channel FIFO
 order (axiom P4 end to end).  :class:`ClusterTransport` implements the
 :class:`~repro.core.transport.Transport` contract, so every registered

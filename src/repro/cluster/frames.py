@@ -1,13 +1,25 @@
-"""Wire format of the cluster backend: length-prefixed JSON frames.
+"""Wire format of the cluster backend: length-prefixed `struct` frames.
 
 Every byte that crosses a worker boundary is one *frame*: a 4-byte
-big-endian length prefix followed by that many bytes of UTF-8 JSON (an
-object).  Frames ride ordered byte streams (Unix-domain or TCP sockets),
-so frame order on a connection equals write order -- the transport's
-per-channel FIFO guarantee (axiom P4) reduces to "write each channel's
-frames to one socket, in send order" on top of this module.  Reading is
-incremental: :class:`FrameReader` takes bytes as the socket hands them
-over and returns every frame they complete.
+big-endian length prefix followed by that many bytes of body.  Frames
+ride ordered byte streams (Unix-domain or TCP sockets), so frame order on
+a connection equals write order -- the transport's per-channel FIFO
+guarantee (axiom P4) reduces to "write each channel's frames to one
+socket, in send order" on top of this module.  Reading is incremental:
+:class:`FrameReader` takes bytes as the socket hands them over and
+returns every frame they complete.
+
+A body opens with one kind byte.  ``msg`` (coordinator to worker) and
+``deliver`` (worker to coordinator) frames continue with a fixed
+:data:`ENVELOPE` -- the ``loose`` flag, the virtual due time and the
+sender's channel id -- followed by the payload's JSON text.  The other
+four kinds are fixed-size (:data:`FIXED`): ``hello`` (worker index and
+pid), ``heartbeat``, ``start`` (the time scale) and ``shutdown``.  A
+worker reads only the envelope: it queues the ``msg`` frame's bytes as
+they came and echoes them back, kind byte rewritten, as the ``deliver``
+frame, so the payload is never parsed outside the coordinator.  A frame
+decodes to a tuple, kind first (:func:`decode_frame`), and
+:func:`encode_frame` takes the same tuple back to bytes.
 
 Protocol messages are arbitrary Python values (frozen dataclasses,
 tuples, frozensets, enums, ...), so the JSON payload uses a small tagged
@@ -22,9 +34,8 @@ a reference that fails to resolve is never remembered, so it is refused
 on every call.
 
 The worker program (:mod:`repro.cluster.worker`) deliberately does *not*
-import this module -- workers treat payloads as opaque JSON and only
-speak the framing, which they inline so that spawning a worker never
-imports the repro package.
+import this module: it inlines the header, the envelope and the kind
+bytes, so that spawning a worker never imports the repro package.
 """
 
 from __future__ import annotations
@@ -38,15 +49,41 @@ from typing import Any
 
 from repro.errors import ClusterError
 
-#: 4-byte big-endian unsigned frame length, preceding each JSON body.
+#: 4-byte big-endian unsigned body length, preceding each frame body.
 HEADER = struct.Struct(">I")
 #: hard ceiling on one frame's body; a corrupt length prefix otherwise
 #: turns into a multi-gigabyte allocation.
 MAX_FRAME_BYTES = 8 * 1024 * 1024
 
+#: kind bytes, the first byte of every frame body.
+HELLO, HEARTBEAT, START, SHUTDOWN, MSG, DELIVER = range(1, 7)
+#: the fixed part of a ``msg`` or ``deliver`` body: kind, ``loose``, due
+#: time (virtual units) and the sender's channel id; the payload's JSON
+#: text follows it.
+ENVELOPE = struct.Struct(">B?dI")
+#: the whole body of every fixed-size kind: ``hello`` carries the
+#: worker's index and pid, ``start`` the time scale.
+FIXED = {
+    HELLO: struct.Struct(">BII"),
+    HEARTBEAT: struct.Struct(">B"),
+    START: struct.Struct(">Bd"),
+    SHUTDOWN: struct.Struct(">B"),
+}
+#: each kind byte's name, for messages about a frame.
+KIND_NAMES = {
+    HELLO: "hello",
+    HEARTBEAT: "heartbeat",
+    START: "start",
+    SHUTDOWN: "shutdown",
+    MSG: "msg",
+    DELIVER: "deliver",
+}
+#: header and envelope packed in one call.
+_ENVELOPE_FRAME = struct.Struct(">IB?dI")
+
 _KIND = "__repro__"
 
-#: one encoder for every frame (``json.dumps`` with separators builds a
+#: one encoder for every payload (``json.dumps`` with separators builds a
 #: new one per call); the bytes are the same.
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
 #: dataclass type -> (wire reference, field names), filled on first encode.
@@ -162,26 +199,54 @@ def _resolve_type(ref: str) -> Any:
     return obj
 
 
-def encode_frame(frame: dict[str, Any]) -> bytes:
-    """One complete frame as bytes: header plus JSON body."""
-    body = _ENCODER.encode(frame).encode("utf-8")
-    if len(body) > MAX_FRAME_BYTES:
-        raise ClusterError(
-            f"frame of {len(body)} bytes exceeds MAX_FRAME_BYTES "
-            f"({MAX_FRAME_BYTES}); message too large for the cluster wire"
-        )
-    return HEADER.pack(len(body)) + body
+def encode_frame(frame: tuple[Any, ...]) -> bytes:
+    """One complete frame as bytes, from the tuple :func:`decode_frame` gives.
+
+    ``(MSG or DELIVER, loose, due, channel, payload)`` puts ``payload``'s
+    JSON text after the envelope; every other kind packs its fixed fields.
+    """
+    kind = frame[0]
+    if kind in (MSG, DELIVER):
+        payload = _ENCODER.encode(frame[4]).encode("utf-8")
+        length = ENVELOPE.size + len(payload)
+        if length > MAX_FRAME_BYTES:
+            raise ClusterError(
+                f"frame of {length} bytes exceeds MAX_FRAME_BYTES "
+                f"({MAX_FRAME_BYTES}); message too large for the cluster wire"
+            )
+        return _ENVELOPE_FRAME.pack(length, kind, frame[1], frame[2], frame[3]) + payload
+    fixed = FIXED.get(kind)
+    if fixed is None:
+        raise ClusterError(f"cannot encode a frame of unknown kind {kind!r}")
+    return HEADER.pack(fixed.size) + fixed.pack(*frame)
 
 
-def decode_frame(body: bytes | bytearray) -> dict[str, Any]:
+def decode_frame(body: bytes | bytearray) -> tuple[Any, ...]:
     """Parse one frame body; malformed bytes raise :class:`ClusterError`."""
-    try:
-        frame = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise ClusterError(f"malformed frame body: {error}") from error
-    if not isinstance(frame, dict) or "kind" not in frame:
-        raise ClusterError("frame body must be a JSON object with a 'kind' field")
-    return frame
+    if not body:
+        raise ClusterError("malformed frame: empty body")
+    kind = body[0]
+    if kind in (MSG, DELIVER):
+        if len(body) < ENVELOPE.size:
+            raise ClusterError(
+                f"malformed {KIND_NAMES[kind]} frame: {len(body)} bytes, "
+                f"shorter than its {ENVELOPE.size}-byte envelope"
+            )
+        try:
+            payload = json.loads(body[ENVELOPE.size :].decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as error:
+            raise ClusterError(
+                f"malformed {KIND_NAMES[kind]} frame: payload is not JSON: {error}"
+            ) from error
+        return (*ENVELOPE.unpack_from(body), payload)
+    fixed = FIXED.get(kind)
+    if fixed is None:
+        raise ClusterError(f"malformed frame: unknown kind byte {kind}")
+    if len(body) != fixed.size:
+        raise ClusterError(
+            f"malformed {KIND_NAMES[kind]} frame: {len(body)} bytes, expected {fixed.size}"
+        )
+    return fixed.unpack(body)
 
 
 class FrameReader:
@@ -201,11 +266,11 @@ class FrameReader:
     def __init__(self) -> None:
         self._buffer = bytearray()
 
-    def feed(self, data: bytes) -> list[dict[str, Any]]:
+    def feed(self, data: bytes) -> list[tuple[Any, ...]]:
         """Append ``data``; decode and return every frame now complete."""
         buffer = self._buffer
         buffer += data
-        frames: list[dict[str, Any]] = []
+        frames: list[tuple[Any, ...]] = []
         offset = 0
         end = len(buffer)
         while end - offset >= HEADER.size:

@@ -4,7 +4,7 @@
 backend: a coordinator process that spawns **one worker OS process per
 registered node** (vertices, and controllers on the DDB model) and routes
 every message through that node's worker over a real socket -- Unix-domain
-by default, TCP on request -- as length-prefixed JSON frames
+by default, TCP on request -- as length-prefixed ``struct`` frames
 (:mod:`repro.cluster.frames`).
 
 Division of labour
@@ -17,22 +17,29 @@ path -- the part the paper axiomatises:
 
 * ``send()`` samples the seeded injected delay (inherited from
   :class:`~repro.live.transport.AsyncioTransport`), serializes the
-  message, and frames it to the **destination's** worker;
+  message, and frames it to the **destination's** worker in a ``msg``
+  envelope: the ``loose`` flag, the due time and the sender's channel id
+  (a small integer the coordinator assigns each sender), then the
+  payload's JSON;
 * the worker keeps each inbound channel's frames in a deque, with a
   timer on its heap for the head only, and at the head's virtual due time
-  on its own clock echoes a ``deliver`` frame back;
-* the coordinator decodes the returned payload (the delivered message is
-  rebuilt from wire bytes, not the original object) and runs the handler
-  atomically on its single-threaded loop.
+  on its own clock echoes the frame's bytes back as a ``deliver`` frame,
+  without parsing the payload;
+* the coordinator maps the channel id back to the sender and the
+  connection to the destination, decodes the payload (the delivered
+  message is rebuilt from wire bytes, not the original object) and runs
+  the handler atomically on its single-threaded loop.
 
 Socket I/O runs on plain loop callbacks, as the live backend's deliveries
 do.  Each worker connection is one :class:`asyncio.Protocol`
 (:class:`_Connection`) that parses frames as bytes arrive and handles
 each one in place; ``send`` writes its frame straight to the destination
 worker's socket, whose transport buffer is the only queue.  A worker is
-a standard-library program on one :mod:`selectors` loop, spawned in
-isolated mode (``python -I -S``) so that its start-up, which every run
-pays once per worker, costs as little as it can.
+a standard-library program on one ``select.poll`` loop that imports only
+modules written in C, spawned in isolated mode (``python -I -S``) by a
+one-line bootstrap that imports it from its own directory, so that its
+bytecode comes from ``__pycache__``: its start-up, which every run pays
+once per worker, costs as little as it can.
 
 Per-channel FIFO (axiom P4) holds end to end by construction: every frame
 for one worker is written to its one socket in send order and arrives in
@@ -59,7 +66,6 @@ from __future__ import annotations
 
 import asyncio
 import functools
-import json
 import os
 import shutil
 import subprocess
@@ -70,23 +76,58 @@ from pathlib import Path
 from typing import Any, cast
 
 from repro.cluster.frames import (
+    DELIVER,
+    HEARTBEAT,
+    HELLO,
+    KIND_NAMES,
+    MSG,
+    SHUTDOWN,
+    START,
     FrameReader,
     decode_value,
     encode_frame,
     encode_value,
 )
 from repro.errors import ClusterError, SimulationError, WorkerFailure
-from repro.live.transport import AsyncioTransport, LiveNodeContext
+from repro.live.transport import AsyncioTransport, LiveNodeContext, require_finite_positive
 from repro.sim import categories
 from repro.sim.network import DelayModel
 
-#: the worker program, spawned by file path so that worker start-up does
-#: not import the repro package (it is stdlib-only by design).
+#: the worker program; it imports only the standard library, so worker
+#: start-up does not import the repro package.
 _WORKER_PATH = Path(__file__).with_name("worker.py")
+#: imports the worker from its own directory, so that its bytecode comes
+#: from ``__pycache__``: running the file by path would compile it at
+#: every start.
+_BOOTSTRAP = (
+    f"import sys;sys.path.append({str(_WORKER_PATH.parent)!r});"
+    "import worker;sys.exit(worker.main())"
+)
 #: wall seconds granted for graceful worker exit before SIGKILL.
 _SHUTDOWN_GRACE = 2.0
 #: bytes of captured worker stderr echoed into a WorkerFailure.
 _STDERR_TAIL = 2000
+
+
+def _worker_command(spec: str, index: int, heartbeat: float) -> list[str]:
+    """The command that starts worker ``index``, dialling ``spec``."""
+    return [
+        sys.executable,
+        # Isolated (no PYTHON* variables, no user site, no script or
+        # working directory on the path) and without ``site``: the worker
+        # needs only the standard library, and skips the start-up cost of
+        # site-packages' ``.pth`` hooks.
+        "-I",
+        "-S",
+        "-c",
+        _BOOTSTRAP,
+        "--connect",
+        spec,
+        "--index",
+        str(index),
+        "--heartbeat",
+        str(heartbeat),
+    ]
 
 
 class _WorkerLink:
@@ -125,8 +166,9 @@ class _Connection(asyncio.Protocol):
     its worker's :class:`_WorkerLink`, and any other first frame closes
     the connection.  After that a ``deliver`` frame runs its handler under
     the transport's guard, a ``heartbeat`` stamps the link, and anything
-    else -- an unknown kind, a frame that does not parse or decode, the
-    connection closing -- loses the worker.
+    else -- another kind, a frame that does not parse, an unknown channel
+    id, a payload that does not decode, the connection closing -- loses
+    the worker.
     """
 
     #: set by ``connection_made``, before any bytes arrive.
@@ -151,35 +193,37 @@ class _Connection(asyncio.Protocol):
             else:
                 cluster._worker_lost(link, str(error))
             return
+        senders = cluster._senders
         for frame in frames:
+            kind = frame[0]
             if link is None:
                 link = self._bind(frame)
                 if link is None:
                     self._socket.close()
                     return
-                continue
-            kind = frame["kind"]
-            if kind == "deliver":
-                try:
-                    delivery = (
-                        float(frame["due"]),
-                        decode_value(frame["src"]),
-                        decode_value(frame["dst"]),
-                        decode_value(frame["payload"]),
+            elif kind == DELIVER:
+                _, _, due, channel, payload = frame
+                if channel >= len(senders):
+                    cluster._worker_lost(
+                        link, f"malformed deliver frame: unknown channel id {channel}"
                     )
+                    return
+                try:
+                    message = decode_value(payload)
                 except (ClusterError, AttributeError, KeyError, TypeError, ValueError) as error:
-                    # A missing key, a non-numeric ``due``, or a payload the
-                    # codec cannot take apart or refuses.
+                    # A payload the codec cannot take apart or refuses.
                     cluster._worker_lost(
                         link,
                         f"malformed deliver frame: {type(error).__name__}: {error}",
                     )
                     return
-                cluster._guarded(cluster._deliver, delivery)
-            elif kind == "heartbeat":
+                cluster._guarded(
+                    cluster._deliver, (due, senders[channel], link.node, message)
+                )
+            elif kind == HEARTBEAT:
                 link.last_seen = cluster._loop.time()
             else:
-                cluster._worker_lost(link, f"sent unknown frame kind {kind!r}")
+                cluster._worker_lost(link, f"sent an unexpected {KIND_NAMES[kind]} frame")
                 return
 
     def connection_lost(self, exc: Exception | None) -> None:
@@ -209,23 +253,19 @@ class _Connection(asyncio.Protocol):
             )
         cluster._worker_lost(link, reason)
 
-    def _bind(self, frame: dict[str, Any]) -> _WorkerLink | None:
+    def _bind(self, frame: tuple[Any, ...]) -> _WorkerLink | None:
         """Bind this connection to the worker its ``hello`` names, if valid."""
         cluster = self._cluster
-        if frame["kind"] != "hello":
+        if frame[0] != HELLO:
             return None
-        try:
-            index = int(frame["index"])
-            pid = int(frame.get("pid", 0)) or None
-        except (KeyError, TypeError, ValueError):
-            return None
-        if not 0 <= index < len(cluster._links):
+        _, index, pid = frame
+        if index >= len(cluster._links):
             return None
         link = cluster._links[index]
         if link.socket is not None:
             return None
         link.socket = self._socket
-        link.pid = pid
+        link.pid = pid or None
         link.last_seen = cluster._loop.time()
         self._link = link
         bound = cluster._bound
@@ -284,10 +324,8 @@ class ClusterTransport(AsyncioTransport):
     ) -> None:
         if channel not in ("unix", "tcp"):
             raise SimulationError(f"channel must be 'unix' or 'tcp', got {channel!r}")
-        if heartbeat_interval <= 0:
-            raise SimulationError(
-                f"heartbeat_interval must be positive, got {heartbeat_interval}"
-            )
+        require_finite_positive("heartbeat_interval", heartbeat_interval)
+        require_finite_positive("connect_timeout", connect_timeout)
         super().__init__(
             seed,
             delay_model,
@@ -303,7 +341,10 @@ class ClusterTransport(AsyncioTransport):
         self._stale_after = max(4.0 * heartbeat_interval, 2.0)
         self._links: list[_WorkerLink] = []
         self._node_index: dict[Hashable, int] = {}
-        self._channel_keys: dict[Hashable, str] = {}
+        #: each sender's channel id, and the senders by id: a ``msg`` frame
+        #: names its sender by id, and the worker keys its channels by it.
+        self._channel_ids: dict[Hashable, int] = {}
+        self._senders: list[Hashable] = []
         self._failures: list[WorkerFailure] = []
         self._tempdir: str | None = None
         self._server: asyncio.AbstractServer | None = None
@@ -351,35 +392,22 @@ class ClusterTransport(AsyncioTransport):
     # Dispatch: coordinator -> worker
     # ------------------------------------------------------------------
 
-    def _channel_key(self, sender: Hashable) -> str:
-        key = self._channel_keys.get(sender)
-        if key is None:
-            key = json.dumps(encode_value(sender), sort_keys=True)
-            self._channel_keys[sender] = key
-        return key
-
     def _dispatch(self, delivery: tuple[float, Hashable, Hashable, Any]) -> None:
         """Write one ``msg`` frame to the destination worker's socket.
 
         Every frame for a worker goes through its one socket, in send
         order, so each channel's frames reach the worker in send order.
+        The destination is the worker itself, so the frame names only the
+        sender, by its channel id.
         """
         due, sender, destination, message = delivery
+        channel = self._channel_ids.get(sender)
+        if channel is None:
+            channel = self._channel_ids[sender] = len(self._senders)
+            self._senders.append(sender)
         socket = self._links[self._node_index[destination]].socket
         assert socket is not None, "dispatch before bring-up"
-        socket.write(
-            encode_frame(
-                {
-                    "kind": "msg",
-                    "channel": self._channel_key(sender),
-                    "src": encode_value(sender),
-                    "dst": encode_value(destination),
-                    "due": due,
-                    "loose": not self.fifo,
-                    "payload": encode_value(message),
-                }
-            )
-        )
+        socket.write(encode_frame((MSG, not self.fifo, due, channel, encode_value(message))))
 
     # ------------------------------------------------------------------
     # Bring-up
@@ -406,7 +434,7 @@ class ClusterTransport(AsyncioTransport):
         # event never spins the loop.
         held, self._pending_sends = self._pending_sends, []
         super()._start()
-        start = encode_frame({"kind": "start", "time_scale": self.time_scale})
+        start = encode_frame((START, self.time_scale))
         for link in self._links:
             assert link.socket is not None, "start before bring-up"
             link.socket.write(start)
@@ -434,22 +462,7 @@ class ClusterTransport(AsyncioTransport):
             )
             with open(link.stderr_path, "wb") as log:
                 link.process = subprocess.Popen(
-                    [
-                        sys.executable,
-                        # Isolated (no PYTHON* variables, no user site) and
-                        # without ``site``: the worker needs only the
-                        # standard library, and skips the start-up cost of
-                        # site-packages' ``.pth`` hooks.
-                        "-I",
-                        "-S",
-                        str(_WORKER_PATH),
-                        "--connect",
-                        spec,
-                        "--index",
-                        str(link.index),
-                        "--heartbeat",
-                        str(self.heartbeat_interval),
-                    ],
+                    _worker_command(spec, link.index, self.heartbeat_interval),
                     stdout=log,
                     stderr=log,
                     env=env,
@@ -577,7 +590,7 @@ class ClusterTransport(AsyncioTransport):
             await asyncio.gather(self._watcher, return_exceptions=True)
             self._watcher = None
         drained = self._drained = self._loop.create_future()
-        shutdown = encode_frame({"kind": "shutdown"})
+        shutdown = encode_frame((SHUTDOWN,))
         for link in self._links:
             process = link.process
             if process is None or process.poll() is not None:

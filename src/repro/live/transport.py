@@ -93,6 +93,16 @@ class LiveTimerHandle:
         self.callback()
 
 
+def require_finite_positive(name: str, value: float) -> None:
+    """Raise :class:`SimulationError` naming ``name`` unless ``0 < value < inf``.
+
+    A NaN or infinite knob otherwise turns into a clock that reads NaN,
+    a deadline that never passes, or a timeout no system call takes.
+    """
+    if not 0 < value < math.inf:
+        raise SimulationError(f"{name} must be finite and positive, got {value}")
+
+
 class LiveNodeContext:
     """Per-node capability view over one :class:`AsyncioTransport`."""
 
@@ -158,12 +168,8 @@ class AsyncioTransport:
         time_scale: float = 0.005,
         max_wall_seconds: float = 30.0,
     ) -> None:
-        if time_scale <= 0:
-            raise SimulationError(f"time_scale must be positive, got {time_scale}")
-        if max_wall_seconds <= 0:
-            raise SimulationError(
-                f"max_wall_seconds must be positive, got {max_wall_seconds}"
-            )
+        require_finite_positive("time_scale", time_scale)
+        require_finite_positive("max_wall_seconds", max_wall_seconds)
         self.tracer = Tracer(enabled=trace)
         #: events counted by name through ``NodeContext.count``.
         self.counts: Counter[str] = Counter()

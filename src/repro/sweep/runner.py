@@ -69,7 +69,8 @@ def _basic_system(cell: SweepCell, **overrides: Any) -> BasicSystem:
     return system
 
 
-def _collect_basic(cell: SweepCell, system: BasicSystem) -> CellResult:
+def _collect(cell: SweepCell, system: BasicSystem | DdbSystem) -> CellResult:
+    """A probe-model cell's result, its section 4 numbers included."""
     latencies = system.detection_latencies
     return {
         "cell_id": cell.cell_id,
@@ -80,7 +81,7 @@ def _collect_basic(cell: SweepCell, system: BasicSystem) -> CellResult:
         "declarations": len(system.declarations),
         "unsound": len(system.soundness_violations),
         "probes": system.probes_sent,
-        "computations": system.counts["basic.computations.initiated"],
+        "computations": system.counts[f"{system.model}.computations.initiated"],
         "max_probes_per_computation": max(
             system.probes_per_computation.values(), default=0
         ),
@@ -112,7 +113,7 @@ def _run_basic_family(cell: SweepCell, family: WorkloadFamily) -> CellResult:
                     system.vertex(i).initiate_probe_computation,
                 )
         system.run_to_quiescence(max_events=MAX_EVENTS)
-    result = _collect_basic(cell, system)
+    result = _collect(cell, system)
     if rounds:
         result["extra"]["max_tracked_records"] = max(
             vertex.engine.tracked_computations for vertex in system.vertices.values()
@@ -184,22 +185,9 @@ def _run_ddb_ring(cell: SweepCell) -> CellResult:
 
 
 def _collect_ddb(cell: SweepCell, system: DdbSystem) -> CellResult:
-    """A DDB cell's result; per-computation probe maxima and latencies are
-    left out (0 and ``None``), as in every recorded DDB sweep."""
-    return {
-        "cell_id": cell.cell_id,
-        "status": "ok",
-        "outcome": "deadlock" if system.declarations else "clean",
-        "events": system.simulator.events_executed,
-        "quiesced_at": system.simulator.now,
-        "declarations": len(system.declarations),
-        "unsound": len(system.soundness_violations),
-        "probes": system.probes_sent,
-        "computations": system.counts["ddb.computations.initiated"],
-        "max_probes_per_computation": 0,
-        "detection_latency_mean": None,
-        "extra": {"complete": int(system.completeness_report().complete)},
-    }
+    result = _collect(cell, system)
+    result["extra"]["complete"] = int(system.completeness_report().complete)
+    return result
 
 
 def _run_baseline(cell: SweepCell) -> CellResult:
@@ -215,7 +203,7 @@ def _run_baseline(cell: SweepCell) -> CellResult:
     if index == 0:
         system = factory(cell.seed, True)
         system.run_to_quiescence(max_events=MAX_EVENTS)
-        result = _collect_basic(cell, system)
+        result = _collect(cell, system)
         result["extra"]["detector"] = "cmh"
         result["extra"]["true_detections"] = result["declarations"] - result["unsound"]
         result["extra"]["false_detections"] = result["unsound"]
@@ -226,7 +214,7 @@ def _run_baseline(cell: SweepCell) -> CellResult:
     detector = variant.build(system, **settings)
     detector.start()
     system.run_to_quiescence(max_events=MAX_EVENTS)
-    result = _collect_basic(cell, system)
+    result = _collect(cell, system)
     report = detector.report
     result["extra"]["detector"] = variant.name
     result["extra"]["true_detections"] = len(report.true_detections)

@@ -4,20 +4,28 @@ The cluster backend rebuilds each delivered message from wire bytes
 (:mod:`repro.cluster.frames`), so the codec must round-trip every message
 type a registered variant sends -- frozen dataclasses, enums, tuples,
 frozensets -- and must refuse to import code named by the wire (a frame
-is data, never an instruction to load a module).  Frames are read
-incrementally (:class:`~repro.cluster.frames.FrameReader`), so a frame
-must parse the same however the socket splits its bytes.
+is data, never an instruction to load a module).  Every frame is a
+``struct`` envelope, kind byte first, and a malformed one is refused,
+never guessed at.  Frames are read incrementally
+(:class:`~repro.cluster.frames.FrameReader`), so a frame must parse the
+same however the socket splits its bytes.
 """
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.cluster.frames import (
+    DELIVER,
+    ENVELOPE,
+    FIXED,
     HEADER,
+    HEARTBEAT,
+    HELLO,
     MAX_FRAME_BYTES,
+    MSG,
+    SHUTDOWN,
+    START,
     FrameReader,
     decode_frame,
     decode_value,
@@ -28,8 +36,9 @@ from repro.errors import ClusterError
 
 
 def roundtrip(value: object) -> object:
-    # through real JSON text, exactly as the socket path does
-    return decode_value(json.loads(json.dumps(encode_value(value))))
+    # through a real msg frame's bytes, exactly as the socket path does
+    frame = encode_frame((MSG, False, 1.5, 0, encode_value(value)))
+    return decode_value(decode_frame(frame[HEADER.size :])[4])
 
 
 class TestValueRoundTrip:
@@ -143,13 +152,36 @@ class TestRefusals:
         with pytest.raises(ClusterError, match="unknown member 'NO_SUCH_MODE'"):
             decode_value(dict(payload, name="NO_SUCH_MODE"))
 
-    def test_non_object_frame_is_refused(self) -> None:
-        with pytest.raises(ClusterError, match="JSON object"):
-            decode_frame(json.dumps([1, 2, 3]).encode())
-
     def test_frame_without_kind_is_refused(self) -> None:
-        with pytest.raises(ClusterError, match="kind"):
-            decode_frame(json.dumps({"payload": 1}).encode())
+        with pytest.raises(ClusterError, match="empty body"):
+            decode_frame(b"")
+
+    @pytest.mark.parametrize(
+        ("body", "match"),
+        [
+            (bytes((99,)), "unknown kind byte 99"),
+            (ENVELOPE.pack(DELIVER, False, 1.0, 0)[:-1], "shorter than its 14-byte envelope"),
+            (FIXED[HELLO].pack(HELLO, 0, 1)[:-1], "hello frame: 8 bytes, expected 9"),
+            (FIXED[SHUTDOWN].pack(SHUTDOWN) + b"x", "shutdown frame: 2 bytes, expected 1"),
+            (ENVELOPE.pack(MSG, False, 1.0, 0) + b"{]", "payload is not JSON"),
+            (ENVELOPE.pack(DELIVER, False, 1.0, 0) + b'"\xff"', "payload is not JSON"),
+        ],
+        ids=[
+            "unknown-kind",
+            "envelope-cut-short",
+            "hello-cut-short",
+            "shutdown-too-long",
+            "payload-not-json",
+            "payload-not-utf8",
+        ],
+    )
+    def test_malformed_body_is_refused(self, body: bytes, match: str) -> None:
+        with pytest.raises(ClusterError, match=match):
+            decode_frame(body)
+
+    def test_oversize_message_is_refused_at_encode(self) -> None:
+        with pytest.raises(ClusterError, match="exceeds MAX_FRAME_BYTES"):
+            encode_frame((MSG, False, 0.0, 0, "x" * MAX_FRAME_BYTES))
 
     def test_refusals_hold_once_the_codec_caches_are_warm(self) -> None:
         from repro._ids import ProbeTag
@@ -169,6 +201,33 @@ class TestRefusals:
                     decode_value(payload)
 
 
+class TestEnvelope:
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            (HELLO, 3, 4242),
+            (HEARTBEAT,),
+            (START, 0.005),
+            (SHUTDOWN,),
+            (MSG, False, 12.25, 7, {"__repro__": "tuple", "items": [1, "a"]}),
+            (DELIVER, True, 0.0, 0, "Grüße"),
+        ],
+        ids=["hello", "heartbeat", "start", "shutdown", "msg", "deliver"],
+    )
+    def test_every_kind_round_trips(self, frame: tuple) -> None:
+        data = encode_frame(frame)
+        (length,) = HEADER.unpack_from(data)
+        assert length == len(data) - HEADER.size
+        assert decode_frame(data[HEADER.size :]) == frame
+
+    def test_deliver_is_the_msg_frame_with_its_kind_byte_rewritten(self) -> None:
+        # What the worker does: it never parses the payload.
+        payload = encode_value(("Grüße", frozenset({1})))
+        sent = bytearray(encode_frame((MSG, False, 3.5, 2, payload)))
+        sent[HEADER.size] = DELIVER
+        assert bytes(sent) == encode_frame((DELIVER, False, 3.5, 2, payload))
+
+
 class TestStreamFraming:
     @staticmethod
     def _read_all(data: bytes) -> list:
@@ -184,10 +243,7 @@ class TestStreamFraming:
         from repro.basic.messages import Probe
 
         probe = Probe(tag=ProbeTag(initiator=3, sequence=2))
-        frames = [
-            {"kind": "deliver", "due": 1.5, "payload": encode_value(probe)},
-            {"kind": "heartbeat"},
-        ]
+        frames = [(DELIVER, False, 1.5, 0, encode_value(probe)), (HEARTBEAT,)]
         return b"".join(encode_frame(frame) for frame in frames), frames
 
     def test_clean_eof_returns_none(self) -> None:
@@ -200,7 +256,7 @@ class TestStreamFraming:
             self._read_all(b"\x00\x00")
 
     def test_torn_body_raises(self) -> None:
-        frame = encode_frame({"kind": "msg"})
+        frame = encode_frame((MSG, False, 1.0, 0, None))
         with pytest.raises(ClusterError, match="inside a frame body"):
             self._read_all(frame[:-1])
 
@@ -217,8 +273,12 @@ class TestStreamFraming:
             reader.feed(header[-1:])
 
     def test_two_frames_read_back_to_back(self) -> None:
-        data = encode_frame({"kind": "a"}) + encode_frame({"kind": "b"})
-        assert self._read_all(data) == [{"kind": "a"}, {"kind": "b"}]
+        data = encode_frame((START, 0.5)) + encode_frame((SHUTDOWN,))
+        assert self._read_all(data) == [(START, 0.5), (SHUTDOWN,)]
+
+    def test_malformed_body_in_the_stream_is_refused(self) -> None:
+        with pytest.raises(ClusterError, match="unknown kind byte 99"):
+            self._read_all(HEADER.pack(1) + bytes((99,)))
 
     def test_split_at_every_offset_parses_the_same(self) -> None:
         data, expected = self._two_frames()

@@ -116,3 +116,25 @@ def test_with_seed_helper() -> None:
     assert replaced.seed == 7
     assert replaced.params == cell.params
     assert cell.seed == 0
+
+
+class TestDdbCells:
+    def test_quick_e7_cell_reports_the_rings_section_4_numbers(self) -> None:
+        from repro.analysis.stats import mean
+        from repro.experiments.e7_q_optimization import ring_system
+
+        cell = build_grid("e7", quick=True).cells[0]
+        result = run_cell(cell)
+        system = ring_system(
+            n_sites=cell.n,
+            extra_local=int(cell.param("extra_local")),
+            optimized=bool(cell.param("optimized")),
+            seed=cell.seed,
+        )
+        system.run_to_quiescence()
+        assert result["status"] == "ok"
+        assert result["max_probes_per_computation"] == max(
+            system.probes_per_computation.values()
+        )
+        assert result["max_probes_per_computation"] > 0
+        assert result["detection_latency_mean"] == mean(system.detection_latencies)

@@ -569,3 +569,24 @@ class TestLiveSpecifics:
         transport.close()  # idempotent
         with pytest.raises(SimulationError, match="closed"):
             transport.run_to_quiescence()
+
+    @pytest.mark.parametrize(
+        ("backend", "knob"),
+        [
+            (AsyncioTransport, "time_scale"),
+            (AsyncioTransport, "max_wall_seconds"),
+            (ClusterTransport, "time_scale"),
+            (ClusterTransport, "max_wall_seconds"),
+            (ClusterTransport, "heartbeat_interval"),
+            (ClusterTransport, "connect_timeout"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
+    def test_non_finite_or_non_positive_knob_rejected_at_construction(
+        self, backend, knob: str, value: float
+    ) -> None:
+        # Built, a NaN time scale would read NaN as the clock, an infinite
+        # one never deliver, and an infinite heartbeat kill each worker in
+        # its first wait; an infinite deadline would never pass.
+        with pytest.raises(SimulationError, match=f"{knob} must be finite and positive"):
+            backend(seed=0, **{knob: value})
